@@ -22,14 +22,14 @@ from .classify import (PAIR_ORDER, DegeneracyProfile, XPolynomial,
                        l2_coefficients, l2_display_audit, quadratic_roots,
                        quadratic_roots_audit, second_solution, x_factors)
 from .modules import (CoefficientRule, ExcAlpha, ExcAlphaPrime, ExcBeta,
-                      ExcBetaPrime, Mab, TableRule, WindowedVector, act,
-                      coeff, find_intertwiner, find_submodules,
+                      ExcBetaPrime, Mab, MemoRule, TableRule, WindowedVector,
+                      act, coeff, find_intertwiner, find_submodules,
                       find_submodules_ex, is_reducible_closed_form,
                       parse_family, relation_residual, shift_params,
                       verify_module, weight, weight_injective)
 from .report import ResidualReport
 from .scalar import (GuardError, Poly, RationalFunction, ScalarContext,
-                     parse_rational, pascal_residual, qint,
+                     is_zero, parse_rational, pascal_residual, qint,
                      reflection_residual, scalar_str)
 from .suite import (JsonReport, SuiteConfig, SuiteConfigError, run_suite,
                     VERSION)
@@ -41,7 +41,8 @@ __version__ = VERSION
 __all__ = [
     "AlgebraElement", "CaseConstants", "CaseTag", "CoefficientRule",
     "DegeneracyProfile", "ExcAlpha", "ExcAlphaPrime", "ExcBeta",
-    "ExcBetaPrime", "GuardError", "JsonReport", "Mab", "PAIR_ORDER", "Poly",
+    "ExcBetaPrime", "GuardError", "JsonReport", "Mab", "MemoRule",
+    "PAIR_ORDER", "Poly",
     "RationalFunction", "ResidualReport", "ScalarContext", "SuiteConfig",
     "SuiteConfigError", "TableRule", "Uqsl2Rep", "VERSION", "WindowedVector",
     "XPolynomial", "act", "annihilator_spectrum", "bracket",
@@ -54,7 +55,7 @@ __all__ = [
     "fgi_polynomials", "find_intertwiner", "find_j0", "find_j0_all",
     "find_submodules", "find_submodules_ex", "generation_check",
     "hom_jacobi_residual", "hom_twist", "identity_audit",
-    "is_reducible_closed_form", "k_eigenvalue", "l2_coefficients",
+    "is_reducible_closed_form", "is_zero", "k_eigenvalue", "l2_coefficients",
     "l2_display_audit", "one_param_qint", "parse_family", "parse_rational",
     "pascal_residual", "qint", "quadratic_in_x_check", "quadratic_in_x_fit",
     "quadratic_roots", "quadratic_roots_audit", "reflection_residual",

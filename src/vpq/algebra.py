@@ -4,15 +4,15 @@ Generators L_n (n in Z) plus one central element C.  The bracket is
 
     [L_n, L_m] = eta(n,m) L_{n+m} + delta_{m+n,0} central_coefficient(n) C
 
-with eta(n,m) = [n]/p^n - [m]/p^m, while the twisting map scales L_n by
-1 + (q/p)^n and fixes C.  The axiom checks below return exact residual
-elements; the verifiers sweep them over index windows.
+with eta(n,m) = [n]/p^n - [m]/p^m = h(n) - h(m), while the twisting map
+scales L_n by 1 + u^n (u = q/p) and fixes C.  The axiom checks below return
+exact residual elements; the verifiers sweep them over index windows.
 """
 
 from __future__ import annotations
 
 from .report import ResidualReport
-from .scalar import scalar_str
+from .scalar import is_zero, scalar_str
 
 
 class AlgebraElement:
@@ -24,7 +24,7 @@ class AlgebraElement:
         self.coeffs = {}
         if coeffs:
             for n, c in coeffs.items():
-                if not _is_zero(c):
+                if not is_zero(c):
                     self.coeffs[int(n)] = c
         self.central = central
 
@@ -44,7 +44,7 @@ class AlgebraElement:
         coeffs = dict(self.coeffs)
         for n, c in other.coeffs.items():
             s = coeffs.get(n, 0) + c
-            if _is_zero(s):
+            if is_zero(s):
                 coeffs.pop(n, None)
             else:
                 coeffs[n] = s
@@ -60,7 +60,7 @@ class AlgebraElement:
         return AlgebraElement({n: c * s for n, c in self.coeffs.items()}, self.central * s)
 
     def is_zero(self):
-        return not self.coeffs and _is_zero(self.central)
+        return not self.coeffs and is_zero(self.central)
 
     def __eq__(self, other):
         return (self - other).is_zero()
@@ -69,20 +69,16 @@ class AlgebraElement:
         parts = []
         for n in sorted(self.coeffs):
             parts.append("%s·L[%d]" % (scalar_str(self.coeffs[n]), n))
-        if not _is_zero(self.central):
+        if not is_zero(self.central):
             parts.append("%s·C" % scalar_str(self.central))
         return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__
 
 
-def _is_zero(x):
-    return x.is_zero() if hasattr(x, "is_zero") else x == 0
-
-
 def eta(ctx, n, m):
     """Structure constant [n]/p^n - [m]/p^m of the non-central part."""
-    return ctx.qint(n) * ctx.p ** (-n) - ctx.qint(m) * ctx.p ** (-m)
+    return ctx.hq(n) - ctx.hq(m)
 
 
 def central_coefficient(ctx, n):
@@ -91,12 +87,8 @@ def central_coefficient(ctx, n):
     (q/p)^{-n} / (6 (1 + (q/p)^n)) * [n-1]/p^{n-1} * [n]/p^n * [n+1]/p^{n+1}
     The context guard keeps 1 + (q/p)^n away from zero at rational points.
     """
-    u = ctx.q / ctx.p
-    head = u ** (-n) / ((1 + u ** n) * 6)
-    return (head
-            * ctx.qint(n - 1) * ctx.p ** (-(n - 1))
-            * ctx.qint(n) * ctx.p ** (-n)
-            * ctx.qint(n + 1) * ctx.p ** (-(n + 1)))
+    return (ctx.upow(-n) / ((1 + ctx.upow(n)) * 6)
+            * ctx.hq(n - 1) * ctx.hq(n) * ctx.hq(n + 1))
 
 
 def bracket(ctx, x, y):
@@ -113,9 +105,8 @@ def bracket(ctx, x, y):
 
 def hom_twist(ctx, x):
     """The twisting map: L_n -> (1 + (q/p)^n) L_n, C -> C."""
-    u = ctx.q / ctx.p
     return AlgebraElement(
-        {n: c * (1 + u ** n) for n, c in x.coeffs.items()}, x.central)
+        {n: c * (1 + ctx.upow(n)) for n, c in x.coeffs.items()}, x.central)
 
 
 def skew_residual(ctx, n, m):
@@ -151,10 +142,8 @@ def verify_algebra(ctx, window):
             rep.expect("skew", (n, m), r.is_zero(), str(r))
     cocycle = []
     for k in range(-w, w + 1):
-        for l in range(-w, w + 1):
-            for m in range(-w, w + 1):
-                if not (k <= l <= m):
-                    continue
+        for l in range(k, w + 1):
+            for m in range(l, w + 1):
                 r = hom_jacobi_residual(ctx, k, l, m)
                 noncentral = AlgebraElement(r.coeffs, ctx.zero)
                 rep.expect("hom-jacobi", (k, l, m), noncentral.is_zero(), str(r))
@@ -179,14 +168,14 @@ def generation_check(ctx, window):
     w = int(window)
     for n in range(2, w):
         c = eta(ctx, n, 1)
-        ok = not _is_zero(c)
+        ok = not is_zero(c)
         rep.expect("ladder-up", (n, 1), ok, "vanishing ladder coefficient")
         if ok:
             chain.append({
                 "target": n + 1, "from": [n, 1], "coefficient": scalar_str(c)})
     for n in range(-2, -w, -1):
         c = eta(ctx, n, -1)
-        ok = not _is_zero(c)
+        ok = not is_zero(c)
         rep.expect("ladder-down", (n, -1), ok, "vanishing ladder coefficient")
         if ok:
             chain.append({

@@ -16,11 +16,7 @@ from .classify import XPolynomial
 from .modules import (ExcAlpha, ExcAlphaPrime, ExcBeta, ExcBetaPrime, Mab,
                       _coerce, verify_module)
 from .report import ResidualReport
-from .scalar import scalar_str
-
-
-def _is_zero(x):
-    return x.is_zero() if hasattr(x, "is_zero") else x == 0
+from .scalar import is_zero, scalar_str
 
 
 def annihilator_spectrum(ctx, rule, n, window):
@@ -28,7 +24,7 @@ def annihilator_spectrum(ctx, rule, n, window):
     n = int(n)
     window = int(window)
     return [k for k in range(-window, window + 1)
-            if _is_zero(rule.coeff(ctx, n, k))]
+            if is_zero(rule.coeff(ctx, n, k))]
 
 
 def quadratic_in_x_check(ctx, rule, window):
@@ -82,7 +78,7 @@ def find_j0_all(ctx, a, window):
     a = _coerce(ctx, a)
     window = int(window)
     hits = [j for j in range(-window, window + 1)
-            if _is_zero(_j0_equation(ctx, a, j))]
+            if is_zero(_j0_equation(ctx, a, j))]
     hits.sort(key=lambda j: (abs(j), j))
     return hits
 
@@ -114,11 +110,11 @@ class CaseTag:
 def case_tag(ctx, a):
     a = _coerce(ctx, a)
     p, q = ctx.p, ctx.q
-    if _is_zero(a):
+    if is_zero(a):
         tag = "Case4"
-    elif _is_zero(a + 1 / p):
+    elif is_zero(a + 1 / p):
         tag = "Case3"
-    elif _is_zero(a + 1 / (p + q)):
+    elif is_zero(a + 1 / (p + q)):
         tag = "Case2"
     else:
         tag = "Case1"
@@ -253,7 +249,7 @@ def case_constants_audit(ctx, a, window=12):
         rep.section("constants", cc.to_dict())
         rep.expect("j0-avoids-gates", (), j0 not in (-3, 0),
                    "j0=%s" % j0)
-        rep.expect("H-nonzero", (), not _is_zero(cc.H), scalar_str(cc.H))
+        rep.expect("H-nonzero", (), not is_zero(cc.H), scalar_str(cc.H))
         _apply_constraints(rep, ctx, a, cc, j0, "case1")
     elif tag.tag == "Case2":
         cc = case2_constants(ctx)
@@ -263,7 +259,7 @@ def case_constants_audit(ctx, a, window=12):
                    cc.D * cc.Fc - p ** 2 * q ** -2 / (p + q) ** 2)
         eg_true = cc.E * cc.Gc
         eg_cat = p ** -2 * q ** 2 / (p ** 2 - q ** 2)
-        if not _is_zero(eg_true - eg_cat):
+        if not is_zero(eg_true - eg_cat):
             rep.finding(
                 "EG-catalogued-value",
                 "catalogued EG value disagrees with the constraint-"
@@ -271,7 +267,7 @@ def case_constants_audit(ctx, a, window=12):
                 {"catalogued": scalar_str(eg_cat),
                  "consistent": scalar_str(eg_true)})
         gc_cat = p ** -1 * q / (p - q)
-        if not _is_zero(cc.Gc - gc_cat):
+        if not is_zero(cc.Gc - gc_cat):
             rep.finding(
                 "G-catalogued-value",
                 "catalogued G value disagrees with the constraint-"
@@ -287,7 +283,7 @@ def case_constants_audit(ctx, a, window=12):
             rep.record("DF-value", ("case3", av), cc.D * cc.Fc - J(-1))
             rep.record("EG-value", ("case3", av), cc.E * cc.Gc)
             rep.record("GH-value", ("case3", av), cc.Gc * cc.H)
-            rep.expect("G-zero", ("case3", av), _is_zero(cc.Gc),
+            rep.expect("G-zero", ("case3", av), is_zero(cc.Gc),
                        scalar_str(cc.Gc))
     else:
         rep.expect("j0-is-0", (), j0 == 0, "j0=%s" % j0)
@@ -298,9 +294,9 @@ def case_constants_audit(ctx, a, window=12):
             rep.record("EG-value", ("case4", av), cc.E * cc.Gc - J(-1))
             rep.record("DF-value", ("case4", av), cc.D * cc.Fc)
             rep.record("FH-value", ("case4", av), cc.Fc * cc.H)
-            rep.expect("F-zero", ("case4", av), _is_zero(cc.Fc),
+            rep.expect("F-zero", ("case4", av), is_zero(cc.Fc),
                        scalar_str(cc.Fc))
-        if not _is_zero(case4_constants(ctx, "0").Gc - (-(p ** -1))):
+        if not is_zero(case4_constants(ctx, "0").Gc - (-(p ** -1))):
             rep.finding(
                 "G-narrative-sign",
                 "narrative sets G = -1/p but the EG product and the family "

@@ -16,13 +16,9 @@ from __future__ import annotations
 
 from .modules import Mab, _coerce
 from .report import ResidualReport
-from .scalar import scalar_str
+from .scalar import is_zero, scalar_str
 
 DEGREE_NEG_INF = "-inf"
-
-
-def _is_zero(x):
-    return x.is_zero() if hasattr(x, "is_zero") else x == 0
 
 
 class XPolynomial:
@@ -32,7 +28,7 @@ class XPolynomial:
 
     def __init__(self, coeffs):
         cs = list(coeffs)
-        while cs and _is_zero(cs[-1]):
+        while cs and is_zero(cs[-1]):
             cs.pop()
         self.coeffs = cs
 
@@ -247,7 +243,7 @@ def degeneracy_profile(ctx, a, b):
     for fi, gj in PAIR_ORDER:
         key = "%s=%s" % (fi, gj)
         pairs[key] = (fx[fi] - fx[gj]).is_zero()
-        conditions[key] = _is_zero(condition_scalar(ctx, a, b, fi, gj))
+        conditions[key] = is_zero(condition_scalar(ctx, a, b, fi, gj))
     return DegeneracyProfile(pairs, conditions, _case_from_pairs(pairs))
 
 
@@ -263,14 +259,16 @@ def degeneracy_table_audit(ctx):
     a = ctx.var("a")
     b = ctx.var("b")
     fx = x_factors(ctx, a, b)
+    # linear-form coefficients come from the values at three (a, b) corners
+    corners = ((ctx.zero, ctx.zero), (ctx.one, ctx.zero), (ctx.zero, ctx.one))
+    fx_at = [x_factors(ctx, aa, bb) for aa, bb in corners]
     rep = ResidualReport("degeneracy-table", ctx.describe())
     for fi, gj in PAIR_ORDER:
         key = "%s=%s" % (fi, gj)
         diff = (fx[fi] - fx[gj]).coeff(0)
-        # extract linear-form coefficients by evaluating at (a,b) points
-        dc = _linear_form(ctx, lambda aa, bb: (x_factors(ctx, aa, bb)[fi]
-                                               - x_factors(ctx, aa, bb)[gj]).coeff(0))
-        cc = _linear_form(ctx, lambda aa, bb: condition_scalar(ctx, aa, bb, fi, gj))
+        dc = _linear_form([(f[fi] - f[gj]).coeff(0) for f in fx_at])
+        cc = _linear_form([condition_scalar(ctx, aa, bb, fi, gj)
+                           for aa, bb in corners])
         ok = _proportional(dc, cc)
         rep.expect("equivalence", (key,), ok, scalar_str(diff))
     for key in ADJUSTED_LINES:
@@ -285,21 +283,20 @@ def degeneracy_table_audit(ctx):
     return rep
 
 
-def _linear_form(ctx, fn):
-    """Coefficients (alpha, beta, gamma) of a form alpha·a + beta·b + gamma."""
-    g = fn(ctx.zero, ctx.zero)
-    al = fn(ctx.one, ctx.zero) - g
-    be = fn(ctx.zero, ctx.one) - g
-    return al, be, g
+def _linear_form(values):
+    """Coefficients (alpha, beta, gamma) of a form alpha·a + beta·b + gamma
+    from its values at (a, b) = (0, 0), (1, 0), (0, 1)."""
+    g, at_a, at_b = values
+    return at_a - g, at_b - g, g
 
 
 def _proportional(u, v):
     """Whether two coefficient triples are nonzero scalar multiples."""
-    if all(_is_zero(x) for x in u) or all(_is_zero(x) for x in v):
+    if all(is_zero(x) for x in u) or all(is_zero(x) for x in v):
         return False
     for i in range(3):
         for j in range(3):
-            if not _is_zero(u[i] * v[j] - u[j] * v[i]):
+            if not is_zero(u[i] * v[j] - u[j] * v[i]):
                 return False
     return True
 
@@ -331,7 +328,7 @@ def quadratic_roots(ctx, a, b):
     a = _coerce(ctx, a)
     b = _coerce(ctx, b)
     partner = second_solution(ctx, a, b)
-    if not _is_zero(_step_product(ctx, a, partner) - _step_product(ctx, a, b)):
+    if not is_zero(_step_product(ctx, a, partner) - _step_product(ctx, a, b)):
         raise AssertionError("partner root fails the defining quadratic")
     return (b, partner)
 
@@ -349,7 +346,7 @@ def quadratic_roots_audit(ctx, a, b):
                _step_product(ctx, a, good) - target)
     variant = 1 - a * (ctx.p - ctx.q) - b
     vres = _step_product(ctx, a, variant) - target
-    if not _is_zero(vres):
+    if not is_zero(vres):
         rep.finding(
             "second-solution-sign",
             "catalogued partner form 1 - a(p-q) - b fails the defining "
@@ -376,6 +373,30 @@ def _prod(*polys):
     return out
 
 
+def fg_constants(ctx, fx):
+    """The constants F and G of the two cubic differences.
+
+    Returns (F, G, d_f, d_g): d_f is the first and d_g the adjusted second
+    difference, expanded in x; F (G) is None when d_f (d_g) depends on x.
+    """
+    d_f = _prod(fx["f1"], fx["f2"], fx["E1"]) - _prod(fx["f3"], fx["f4"], fx["E2"])
+    d_g = _prod(fx["g1"], fx["g2"], fx["W+"]) - _prod(fx["g3"], fx["g4"], fx["W-"])
+
+    def constant(d):
+        if d.degree() is None:
+            return ctx.zero
+        return d.coeff(0) if d.degree() == 0 else None
+
+    return constant(d_f), constant(d_g), d_f, d_g
+
+
+def fg_failure(rep, d_f, d_g):
+    """Fail rep on the first cubic difference that is not constant in x."""
+    name, d = ("first", d_f) if (d_f.degree() or 0) > 0 else ("second", d_g)
+    rep.expect("%s-difference-constant" % name, (), False, d.degree_str())
+    return rep
+
+
 def identity_audit(ctx, a, b):
     """Audit of the constant-difference claims and the grand identity.
 
@@ -392,8 +413,7 @@ def identity_audit(ctx, a, b):
     rep = ResidualReport("identity-audit", {
         "a": scalar_str(a), "b": scalar_str(b), **ctx.describe()})
 
-    d_f = _prod(fx["f1"], fx["f2"], fx["E1"]) - _prod(fx["f3"], fx["f4"], fx["E2"])
-    d_g_adj = _prod(fx["g1"], fx["g2"], fx["W+"]) - _prod(fx["g3"], fx["g4"], fx["W-"])
+    F, G, d_f, d_g_adj = fg_constants(ctx, fx)
     d_g_given = _prod(fx["g1"], fx["g2_given"], fx["W+_given"]) \
         - _prod(fx["g4"], fx["g3"], fx["E2"])
 
@@ -416,13 +436,9 @@ def identity_audit(ctx, a, b):
             {"given_degree": d_g_given.degree_str(),
              "given_coefficients": d_g_given.serialize()})
 
-    F = d_f.coeff(0) if d_f.degree() in (None, 0) else None
-    G = d_g_adj.coeff(0) if d_g_adj.degree() in (None, 0) else None
     if F is None or G is None:
         rep.expect("minus-p6q6-ratio", (), False, "difference not constant")
         return rep
-    F = F if F != 0 else ctx.zero
-    G = G if G != 0 else ctx.zero
     rep.record("minus-p6q6-ratio", (), F + p ** -6 * q ** 6 * G)
     rep.section("F", scalar_str(F))
     rep.section("G", scalar_str(G))
@@ -531,7 +547,7 @@ def closed_form_f(ctx, a, b, F0, j):
     """f(j) = p^{-3j} q^{3j} F0 / (dn(j+2) dn(j+1)); None on zero denominator."""
     _, dn, _, _ = _mab_parts(ctx, a, b)
     den = dn(j + 2) * dn(j + 1)
-    if _is_zero(den):
+    if is_zero(den):
         return None
     return ctx.p ** (-3 * j) * ctx.q ** (3 * j) * _coerce(ctx, F0) / den
 
@@ -540,7 +556,7 @@ def closed_form_g(ctx, a, b, G0, j):
     """g(j) = p^{-3j} q^{3j} G0 / (up(j-2) up(j-1)); None on zero denominator."""
     up, _, _, _ = _mab_parts(ctx, a, b)
     den = up(j - 2) * up(j - 1)
-    if _is_zero(den):
+    if is_zero(den):
         return None
     return ctx.p ** (-3 * j) * ctx.q ** (3 * j) * _coerce(ctx, G0) / den
 
@@ -591,16 +607,16 @@ def l2_coefficients(ctx, a, b, j, reading="adjusted"):
     up, dn, w2, wm2 = _mab_parts(ctx, a, b)
     den1 = dn(j + 2)
     den2 = dn(j + 1)
-    if _is_zero(den1):
+    if is_zero(den1):
         raise ValueError("c2 denominator dn(j+2) vanishes at j=%d" % j)
-    if _is_zero(den2):
+    if is_zero(den2):
         raise ValueError("c2 denominator dn(j+1) vanishes at j=%d" % j)
     c2 = up(j) * up(j + 1) * wm2(j + 2) / (den1 * den2)
     den3 = up(j - 2)
     den4 = up(j - 1)
-    if _is_zero(den3):
+    if is_zero(den3):
         raise ValueError("cm2 denominator up(j-2) vanishes at j=%d" % j)
-    if _is_zero(den4):
+    if is_zero(den4):
         raise ValueError("cm2 denominator up(j-1) vanishes at j=%d" % j)
     p, q = ctx.p, ctx.q
     if reading == "adjusted":
@@ -624,13 +640,9 @@ def l2_display_audit(ctx, a, b, jmax):
     rep = ResidualReport("l2-display", {
         "a": scalar_str(a), "b": scalar_str(b), "jmax": int(jmax),
         **ctx.describe()})
-    fx = x_factors(ctx, a, b)
-    d_f = _prod(fx["f1"], fx["f2"], fx["E1"]) - _prod(fx["f3"], fx["f4"], fx["E2"])
-    if (d_f.degree() or 0) > 0:
-        rep.expect("first-difference-constant", (), False, d_f.degree_str())
-        return rep
-    F = d_f.coeff(0) if d_f.coeffs else ctx.zero
-    G = -(ctx.p ** 6) * ctx.q ** -6 * F
+    F, G, d_f, d_g = fg_constants(ctx, x_factors(ctx, a, b))
+    if F is None or G is None:
+        return fg_failure(rep, d_f, d_g)
     _, _, w2, wm2 = _mab_parts(ctx, a, b)
     bprime = second_solution(ctx, a, b)
     partner = Mab(a, bprime)
@@ -652,7 +664,7 @@ def l2_display_audit(ctx, a, b, jmax):
                 _, cm2g = l2_coefficients(ctx, a, b, j, reading="given")
             except ValueError:
                 cm2g = None
-            if cm2g is not None and not _is_zero(cm2g - wm2(j) - gj):
+            if cm2g is not None and not is_zero(cm2g - wm2(j) - gj):
                 rep.finding(
                     "cm2-display-reading",
                     "literal cm2 display fails at j=%d; adjusted reading "
@@ -666,7 +678,7 @@ def l2_display_audit(ctx, a, b, jmax):
         gauge = c2 * cm2s
         rep.record("gauge-product", (j,),
                    gauge - partner.coeff(ctx, 2, j) * partner.coeff(ctx, -2, j + 2))
-        if _is_zero(gauge - variant.coeff(ctx, 2, j) * variant.coeff(ctx, -2, j + 2)):
+        if is_zero(gauge - variant.coeff(ctx, 2, j) * variant.coeff(ctx, -2, j + 2)):
             variant_hits += 1
     rep.section("variant_partner_matches", variant_hits)
     return rep

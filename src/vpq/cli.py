@@ -100,24 +100,25 @@ def _one_check_config(args, checks):
     return SuiteConfig.from_dict(doc)
 
 
+def _windowed(args, spec):
+    if args.window is not None:
+        spec["window"] = args.window
+    return spec
+
+
 def _build_config(args):
     cmd = args.command
     if cmd == "suite":
         return SuiteConfig.from_path(args.config)
     if cmd == "verify-algebra":
-        spec = {"check": "verify-algebra"}
-        if args.window is not None:
-            spec["window"] = args.window
-        return _one_check_config(args, [spec])
+        return _one_check_config(args, [_windowed(args, {"check": cmd})])
     if cmd == "verify-module":
         return _one_check_config(args, [{
             "check": "verify-module", "family": args.family,
             "nmax": args.nmax, "kmax": args.kmax, "filter": args.filter}])
     if cmd == "submodules":
-        spec = {"check": "submodules", "family": args.family}
-        if args.window is not None:
-            spec["window"] = args.window
-        return _one_check_config(args, [spec])
+        return _one_check_config(args, [_windowed(
+            args, {"check": cmd, "family": args.family})])
     if cmd == "iso":
         return _one_check_config(args, [{
             "check": "iso", "a": args.a, "b": args.b, "m": args.m,
@@ -134,15 +135,9 @@ def _build_config(args):
     if cmd == "case-audit":
         checks = []
         if args.a is not None:
-            spec = {"check": "case-audit", "a": args.a}
-            if args.window is not None:
-                spec["window"] = args.window
-            checks.append(spec)
+            checks.append(_windowed(args, {"check": "case-audit", "a": args.a}))
         if args.families or args.a is None:
-            spec = {"check": "family-consistency"}
-            if args.window is not None:
-                spec["window"] = args.window
-            checks.append(spec)
+            checks.append(_windowed(args, {"check": "family-consistency"}))
         return _one_check_config(args, checks)
     if cmd == "uqsl2":
         checks = [{"check": "uqsl2", "two_l": args.two_l,

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .report import ResidualReport
-from .scalar import RationalFunction, parse_rational, scalar_str
+from .scalar import RationalFunction, is_zero, parse_rational, scalar_str
 
 
 def _coerce(ctx, v):
@@ -58,8 +58,34 @@ class CoefficientRule:
         return "%s:%s" % (self.family, ps) if ps else self.family
 
 
+class MemoRule(CoefficientRule):
+    """One rule under one context, each coefficient computed once.
+
+    A sweep wraps its rule for its own duration, so the memo dies with the
+    sweep.  Under any other context it evaluates the rule afresh.
+    """
+
+    def __init__(self, ctx, rule):
+        self.ctx = ctx
+        self.rule = rule
+        self.family = rule.family
+        self._memo = {}
+
+    def coeff(self, ctx, n, k):
+        if ctx is not self.ctx:
+            return self.rule.coeff(ctx, n, k)
+        hit = self._memo.get((n, k))
+        if hit is None:
+            hit = self._memo[n, k] = self.rule.coeff(ctx, n, k)
+        return hit
+
+    def params(self):
+        return self.rule.params()
+
+
 class Mab(CoefficientRule):
-    """c(n,k) = p^{-k}[k] - a p^{-k} q^k - b p^{-k-n} q^k [n]."""
+    """c(n,k) = p^{-k}[k] - a p^{-k} q^k - b p^{-k-n} q^k [n]
+    = h(k) - u^k (a + b h(n))."""
 
     family = "mab"
 
@@ -70,9 +96,7 @@ class Mab(CoefficientRule):
     def coeff(self, ctx, n, k):
         a = _coerce(ctx, self.a)
         b = _coerce(ctx, self.b)
-        pk = ctx.p ** (-k)
-        qk = ctx.q ** k
-        return pk * ctx.qint(k) - a * pk * qk - b * pk * ctx.p ** (-n) * qk * ctx.qint(n)
+        return ctx.hq(k) - ctx.upow(k) * (a + b * ctx.hq(n))
 
     def params(self):
         return {"a": self.a, "b": self.b}
@@ -80,7 +104,8 @@ class Mab(CoefficientRule):
 
 class ExcAlpha(CoefficientRule):
     """c(n,k) = p^{-n-k-1}[n+k+1] away from k=-1;
-    c(n,-1) = -q^n[-n] + [-n][n+1] p^{-n} q^n * alpha."""
+    c(n,-1) = -q^n[-n] + [-n][n+1] p^{-n} q^n * alpha.
+    As -q^j[-j] = h(j), these are h(n+k+1) and h(n) + u^n [-n][n+1] alpha."""
 
     family = "alpha"
 
@@ -89,10 +114,9 @@ class ExcAlpha(CoefficientRule):
 
     def coeff(self, ctx, n, k):
         if k != -1:
-            return ctx.p ** (-n - k - 1) * ctx.qint(n + k + 1)
+            return ctx.hq(n + k + 1)
         t = _coerce(ctx, self.alpha)
-        return (-ctx.q ** n * ctx.qint(-n)
-                + ctx.qint(-n) * ctx.qint(n + 1) * ctx.p ** (-n) * ctx.q ** n * t)
+        return ctx.hq(n) + ctx.upow(n) * ctx.qint(-n) * ctx.qint(n + 1) * t
 
     def params(self):
         return {"alpha": self.alpha}
@@ -109,10 +133,9 @@ class ExcAlphaPrime(CoefficientRule):
 
     def coeff(self, ctx, n, k):
         if k != -n:
-            return ctx.p ** (-k) * ctx.qint(k)
+            return ctx.hq(k)
         t = _coerce(ctx, self.alphap)
-        return (ctx.p ** n * ctx.qint(-n)
-                + ctx.p ** n * ctx.q ** (-n) * ctx.qint(-n) * ctx.qint(n + 1) * t)
+        return ctx.hq(-n) + ctx.upow(-n) * ctx.qint(-n) * ctx.qint(n + 1) * t
 
     def params(self):
         return {"alphap": self.alphap}
@@ -120,7 +143,8 @@ class ExcAlphaPrime(CoefficientRule):
 
 class ExcBeta(CoefficientRule):
     """c(n,k) = -q^{n+k-1}[-n-k+1] away from k=1;
-    c(n,1) = -q^n[-n] + p^{-n} q^n [n][-n+1] * beta."""
+    c(n,1) = -q^n[-n] + p^{-n} q^n [n][-n+1] * beta.
+    As -q^j[-j] = h(j), these are h(n+k-1) and h(n) + u^n [n][-n+1] beta."""
 
     family = "beta"
 
@@ -129,10 +153,9 @@ class ExcBeta(CoefficientRule):
 
     def coeff(self, ctx, n, k):
         if k != 1:
-            return -(ctx.q ** (n + k - 1)) * ctx.qint(-n - k + 1)
+            return ctx.hq(n + k - 1)
         t = _coerce(ctx, self.beta)
-        return (-ctx.q ** n * ctx.qint(-n)
-                + ctx.p ** (-n) * ctx.q ** n * ctx.qint(n) * ctx.qint(-n + 1) * t)
+        return ctx.hq(n) + ctx.upow(n) * ctx.qint(n) * ctx.qint(-n + 1) * t
 
     def params(self):
         return {"beta": self.beta}
@@ -158,14 +181,13 @@ class ExcBetaPrime(CoefficientRule):
 
     def coeff(self, ctx, n, k):
         if k != -n:
-            return ctx.p ** (-k) * ctx.qint(k)
+            return ctx.hq(k)
         t = _coerce(ctx, self.betap)
         if self.reading == "given":
             pair = ctx.qint(n) * ctx.qint(n + 1)
         else:
             pair = ctx.qint(n) * ctx.qint(-n + 1)
-        return (ctx.p ** n * ctx.qint(-n)
-                + ctx.p ** n * ctx.q ** (-n) * pair * t)
+        return ctx.hq(-n) + ctx.upow(-n) * pair * t
 
     def params(self):
         out = {"betap": self.betap}
@@ -251,7 +273,7 @@ class WindowedVector:
             for k, c in entries.items():
                 if abs(int(k)) > self.window:
                     raise ValueError("index %d outside window %d" % (k, self.window))
-                if not _is_zero(c):
+                if not is_zero(c):
                     self.entries[int(k)] = c
 
     @staticmethod
@@ -266,7 +288,7 @@ class WindowedVector:
             return False
         keys = set(self.entries) | set(other.entries)
         return all(
-            not _is_zero(self.entries.get(k, 0) - other.entries.get(k, 0))
+            not is_zero(self.entries.get(k, 0) - other.entries.get(k, 0))
             for k in keys)
 
     def __str__(self):
@@ -276,16 +298,12 @@ class WindowedVector:
                           for k in sorted(self.entries))
 
 
-def _is_zero(x):
-    return x.is_zero() if hasattr(x, "is_zero") else x == 0
-
-
 def act(ctx, rule, n, v):
     """L_n applied to a windowed vector; overflow past the window is an error."""
     out = {}
     for k in sorted(v.entries):
         c = rule.coeff(ctx, n, k) * v.entries[k]
-        if _is_zero(c):
+        if is_zero(c):
             continue
         if abs(k + n) > v.window:
             raise ValueError(
@@ -296,18 +314,18 @@ def act(ctx, rule, n, v):
 
 
 def relation_residual(ctx, rule, n, m, k):
-    """Defining-axiom residual on v_k for the generator pair (n, m)."""
-    pn = ctx.p ** (-n) * ctx.q ** n
-    pm = ctx.p ** (-m) * ctx.q ** m
-    lhs = (pn * rule.coeff(ctx, m, k) * rule.coeff(ctx, n, m + k)
-           - pm * rule.coeff(ctx, n, k) * rule.coeff(ctx, m, n + k))
-    rhs = (ctx.qint(m) * ctx.p ** (-m) - ctx.qint(n) * ctx.p ** (-n)) \
-        * rule.coeff(ctx, n + m, k)
-    return lhs - rhs
+    """Defining-axiom residual on v_k for the generator pair (n, m):
+    u^n c(m,k) c(n,m+k) - u^m c(n,k) c(m,n+k) - (h(m) - h(n)) c(n+m,k)."""
+    c = rule.coeff
+    return (ctx.upow(n) * c(ctx, m, k) * c(ctx, n, m + k)
+            - ctx.upow(m) * c(ctx, n, k) * c(ctx, m, n + k)
+            - (ctx.hq(m) - ctx.hq(n)) * c(ctx, n + m, k))
 
 
 def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
-    """Sweep relation_residual over the window; returns a ResidualReport."""
+    """Sweep relation_residual over the window; returns a ResidualReport.
+
+    The sweep reads each coefficient c(n,k) through one MemoRule."""
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     if kmax < nmax:
@@ -317,6 +335,7 @@ def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
     rep = ResidualReport("verify-module", {
         "family": rule.describe(), "nmax": int(nmax), "kmax": int(kmax),
         "pair_filter": pair_filter, **ctx.describe()})
+    memo = MemoRule(ctx, rule)
     for n in range(-nmax, nmax + 1):
         for m in range(-nmax, nmax + 1):
             if pair_filter == "generators":
@@ -324,7 +343,7 @@ def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
                     continue
             for k in range(-kmax, kmax + 1):
                 rep.record("module-relation", (n, m, k),
-                           relation_residual(ctx, rule, n, m, k))
+                           relation_residual(ctx, memo, n, m, k))
     return rep
 
 
@@ -340,11 +359,11 @@ def weight_injective(ctx, a, window):
     as well; the two must agree under the context guard.
     """
     a = _coerce(ctx, a)
-    closed = not _is_zero(a + 1 / (ctx.p - ctx.q))
+    closed = not is_zero(a + 1 / (ctx.p - ctx.q))
     rule = Mab(a, ctx.zero)
     seen = [rule.coeff(ctx, 0, k) for k in range(-window, window + 1)]
     brute = all(
-        not _is_zero(seen[i] - seen[j])
+        not is_zero(seen[i] - seen[j])
         for i in range(len(seen)) for j in range(i + 1, len(seen)))
     if closed != brute:
         raise AssertionError("weight injectivity: closed form and scan disagree")
@@ -359,7 +378,7 @@ def _edges(ctx, rule, window):
             n = t - k
             if n == 0:
                 continue
-            if not _is_zero(rule.coeff(ctx, n, k)):
+            if not is_zero(rule.coeff(ctx, n, k)):
                 adj[k].append(t)
     return adj
 
@@ -469,12 +488,12 @@ def is_reducible_closed_form(ctx, a, b, mmax):
     """Witness m with a = -p^{-m}[m] and b in {-p^{-m} q^m, 0}, if any."""
     a = _coerce(ctx, a)
     b = _coerce(ctx, b)
-    if _is_zero(a + 1 / (ctx.p - ctx.q)):
+    if is_zero(a + 1 / (ctx.p - ctx.q)):
         raise ValueError("a = -1/(p-q) is outside this criterion's domain")
     for m in sorted(range(-int(mmax), int(mmax) + 1), key=lambda x: (abs(x), x)):
-        if not _is_zero(a + ctx.p ** (-m) * ctx.qint(m)):
+        if not is_zero(a + ctx.hq(m)):
             continue
-        if _is_zero(b) or _is_zero(b + ctx.p ** (-m) * ctx.q ** m):
+        if is_zero(b) or is_zero(b + ctx.upow(m)):
             return m
     return None
 
@@ -483,8 +502,8 @@ def shift_params(ctx, a, b, m):
     """Parameters of the isomorphic copy under index shift by m."""
     a = _coerce(ctx, a)
     b = _coerce(ctx, b)
-    scale = ctx.p ** m * ctx.q ** (-m)
-    return ((a + ctx.p ** (-m) * ctx.qint(m)) * scale, b * scale)
+    scale = ctx.upow(-m)
+    return ((a + ctx.hq(m)) * scale, b * scale)
 
 
 def find_intertwiner(ctx, ruleA, ruleB, m, window):
@@ -495,31 +514,26 @@ def find_intertwiner(ctx, ruleA, ruleB, m, window):
     zero), then validates every constraint with |n| <= 2 inside the window.
     """
     window = int(window)
+    ruleA = MemoRule(ctx, ruleA)
+    ruleB = MemoRule(ctx, ruleB)
     h = {0: ctx.one}
-    for k in range(0, window):
-        ca = ruleA.coeff(ctx, 1, k)
-        cb = ruleB.coeff(ctx, 1, k + m)
-        if _is_zero(ca) and _is_zero(cb):
-            h[k + 1] = ctx.one
-        elif _is_zero(ca) or _is_zero(cb):
-            return None
-        else:
-            h[k + 1] = h[k] * cb / ca
-    for k in range(0, -window, -1):
-        ca = ruleA.coeff(ctx, 1, k - 1)
-        cb = ruleB.coeff(ctx, 1, k - 1 + m)
-        if _is_zero(ca) and _is_zero(cb):
-            h[k - 1] = ctx.one
-        elif _is_zero(ca) or _is_zero(cb):
-            return None
-        else:
-            h[k - 1] = h[k] * ca / cb
+    for step in (1, -1):
+        for k in range(0, step * window, step):
+            j = min(k, k + step)    # the n=1 constraint joining h_j, h_{j+1}
+            ca = ruleA.coeff(ctx, 1, j)
+            cb = ruleB.coeff(ctx, 1, j + m)
+            if is_zero(ca) and is_zero(cb):
+                h[k + step] = ctx.one
+            elif is_zero(ca) or is_zero(cb):
+                return None
+            else:
+                h[k + step] = h[k] * (cb / ca if step > 0 else ca / cb)
     for n in range(-2, 3):
         for k in range(-window, window + 1):
             if abs(k + n) > window:
                 continue
             lhs = h[k + n] * ruleA.coeff(ctx, n, k)
             rhs = h[k] * ruleB.coeff(ctx, n, k + m)
-            if not _is_zero(lhs - rhs):
+            if not is_zero(lhs - rhs):
                 return None
     return h

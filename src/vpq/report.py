@@ -12,7 +12,7 @@ readings, a claim that does not survive expansion) without failing the run.
 
 from __future__ import annotations
 
-from .scalar import scalar_str
+from .scalar import is_zero, scalar_str
 
 
 def _plain(value):
@@ -42,7 +42,7 @@ class ResidualReport:
     def record(self, identity, indices, residual):
         """Count one residual check; nonzero residuals become failures."""
         self.checked += 1
-        zero = residual == 0 if not hasattr(residual, "is_zero") else residual.is_zero()
+        zero = is_zero(residual)
         if zero:
             self.passed += 1
         else:

@@ -144,14 +144,6 @@ class Poly:
         r._hash = None
         return r
 
-    def mul_int(self, n):
-        if not n:
-            return Poly()
-        r = Poly.__new__(Poly)
-        r.terms = {e: c * n for e, c in self.terms.items()}
-        r._hash = None
-        return r
-
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
@@ -211,19 +203,6 @@ class Poly:
             acc += t
         return acc
 
-    def subs_scalars(self, values):
-        """Substitute arbitrary scalar values (supporting + * **) per variable."""
-        acc = None
-        for e, c in sorted(self.terms.items()):
-            t = None
-            for i in range(_NV):
-                if e[i]:
-                    f = values[i] ** e[i]
-                    t = f if t is None else t * f
-            term = c if t is None else t * c
-            acc = term if acc is None else acc + term
-        return 0 if acc is None else acc
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -253,7 +232,7 @@ class Poly:
     __repr__ = __str__
 
 
-# -- multivariate gcd (primitive PRS) ---------------------------------------
+# -- exact division and multivariate gcd ------------------------------------
 
 def _coeffs_in(p, i):
     """Split p by the exponent of variable i: degree -> Poly in the others."""
@@ -266,20 +245,12 @@ def _coeffs_in(p, i):
     return {d: Poly(t) for d, t in buckets.items()}
 
 
-def _join_in(coeffs, i):
-    t = {}
-    for d, poly in coeffs.items():
-        for e, c in poly.terms.items():
-            e2 = list(e)
-            e2[i] = e2[i] + d
-            t[tuple(e2)] = c
-    return Poly(t)
-
-
 def poly_divexact(a, b):
     """Exact division a/b; raises ValueError when it does not divide."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
+    if a.is_zero():
+        return Poly()
     if b.is_const():
         bc = b.const_value()
         t = {}
@@ -302,13 +273,18 @@ def poly_divexact(a, b):
                 raise ValueError("inexact polynomial division")
             t[ee] = qc
         return Poly(t)
+    # an exact quotient has degree deg_i(a) - deg_i(b) in every variable,
+    # which also bounds the loop when b does not divide a
+    top = [a.degree_in(i) - b.degree_in(i) for i in range(_NV)]
+    if min(top) < 0:
+        raise ValueError("inexact polynomial division")
     q = {}
     r = a
     eb, cb = b.lead()
     while r.terms:
         er, cr = r.lead()
         ee = tuple(er[i] - eb[i] for i in range(_NV))
-        if any(x < 0 for x in ee):
+        if any(x < 0 or x > t for x, t in zip(ee, top)):
             raise ValueError("inexact polynomial division")
         qc, rem = divmod(cr, cb)
         if rem:
@@ -346,7 +322,17 @@ def _content_in(p, i):
 
 
 def poly_gcd(a, b):
-    """gcd over Z[p,q,a,b], sign-normalized so the lex leading coeff is > 0."""
+    """gcd over Z[p,q,a,b], sign-normalized so the lex leading coeff is > 0.
+
+    Trivial shapes are answered directly; the rest go to the heuristic gcd,
+    with the primitive PRS as the fallback when no evaluation point works.
+    """
+    g = _trivial_gcd(a, b) or _heu_gcd(a, b) or _prs_gcd(a, b)
+    return g if g.is_zero() or g.lead_sign() > 0 else -g
+
+
+def _trivial_gcd(a, b):
+    """gcd of the shapes that need no elimination, else None."""
     if a.is_zero():
         return b if b.is_zero() or b.lead_sign() > 0 else -b
     if b.is_zero():
@@ -366,12 +352,93 @@ def poly_gcd(a, b):
             if not any(e):
                 break
         return Poly({e: math.gcd(abs(ca), b.content())})
-    avars = set(a.variables())
-    bvars = set(b.variables())
-    common = sorted(avars & bvars)
-    if not common:
+    if not set(a.variables()) & set(b.variables()):
         return Poly.const(math.gcd(a.content(), b.content()))
-    i = common[0]
+    return None
+
+
+# -- heuristic gcd (GCDHEU: Char, Geddes & Gonnet 1989; Liao & Fateman 1995) --
+#
+# Evaluate one variable at a large integer xi, take the gcd of the images
+# (recursively, down to integers), rebuild a candidate from the balanced
+# base-xi digits of its coefficients and keep it only if it divides both
+# inputs.  With xi >= 2*min(|a|, |b|) + 2 (max-norms) a candidate that
+# divides both is the gcd; otherwise a larger xi is tried.
+
+_HEU_TRIES = 6
+
+
+def _eval_var(p, i, x):
+    """p with variable i replaced by the integer x."""
+    t = {}
+    for e, c in p.terms.items():
+        d = e[i]
+        if d:
+            e = e[:i] + (0,) + e[i + 1:]
+            c *= x ** d
+        t[e] = t.get(e, 0) + c
+    return Poly(t)
+
+
+def _interpolate(h, i, x):
+    """Polynomial in variable i whose balanced base-x digits give h's
+    integer coefficients (h does not contain variable i)."""
+    t = {}
+    half = x // 2
+    for e, c in h.terms.items():
+        d = 0
+        while c:
+            r = c % x
+            if r > half:
+                r -= x
+            if r:
+                t[e[:i] + (d,) + e[i + 1:]] = r
+            c = (c - r) // x
+            d += 1
+    return Poly(t)
+
+
+def _heu_gcd(a, b):
+    """gcd(a, b) up to sign, or None when every evaluation point failed."""
+    g = _trivial_gcd(a, b)
+    if g is not None:
+        return g
+    cont = Poly.const(math.gcd(a.content(), b.content()))
+    a, b = poly_divexact(a, cont), poly_divexact(b, cont)
+    i = max(set(a.variables()) | set(b.variables()))
+    x = 2 * min(max(map(abs, a.terms.values())),
+                max(map(abs, b.terms.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        aa = _eval_var(a, i, x)
+        bb = _eval_var(b, i, x)
+        if not (aa.is_zero() or bb.is_zero()):
+            gg = _heu_gcd(aa, bb)
+            if gg is None:
+                return None
+            h = _interpolate(gg, i, x)
+            h = poly_divexact(h, Poly.const(h.content()))
+            if _divides(h, a) and _divides(h, b):
+                return h * cont
+        x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
+    return None
+
+
+def _divides(d, p):
+    try:
+        poly_divexact(p, d)
+    except ValueError:
+        return False
+    return True
+
+
+# -- primitive PRS (fallback) -----------------------------------------------
+
+def _prs_gcd(a, b):
+    """gcd by primitive pseudo-remainder sequences in one common variable."""
+    g = _trivial_gcd(a, b)
+    if g is not None:
+        return g
+    i = min(set(a.variables()) & set(b.variables()))
     ca = _content_in(a, i)
     cb = _content_in(b, i)
     c = poly_gcd(ca, cb)
@@ -421,10 +488,7 @@ class RationalFunction:
                 if not (g.is_const() and g.const_value() == 1):
                     num = poly_divexact(num, g)
                     den = poly_divexact(den, g)
-            if not den.is_zero() and not den.is_const():
-                if den.lead_sign() < 0:
-                    num, den = -num, -den
-            elif den.is_const() and den.const_value() < 0:
+            if den.lead_sign() < 0:
                 num, den = -num, -den
         self.num = num
         self.den = den
@@ -452,9 +516,6 @@ class RationalFunction:
 
     def is_const(self):
         return self.num.is_const() and self.den.is_const()
-
-    def as_fraction(self):
-        return Fraction(self.num.const_value(), self.den.const_value())
 
     # arithmetic -----------------------------------------------------------
 
@@ -521,10 +582,7 @@ class RationalFunction:
         d1 = self.den if g2.is_const() and g2.const_value() == 1 else poly_divexact(self.den, g2)
         num = n1 * n2
         den = d1 * d2
-        if not den.is_const():
-            if den.lead_sign() < 0:
-                num, den = -num, -den
-        elif den.const_value() < 0:
+        if den.lead_sign() < 0:
             num, den = -num, -den
         return RationalFunction(num, den, _reduced=True)
 
@@ -533,10 +591,7 @@ class RationalFunction:
     def _reciprocal(self):
         # components already coprime; swapping keeps them so
         num, den = self.den, self.num
-        if den.is_const():
-            if den.const_value() < 0:
-                num, den = -num, -den
-        elif den.lead_sign() < 0:
+        if den.lead_sign() < 0:
             num, den = -num, -den
         return RationalFunction(num, den, _reduced=True)
 
@@ -600,26 +655,34 @@ class RationalFunction:
 
 def scalar_str(x):
     """Canonical exact string for a scalar of either backend."""
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
     return str(x)
 
 
-def _check_numeric_guard(p, q, window):
+def is_zero(x):
+    """Exact zero test for a scalar of either backend (or for anything
+    with an ``is_zero`` method); the only passing residual is this zero."""
+    test = getattr(x, "is_zero", None)
+    return x == 0 if test is None else test()
+
+
+def _guarded_point(p, q):
+    """Parse a rational point (p, q) and reject the ones the theory excludes.
+
+    The guard wants (q/p)^k != 1 for every k >= 1.  The only rational roots
+    of unity are 1 and -1, so that is exactly q != p and q != -p.
+    """
+    p = parse_rational(p)
+    q = parse_rational(q)
     if p == 0 or q == 0:
         raise GuardError("p and q must be nonzero")
     if p == q:
         raise GuardError("p = q is excluded (quantum integers degenerate)")
     if q in (1, -1):
         raise GuardError("q in {1, -1} is excluded")
-    ratio = q / p
-    acc = Fraction(1)
-    for k in range(1, window + 1):
-        acc *= ratio
-        if acc == 1:
-            raise GuardError("(q/p)^%d = 1 violates the unit-ratio guard" % k)
+    if q == -p:
+        raise GuardError("q = -p is excluded: (q/p)^2 = 1 violates the "
+                         "unit-ratio guard")
+    return p, q
 
 
 class ScalarContext:
@@ -628,6 +691,10 @@ class ScalarContext:
     ``p`` and ``q`` are scalars of the active backend.  Code built on top of
     the context only ever uses ``+ - * / **`` on scalars, so both backends
     run the same source.
+
+    The context is the one cache layer: ``ppow``, ``qpow``, ``qint``,
+    ``upow`` (u^n = p^{-n} q^n) and ``hq`` (h(n) = p^{-n}[n]) are computed
+    once per exponent.  ``guard_window`` is only echoed in reports.
     """
 
     def __init__(self, backend, p, q, guard_window=64, formal=False):
@@ -637,14 +704,16 @@ class ScalarContext:
         self.guard_window = int(guard_window)
         self.formal = formal
         self._qint_cache = {}
+        self._ppow_cache = {}
+        self._qpow_cache = {}
+        self._upow_cache = {}
+        self._hq_cache = {}
 
     # constructors ----------------------------------------------------------
 
     @staticmethod
     def numeric(p, q, guard_window=64):
-        pf = parse_rational(p)
-        qf = parse_rational(q)
-        _check_numeric_guard(pf, qf, guard_window)
+        pf, qf = _guarded_point(p, q)
         return ScalarContext("numeric", pf, qf, guard_window)
 
     @staticmethod
@@ -659,9 +728,7 @@ class ScalarContext:
                 RationalFunction.var("q"),
                 guard_window,
                 formal=True)
-        pf = parse_rational(p)
-        qf = parse_rational(q)
-        _check_numeric_guard(pf, qf, guard_window)
+        pf, qf = _guarded_point(p, q)
         return ScalarContext(
             "symbolic",
             RationalFunction.from_fraction(pf),
@@ -693,10 +760,7 @@ class ScalarContext:
             raise GuardError("free variables need the symbolic backend")
         return RationalFunction.var(name)
 
-    def is_zero(self, x):
-        if isinstance(x, RationalFunction):
-            return x.is_zero()
-        return x == 0
+    is_zero = staticmethod(is_zero)
 
     def guard_report(self):
         return {
@@ -714,17 +778,44 @@ class ScalarContext:
             "guard": self.guard_report(),
         }
 
-    # the deformed integers ---------------------------------------------------
+    # memoised one-index quantities --------------------------------------------
+
+    def ppow(self, n):
+        """p**n."""
+        hit = self._ppow_cache.get(n)
+        if hit is None:
+            hit = self._ppow_cache[n] = self.p ** n
+        return hit
+
+    def qpow(self, n):
+        """q**n."""
+        hit = self._qpow_cache.get(n)
+        if hit is None:
+            hit = self._qpow_cache[n] = self.q ** n
+        return hit
 
     def qint(self, n):
         """The two-parameter integer (p^n - q^n)/(p - q), any integer n."""
         n = int(n)
         hit = self._qint_cache.get(n)
-        if hit is not None:
-            return hit
-        val = (self.p ** n - self.q ** n) / (self.p - self.q)
-        self._qint_cache[n] = val
-        return val
+        if hit is None:
+            hit = self._qint_cache[n] = (
+                (self.ppow(n) - self.qpow(n)) / (self.p - self.q))
+        return hit
+
+    def upow(self, n):
+        """u^n = p^{-n} q^n, the n-th power of u = q/p."""
+        hit = self._upow_cache.get(n)
+        if hit is None:
+            hit = self._upow_cache[n] = self.ppow(-n) * self.qpow(n)
+        return hit
+
+    def hq(self, n):
+        """h(n) = p^{-n}[n]; every structure constant is built from h and u."""
+        hit = self._hq_cache.get(n)
+        if hit is None:
+            hit = self._hq_cache[n] = self.ppow(-n) * self.qint(n)
+        return hit
 
 
 def qint(ctx, n):
@@ -733,9 +824,9 @@ def qint(ctx, n):
 
 def pascal_residual(ctx, m, n):
     """[m+n] - p^n [m] - q^m [n]; identically zero."""
-    return ctx.qint(m + n) - ctx.p ** n * ctx.qint(m) - ctx.q ** m * ctx.qint(n)
+    return ctx.qint(m + n) - ctx.ppow(n) * ctx.qint(m) - ctx.qpow(m) * ctx.qint(n)
 
 
 def reflection_residual(ctx, n):
     """[-n] + (pq)^(-n) [n]; identically zero."""
-    return ctx.qint(-n) + (ctx.p * ctx.q) ** (-n) * ctx.qint(n)
+    return ctx.qint(-n) + ctx.ppow(-n) * ctx.qpow(-n) * ctx.qint(n)

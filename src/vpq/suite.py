@@ -48,38 +48,41 @@ def _want_int(spec, key, where, minimum=None):
     return v
 
 
-# per-check key tables: name -> {key: (kind, default)}; None default = required
+# per-check key tables: name -> {key: (kind, default[, minimum])}; a None
+# default means required.  Each minimum is the least value at which the
+# check still checks something (or at which its sweep is defined), so a
+# config can never pass vacuously.
 _CHECKS = {
-    "qint-identities": {"mmax": ("int", 20)},
-    "verify-algebra": {"window": ("int", 4)},
-    "generation": {"window": ("int", 6)},
-    "verify-module": {"family": ("str", None), "nmax": ("int", 4),
-                      "kmax": ("int", 8), "filter": ("str", "all")},
-    "sampled-modules": {"count": ("int", 5), "nmax": ("int", 6),
-                        "kmax": ("int", 10)},
-    "sampled-families": {"count": ("int", 3), "kmax": ("int", 8)},
-    "submodules": {"family": ("str", None), "window": ("int", 8)},
-    "is-reducible-grid": {"mmax": ("int", 4), "window": ("int", 8)},
+    "qint-identities": {"mmax": ("int", 20, 0)},
+    "verify-algebra": {"window": ("int", 4, 0)},
+    "generation": {"window": ("int", 6, 3)},
+    "verify-module": {"family": ("str", None), "nmax": ("int", 4, 1),
+                      "kmax": ("int", 8, 1), "filter": ("str", "all")},
+    "sampled-modules": {"count": ("int", 5, 1), "nmax": ("int", 6, 1),
+                        "kmax": ("int", 10, 1)},
+    "sampled-families": {"count": ("int", 3, 1), "kmax": ("int", 8, 2)},
+    "submodules": {"family": ("str", None), "window": ("int", 8, 0)},
+    "is-reducible-grid": {"mmax": ("int", 4, 0), "window": ("int", 8, 0)},
     "iso": {"a": ("rat", None), "b": ("rat", None), "m": ("int", None),
-            "kmax": ("int", 8)},
-    "sampled-iso": {"count": ("int", 10), "mmax": ("int", 4),
-                    "kmax": ("int", 8)},
+            "kmax": ("int", 8, 0)},
+    "sampled-iso": {"count": ("int", 10, 1), "mmax": ("int", 4, 0),
+                    "kmax": ("int", 8, 0)},
     "classify": {"a": ("rat", None), "b": ("rat", None)},
     "audit-identities": {"a": ("rat", None), "b": ("rat", None)},
     "degeneracy-table": {},
     "roots": {"a": ("rat", None), "b": ("rat", None)},
     "l2-display": {"a": ("rat", None), "b": ("rat", None),
-                   "jmax": ("int", 6)},
+                   "jmax": ("int", 6, 0)},
     "fg-recurrences": {"a": ("rat", None), "b": ("rat", None),
-                       "jmax": ("int", 6)},
-    "case-audit": {"a": ("rat", None), "window": ("int", 12)},
-    "family-consistency": {"window": ("int", 6)},
+                       "jmax": ("int", 6, 0)},
+    "case-audit": {"a": ("rat", None), "window": ("int", 12, 0)},
+    "family-consistency": {"window": ("int", 6, 2)},
     "annihilator": {"family": ("str", None), "n": ("int", -1),
-                    "window": ("int", 8)},
-    "quadratic-in-x": {"a": ("rat", None), "window": ("int", 8)},
-    "uqsl2": {"two_l": ("int", None), "omega": ("int", None),
+                    "window": ("int", 8, 0)},
+    "quadratic-in-x": {"a": ("rat", None), "window": ("int", 8, 4)},
+    "uqsl2": {"two_l": ("int", None, 0), "omega": ("int", None),
               "q": ("rat", None)},
-    "uqsl2-x": {"two_l": ("int", None), "omega": ("int", None),
+    "uqsl2-x": {"two_l": ("int", None, 0), "omega": ("int", None),
                 "q": ("rat", None)},
 }
 
@@ -142,7 +145,7 @@ class SuiteConfig:
                 raise SuiteConfigError(
                     "%s (%s): unknown keys %s" % (where, name, sorted(unknown)))
             norm = {"check": name}
-            for key, (kind, default) in table.items():
+            for key, (kind, default, *minimum) in table.items():
                 if key not in spec:
                     if default is None:
                         raise SuiteConfigError(
@@ -151,7 +154,7 @@ class SuiteConfig:
                     norm[key] = default
                     continue
                 if kind == "int":
-                    norm[key] = _want_int(spec, key, where)
+                    norm[key] = _want_int(spec, key, where, *minimum)
                 elif kind == "rat":
                     norm[key] = _want_str_rational(spec, key, where)
                 else:
@@ -390,14 +393,9 @@ def _check_l2_display(ctx, spec, rng):
 def _check_fg_recurrences(ctx, spec, rng):
     a = ctx.from_fraction(spec["a"])
     b = ctx.from_fraction(spec["b"])
-    fx = classify.x_factors(ctx, a, b)
-    d_f = (fx["f1"] * fx["f2"] * fx["E1"]) - (fx["f3"] * fx["f4"] * fx["E2"])
-    rep = ResidualReport("fg-recurrences", {})
-    if (d_f.degree() or 0) > 0:
-        rep.expect("first-difference-constant", (), False, d_f.degree_str())
-        return rep
-    F0 = d_f.coeff(0) if d_f.coeffs else ctx.zero
-    G0 = -(ctx.p ** 6) * ctx.q ** -6 * F0
+    F0, G0, d_f, d_g = classify.fg_constants(ctx, classify.x_factors(ctx, a, b))
+    if F0 is None or G0 is None:
+        return classify.fg_failure(ResidualReport("fg-recurrences", {}), d_f, d_g)
     return classify.fg_recurrence_audit(ctx, a, b, F0, G0, spec["jmax"])
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .report import ResidualReport
-from .scalar import scalar_str
+from .scalar import is_zero, scalar_str
 
 
 def _rat(v):
@@ -26,15 +26,11 @@ def _rat(v):
     return v
 
 
-def _is_zero(x):
-    return x.is_zero() if hasattr(x, "is_zero") else x == 0
-
-
 def one_param_qint(q, n):
     """The balanced quantum integer (q^n - q^{-n})/(q - q^{-1})."""
     q = _rat(q)
     n = int(n)
-    if _is_zero(q) or _is_zero(q * q - 1):
+    if is_zero(q) or is_zero(q * q - 1):
         raise ValueError("one_param_qint needs q != 0 and q^2 != 1")
     return (q ** n - q ** -n) / (q - q ** -1)
 
@@ -50,7 +46,7 @@ class Uqsl2Rep:
         if two_l < 0:
             raise ValueError("two_l must be a nonnegative integer")
         q = _rat(q)
-        if _is_zero(q) or _is_zero(q * q - 1):
+        if is_zero(q) or is_zero(q * q - 1):
             raise ValueError("q must satisfy q != 0 and q^2 != 1")
         self.omega = omega
         self.two_l = two_l

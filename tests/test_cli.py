@@ -198,3 +198,52 @@ def test_run_suite_seed_is_recorded(tmp_path):
     assert doc["seed"] == 99
     assert doc["tool"] == "vpq"
     assert doc["totals"]["failed"] == 0
+
+
+def test_guard_bypass_is_a_usage_error(capsys, tmp_path):
+    # guard_window 1 used to let q = -p through to a ZeroDivisionError
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({
+        "context": {"p": "2", "q": "-2", "guard_window": 1},
+        "checks": [{"check": "verify-algebra", "window": 2}]}))
+    rc, _, err = run(capsys, "suite", "--config", str(config))
+    assert rc == 2
+    assert "q = -p" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-algebra", "--window", "-3"),
+    ("verify-module", "--family", "mab:a=1,b=1", "--nmax", "-1"),
+    ("verify-module", "--family", "mab:a=1,b=1", "--kmax", "-2"),
+    ("submodules", "--family", "mab:a=0,b=0", "--window", "-1"),
+    ("iso", "--a", "0", "--b", "1", "--m", "1", "--kmax", "-1"),
+    ("case-audit", "--a", "5", "--window", "-4"),
+    ("uqsl2", "--two-l", "-2", "--omega", "1"),
+])
+def test_negative_sizes_are_usage_errors(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert "must be >=" in err and out == ""
+
+
+def test_vacuous_check_sizes_are_rejected():
+    base = {"context": {"p": "2", "q": "3"}}
+    for spec in ({"check": "qint-identities", "mmax": -1},
+                 {"check": "verify-algebra", "window": -3},
+                 {"check": "generation", "window": 2},
+                 {"check": "sampled-modules", "count": 0},
+                 {"check": "sampled-families", "count": -1},
+                 {"check": "sampled-iso", "count": 2, "mmax": -1},
+                 {"check": "is-reducible-grid", "mmax": -1},
+                 {"check": "l2-display", "a": "1", "b": "1", "jmax": -1},
+                 {"check": "fg-recurrences", "a": "1", "b": "1", "jmax": -6},
+                 {"check": "family-consistency", "window": 1},
+                 {"check": "quadratic-in-x", "a": "1/7", "window": 3}):
+        with pytest.raises(SuiteConfigError, match="must be >="):
+            SuiteConfig.from_dict({**base, "checks": [spec]})
+    # the smallest accepted sizes still check something
+    doc = {**base, "checks": [{"check": "verify-algebra", "window": 0},
+                              {"check": "generation", "window": 3},
+                              {"check": "qint-identities", "mmax": 0}]}
+    for rep in run_suite(SuiteConfig.from_dict(doc)).reports:
+        assert rep.checked > 0 and rep.failed == 0

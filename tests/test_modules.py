@@ -11,6 +11,7 @@ from vpq.modules import (
     ExcBeta,
     ExcBetaPrime,
     Mab,
+    MemoRule,
     TableRule,
     WindowedVector,
     act,
@@ -25,6 +26,7 @@ from vpq.modules import (
     weight,
     weight_injective,
 )
+from vpq.report import ResidualReport
 from vpq.scalar import ScalarContext
 
 
@@ -217,3 +219,119 @@ def test_submodule_supports_are_action_closed(ctx):
                     continue
                 if rule.coeff(ctx, n, k) != 0:
                     assert t in sset
+
+
+# -- the memoised sweep against a direct one ----------------------------------
+
+def _literal_coeff(ctx, rule, n, k):
+    """Each family's coefficient as its docstring writes it, in p**, q**."""
+    p, q, J = ctx.p, ctx.q, ctx.qint
+    if isinstance(rule, Mab):
+        a, b = rule.a, rule.b
+        return (p ** -k * J(k) - a * p ** -k * q ** k
+                - b * p ** (-k - n) * q ** k * J(n))
+    if isinstance(rule, ExcAlpha):
+        if k != -1:
+            return p ** (-n - k - 1) * J(n + k + 1)
+        return -q ** n * J(-n) + J(-n) * J(n + 1) * p ** -n * q ** n * rule.alpha
+    if isinstance(rule, ExcBeta):
+        if k != 1:
+            return -(q ** (n + k - 1)) * J(-n - k + 1)
+        return -q ** n * J(-n) + p ** -n * q ** n * J(n) * J(1 - n) * rule.beta
+    if k != -n:
+        return p ** -k * J(k)
+    if isinstance(rule, ExcAlphaPrime):
+        t, pair = rule.alphap, J(-n) * J(n + 1)
+    elif rule.reading == "given":
+        t, pair = rule.betap, J(n) * J(n + 1)
+    else:
+        t, pair = rule.betap, J(n) * J(1 - n)
+    return p ** n * J(-n) + p ** n * q ** -n * pair * t
+
+
+def _direct_sweep(ctx, rule, nmax, kmax, pair_filter):
+    """verify_module's report, built without any coefficient memo."""
+    rep = ResidualReport("verify-module", {
+        "family": rule.describe(), "nmax": nmax, "kmax": kmax,
+        "pair_filter": pair_filter, **ctx.describe()})
+    for n in range(-nmax, nmax + 1):
+        for m in range(-nmax, nmax + 1):
+            if pair_filter == "generators" and not (
+                    -2 <= n <= 2 and -2 <= m <= 2 and -2 <= n + m <= 2):
+                continue
+            for k in range(-kmax, kmax + 1):
+                rep.record("module-relation", (n, m, k),
+                           relation_residual(ctx, rule, n, m, k))
+    return rep
+
+
+def _family_rules(make):
+    """Mab and the four exceptional families, parameters from make(i)."""
+    return [Mab(make(0), make(1)), ExcAlpha(make(2)), ExcAlphaPrime(make(3)),
+            ExcBeta(make(4)), ExcBetaPrime(make(5)),
+            ExcBetaPrime(make(6), reading="given")]
+
+
+_NUMERIC = (Fraction(1, 3), Fraction(-2), Fraction(1, 2), Fraction(-2),
+            Fraction(3), Fraction(1, 5), Fraction(1))
+
+
+@pytest.mark.parametrize("backend", ["numeric", "symbolic", "formal"])
+def test_memoised_sweep_matches_direct_sweep(backend):
+    if backend == "numeric":
+        ctx = ScalarContext.numeric(2, 3)
+        rules = _family_rules(lambda i: _NUMERIC[i])
+    else:
+        ctx = ScalarContext.symbolic("2", "3")
+        if backend == "formal":
+            rules = _family_rules(lambda i: ctx.var("ab"[i % 2]))
+        else:
+            rules = _family_rules(lambda i: ctx.from_fraction(_NUMERIC[i]))
+    for rule in rules:
+        # the generator window is where the exceptional families close up;
+        # the betap "given" reading leaves failures, which must match too
+        for pair_filter, nmax, kmax in (("generators", 2, 4), ("all", 2, 3)):
+            memo = verify_module(ctx, rule, nmax, kmax, pair_filter)
+            direct = _direct_sweep(ctx, rule, nmax, kmax, pair_filter)
+            assert memo.to_dict() == direct.to_dict()
+
+
+@pytest.mark.parametrize("ctx_kind", ["numeric", "formal"])
+def test_family_coefficients_match_their_literal_formulas(ctx_kind):
+    if ctx_kind == "numeric":
+        ctx = ScalarContext.numeric("5/2", "-3/4")
+        rules = _family_rules(lambda i: _NUMERIC[i])
+    else:
+        ctx = ScalarContext.symbolic()
+        rules = _family_rules(lambda i: ctx.var("ab"[i % 2]))
+    for rule in rules:
+        for n in range(-3, 4):
+            for k in range(-4, 5):
+                got = rule.coeff(ctx, n, k)
+                assert ctx.is_zero(got - _literal_coeff(ctx, rule, n, k)), \
+                    (rule.describe(), n, k)
+
+
+def test_rule_under_two_contexts_keeps_them_apart():
+    c23 = ScalarContext.numeric(2, 3)
+    c57 = ScalarContext.numeric(5, 7)
+    rule = Mab(Fraction(1, 3), Fraction(-2))
+    memo = MemoRule(c23, rule)
+    for n, k in ((1, 0), (2, -3), (-1, 4)):
+        want23 = _literal_coeff(c23, rule, n, k)
+        want57 = _literal_coeff(c57, rule, n, k)
+        assert want23 != want57
+        assert rule.coeff(c23, n, k) == want23
+        assert rule.coeff(c57, n, k) == want57
+        assert memo.coeff(c23, n, k) == want23
+        assert memo.coeff(c57, n, k) == want57
+        assert memo.coeff(c23, n, k) == want23
+    assert verify_module(c23, rule, 2, 4).failed == 0
+    assert verify_module(c57, rule, 2, 4).failed == 0
+
+
+def test_memo_rule_describes_its_rule(ctx):
+    rule = ExcBetaPrime(Fraction(1, 5), reading="given")
+    memo = MemoRule(ctx, rule)
+    assert memo.describe() == rule.describe() == "betap:betap=1/5,reading=given"
+    assert memo.coeff(ctx, 2, -2) is memo.coeff(ctx, 2, -2)

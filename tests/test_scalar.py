@@ -8,7 +8,7 @@ spot values.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sympy
 
@@ -17,8 +17,12 @@ from vpq.scalar import (
     Poly,
     RationalFunction,
     ScalarContext,
+    _prs_gcd,
+    is_zero,
     parse_rational,
     pascal_residual,
+    poly_divexact,
+    poly_gcd,
     qint,
     reflection_residual,
     scalar_str,
@@ -93,10 +97,58 @@ def test_rf_add_commutes(a, b):
     assert a + b == b + a
 
 
+def _rf(num, den):
+    return RationalFunction(_poly_from(num), _poly_from(den))
+
+
 @given(rfs, rfs, rfs)
 @settings(max_examples=60)
+# a triple whose gcds once took ~250 ms under the primitive PRS
+@example(_rf([(4, 3, 0), (3, 0, 3)], [(1, 1, 2), (1, 0, 0)]),
+         _rf([(1, 3, 0), (2, 0, 3)], [(1, 2, 2), (1, 0, 0)]),
+         _rf([(1, 1, 0)], [(3, 2, 2), (3, 2, 0), (1, 0, 0)]))
 def test_rf_field_distributes(a, b, c):
     assert a * (b + c) == a * b + a * c
+
+
+_SYMS = sympy.symbols("p q a b")
+
+
+def _to_sympy(poly):
+    return sum((c * sympy.Mul(*[s ** k for s, k in zip(_SYMS, e)])
+                for e, c in poly.terms.items()), sympy.Integer(0))
+
+
+gcd_polys = st.builds(_poly_from, st.lists(
+    st.tuples(st.integers(-9, 9), st.integers(0, 3), st.integers(0, 3)),
+    min_size=1, max_size=4))
+
+
+@given(gcd_polys, gcd_polys, gcd_polys, st.integers(1, 6))
+@settings(max_examples=80, deadline=None)
+def test_poly_gcd_agrees_with_prs_and_sympy(f, g, h, k):
+    # a common factor h (times an integer) makes the gcd nontrivial
+    a, b = f * h * Poly.const(k), g * h
+    ours = poly_gcd(a, b)
+    prs = _prs_gcd(a, b)
+    assert ours == (prs if prs.is_zero() or prs.lead_sign() > 0 else -prs)
+    if not ours.is_zero():
+        assert ours.lead_sign() > 0
+        poly_divexact(a, ours)
+        poly_divexact(b, ours)
+    diff = sympy.expand(_to_sympy(ours) - sympy.gcd(_to_sympy(a), _to_sympy(b)))
+    assert diff == 0 or sympy.expand(
+        _to_sympy(ours) + sympy.gcd(_to_sympy(a), _to_sympy(b))) == 0
+
+
+def test_poly_divexact_rejects_nondivisors_and_divides_zero():
+    p, q = Poly.var("p"), Poly.var("q")
+    with pytest.raises(ValueError):
+        poly_divexact(p * p + q, p + q)
+    with pytest.raises(ValueError):
+        poly_divexact(p + Poly.const(1), p * q + Poly.const(1))
+    assert poly_divexact(Poly(), p + q).is_zero()
+    assert poly_divexact((p + q) * (p - q), p - q) == p + q
 
 
 @given(rfs)
@@ -145,6 +197,51 @@ def test_guard_rejects_degenerate_points():
         ScalarContext.numeric(-2, 2)  # q/p = -1 is a root of unity
     with pytest.raises(GuardError):
         ScalarContext.numeric(0, 3)
+
+
+def test_guard_rejects_q_minus_p_at_any_window():
+    # the only rational roots of unity are +-1, so the guard is closed form
+    for window in (1, 2, 64):
+        with pytest.raises(GuardError):
+            ScalarContext.numeric(2, -2, guard_window=window)
+        with pytest.raises(GuardError):
+            ScalarContext.symbolic("-3/2", "3/2", guard_window=window)
+    # a huge window costs nothing and is still echoed
+    big = ScalarContext.numeric("5/2", "-3/4", guard_window=10 ** 7)
+    assert big.describe()["guard"]["window"] == 10 ** 7
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ScalarContext.numeric("5/2", "-3/4"),
+    lambda: ScalarContext.symbolic("2", "3"),
+    ScalarContext.symbolic,
+])
+def test_context_caches_match_direct_powers(make):
+    c = make()
+    p, q = c.p, c.q
+    for n in range(-5, 6):
+        for _ in range(2):  # a miss, then a hit
+            assert c.ppow(n) == p ** n
+            assert c.qpow(n) == q ** n
+            assert c.qint(n) == (p ** n - q ** n) / (p - q)
+            assert c.upow(n) == p ** -n * q ** n == (q / p) ** n
+            assert c.hq(n) == p ** -n * qint(c, n)
+        assert c.hq(n) is c.hq(n)
+
+
+def test_caches_belong_to_their_context():
+    c23 = ScalarContext.numeric(2, 3)
+    c57 = ScalarContext.numeric(5, 7)
+    assert c23.hq(3) == Fraction(19, 8)
+    assert c57.hq(3) == Fraction(109, 125)
+    assert c23.upow(-2) == Fraction(4, 9) and c57.upow(-2) == Fraction(25, 49)
+
+
+def test_is_zero_is_exact_on_both_backends(sym):
+    assert is_zero(0) and is_zero(Fraction(0)) and is_zero(sym.zero)
+    assert not is_zero(Fraction(1, 10 ** 30))
+    assert not is_zero(sym.qint(2))
+    assert is_zero(sym.qint(2) - sym.p - sym.q)
 
 
 def test_quantum_integer_values(ctx):

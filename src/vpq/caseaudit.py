@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .classify import XPolynomial
 from .modules import (ExcAlpha, ExcAlphaPrime, ExcBeta, ExcBetaPrime, Mab,
-                      _coerce, verify_module)
+                      verify_module)
 from .report import ResidualReport
 from .scalar import is_zero, scalar_str
 
@@ -75,7 +75,6 @@ def _j0_equation(ctx, a, j):
 
 def find_j0_all(ctx, a, window):
     """All integer roots of the junction-weight equation in the window."""
-    a = _coerce(ctx, a)
     window = int(window)
     hits = [j for j in range(-window, window + 1)
             if is_zero(_j0_equation(ctx, a, j))]
@@ -108,7 +107,6 @@ class CaseTag:
 
 
 def case_tag(ctx, a):
-    a = _coerce(ctx, a)
     p, q = ctx.p, ctx.q
     if is_zero(a):
         tag = "Case4"
@@ -142,7 +140,6 @@ class CaseConstants:
 
 
 def case1_constants(ctx, a):
-    a = _coerce(ctx, a)
     p, q = ctx.p, ctx.q
     J = ctx.qint
     return CaseConstants(
@@ -165,7 +162,6 @@ def case2_constants(ctx):
 
 def case3_constants(ctx, alpha):
     # the alpha family values: H carries the free parameter, Gc vanishes
-    alpha = _coerce(ctx, alpha)
     p, q = ctx.p, ctx.q
     J = ctx.qint
     return CaseConstants(
@@ -178,7 +174,6 @@ def case3_constants(ctx, alpha):
 
 def case4_constants(ctx, alphap):
     # the alpha' family values: H and D carry the free parameter, Fc vanishes
-    alphap = _coerce(ctx, alphap)
     p, q = ctx.p, ctx.q
     J = ctx.qint
     return CaseConstants(
@@ -195,7 +190,6 @@ def constraint_residuals(ctx, a, cc, j0):
     The FH and GH products were derived assuming the junction weight avoids
     -3 and 0 respectively, so those residuals only apply when it does.
     """
-    a = _coerce(ctx, a)
     p, q = ctx.p, ctx.q
     J = ctx.qint
     out = {
@@ -228,7 +222,6 @@ def _apply_constraints(rep, ctx, a, cc, j0, label):
 def case_constants_audit(ctx, a, window=12):
     """Instantiate the case's constants and audit every applicable
     constraint, recording the catalogued-value discrepancies as findings."""
-    a = _coerce(ctx, a)
     p, q = ctx.p, ctx.q
     J = ctx.qint
     tag = case_tag(ctx, a)
@@ -277,7 +270,7 @@ def case_constants_audit(ctx, a, window=12):
     elif tag.tag == "Case3":
         rep.expect("j0-is-minus-3", (), j0 == -3, "j0=%s" % j0)
         for av in ("0", "1"):
-            cc = case3_constants(ctx, av)
+            cc = case3_constants(ctx, ctx.scalar(av))
             rep.section("constants_alpha=%s" % av, cc.to_dict())
             _apply_constraints(rep, ctx, a, cc, j0, "case3[alpha=%s]" % av)
             rep.record("DF-value", ("case3", av), cc.D * cc.Fc - J(-1))
@@ -288,7 +281,7 @@ def case_constants_audit(ctx, a, window=12):
     else:
         rep.expect("j0-is-0", (), j0 == 0, "j0=%s" % j0)
         for av in ("0", "1"):
-            cc = case4_constants(ctx, av)
+            cc = case4_constants(ctx, ctx.scalar(av))
             rep.section("constants_alphap=%s" % av, cc.to_dict())
             _apply_constraints(rep, ctx, a, cc, j0, "case4[alphap=%s]" % av)
             rep.record("EG-value", ("case4", av), cc.E * cc.Gc - J(-1))
@@ -296,13 +289,14 @@ def case_constants_audit(ctx, a, window=12):
             rep.record("FH-value", ("case4", av), cc.Fc * cc.H)
             rep.expect("F-zero", ("case4", av), is_zero(cc.Fc),
                        scalar_str(cc.Fc))
-        if not is_zero(case4_constants(ctx, "0").Gc - (-(p ** -1))):
+        gc = case4_constants(ctx, ctx.zero).Gc
+        if not is_zero(gc - (-(p ** -1))):
             rep.finding(
                 "G-narrative-sign",
                 "narrative sets G = -1/p but the EG product and the family "
                 "formulas force G = +1/p",
                 {"narrative": scalar_str(-(p ** -1)),
-                 "consistent": scalar_str(case4_constants(ctx, "0").Gc)})
+                 "consistent": scalar_str(gc)})
     return rep
 
 
@@ -338,7 +332,7 @@ def family_consistency(ctx, window):
 
     # case 1 and case 2 land back on the b = aq line
     for key, aval in (("case1", "5"), ("case1", "1/7"), ("case2", None)):
-        a = _coerce(ctx, aval) if aval is not None else -1 / (p + q)
+        a = ctx.scalar(aval) if aval is not None else -1 / (p + q)
         rule = Mab(a, a * q)
         child = ResidualReport("line-formula", {"a": scalar_str(a)})
         for n in (-2, -1, 0, 1, 2):
@@ -352,7 +346,7 @@ def family_consistency(ctx, window):
 
     # case 3: the alpha family
     for av in ("0", "1"):
-        alpha = _coerce(ctx, av)
+        alpha = ctx.scalar(av)
         fam = ExcAlpha(alpha)
         child = ResidualReport("alpha-family", {"alpha": av})
         for n in (-2, -1, 1, 2):
@@ -374,7 +368,7 @@ def family_consistency(ctx, window):
 
     # case 4: the alpha' family
     for av in ("0", "1"):
-        alphap = _coerce(ctx, av)
+        alphap = ctx.scalar(av)
         fam = ExcAlphaPrime(alphap)
         child = ResidualReport("alphap-family", {"alphap": av})
         for n in (-2, -1, 1, 2):
@@ -395,11 +389,11 @@ def family_consistency(ctx, window):
         rep.merge_child("case4[alphap=%s]" % av, child)
 
     # mirror families: verified through the defining relation only
-    for key, fam in (("caseII-beta", ExcBeta(_coerce(ctx, "1"))),
-                     ("caseII-betap", ExcBetaPrime(_coerce(ctx, "1")))):
+    for key, fam in (("caseII-beta", ExcBeta(ctx.one)),
+                     ("caseII-betap", ExcBetaPrime(ctx.one))):
         child = verify_module(ctx, fam, 2, window)
         rep.merge_child(key, child)
-    given = verify_module(ctx, ExcBetaPrime(_coerce(ctx, "1"), reading="given"),
+    given = verify_module(ctx, ExcBetaPrime(ctx.one, reading="given"),
                           2, window)
     for fail in given.failures:
         rep.finding(

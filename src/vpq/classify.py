@@ -14,7 +14,7 @@ other "given", and the choice is recorded as a finding, never silently.
 
 from __future__ import annotations
 
-from .modules import Mab, _coerce
+from .modules import Mab
 from .report import ResidualReport
 from .scalar import is_zero, scalar_str
 
@@ -108,8 +108,6 @@ def x_factors(ctx, a, b):
     variant keys g2_given, g3_apq, W+_given are the literal typeset forms
     that differ (one exponent sign, one missing inverse, one stray p).
     """
-    a = _coerce(ctx, a)
-    b = _coerce(ctx, b)
     p, q = ctx.p, ctx.q
     J = ctx.qint
     out = {
@@ -188,8 +186,6 @@ def _condition_ratio(ctx, fi, gj):
 
 def condition_scalar(ctx, a, b, fi, gj):
     """Linear form whose vanishing is the adjudicated condition for fi = gj."""
-    a = _coerce(ctx, a)
-    b = _coerce(ctx, b)
     r = _condition_ratio(ctx, fi, gj)
     if r is None:
         return b
@@ -308,8 +304,6 @@ def second_solution(ctx, a, b):
     (a,b) and (a,b') rules agree for every j.  The closed form is
     -1 - a(p-q) - b (an involution in b).
     """
-    a = _coerce(ctx, a)
-    b = _coerce(ctx, b)
     return -1 - a * (ctx.p - ctx.q) - b
 
 
@@ -325,8 +319,6 @@ def quadratic_roots(ctx, a, b):
     parameter; b is one root and the returned pair is (b, partner).  The
     partner is verified against the constraint before returning.
     """
-    a = _coerce(ctx, a)
-    b = _coerce(ctx, b)
     partner = second_solution(ctx, a, b)
     if not is_zero(_step_product(ctx, a, partner) - _step_product(ctx, a, b)):
         raise AssertionError("partner root fails the defining quadratic")
@@ -336,8 +328,6 @@ def quadratic_roots(ctx, a, b):
 def quadratic_roots_audit(ctx, a, b):
     """Root relations of the step-product quadratic, with both candidate
     partner readings compared."""
-    a = _coerce(ctx, a)
-    b = _coerce(ctx, b)
     rep = ResidualReport("quadratic-roots", {
         "a": scalar_str(a), "b": scalar_str(b), **ctx.describe()})
     target = _step_product(ctx, a, b)
@@ -356,8 +346,8 @@ def quadratic_roots_audit(ctx, a, b):
     q0 = _step_product(ctx, a, ctx.zero) - target
     q1 = _step_product(ctx, a, ctx.one) - target
     qm1 = _step_product(ctx, a, -ctx.one) - target
-    lead = ((q1 + qm1) - 2 * q0) * ctx.from_fraction("1/2")
-    lin = (q1 - qm1) * ctx.from_fraction("1/2")
+    lead = ((q1 + qm1) - 2 * q0) / 2
+    lin = (q1 - qm1) / 2
     rep.record("vieta-sum", (), (b + good) * lead + lin)
     rep.record("vieta-product", (), b * good * lead - q0)
     rep.section("root_sum", scalar_str(b + good))
@@ -406,8 +396,6 @@ def identity_audit(ctx, a, b):
     The typeset variants are expanded too and reported as findings with
     exact coefficients.
     """
-    a = _coerce(ctx, a)
-    b = _coerce(ctx, b)
     p, q = ctx.p, ctx.q
     fx = x_factors(ctx, a, b)
     rep = ResidualReport("identity-audit", {
@@ -549,7 +537,7 @@ def closed_form_f(ctx, a, b, F0, j):
     den = dn(j + 2) * dn(j + 1)
     if is_zero(den):
         return None
-    return ctx.p ** (-3 * j) * ctx.q ** (3 * j) * _coerce(ctx, F0) / den
+    return ctx.p ** (-3 * j) * ctx.q ** (3 * j) * F0 / den
 
 
 def closed_form_g(ctx, a, b, G0, j):
@@ -558,15 +546,11 @@ def closed_form_g(ctx, a, b, G0, j):
     den = up(j - 2) * up(j - 1)
     if is_zero(den):
         return None
-    return ctx.p ** (-3 * j) * ctx.q ** (3 * j) * _coerce(ctx, G0) / den
+    return ctx.p ** (-3 * j) * ctx.q ** (3 * j) * G0 / den
 
 
 def fg_recurrence_audit(ctx, a, b, F0, G0, jmax):
     """The two step recurrences against the closed forms, swept over j."""
-    a = _coerce(ctx, a)
-    b = _coerce(ctx, b)
-    F0 = _coerce(ctx, F0)
-    G0 = _coerce(ctx, G0)
     up, dn, _, _ = _mab_parts(ctx, a, b)
     rep = ResidualReport("fg-recurrences", {
         "a": scalar_str(a), "b": scalar_str(b),
@@ -601,8 +585,6 @@ def l2_coefficients(ctx, a, b, j, reading="adjusted"):
     """
     if reading not in ("adjusted", "given"):
         raise ValueError("reading must be 'adjusted' or 'given'")
-    a = _coerce(ctx, a)
-    b = _coerce(ctx, b)
     j = int(j)
     up, dn, w2, wm2 = _mab_parts(ctx, a, b)
     den1 = dn(j + 2)
@@ -635,8 +617,6 @@ def l2_display_audit(ctx, a, b, jmax):
     """Sweep of the displayed ±2 coefficients against rule values and the
     closed forms, plus the gauge-invariant product against the partner
     parameters."""
-    a = _coerce(ctx, a)
-    b = _coerce(ctx, b)
     rep = ResidualReport("l2-display", {
         "a": scalar_str(a), "b": scalar_str(b), "jmax": int(jmax),
         **ctx.describe()})

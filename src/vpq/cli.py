@@ -16,19 +16,19 @@ from .scalar import parse_rational
 from .suite import SuiteConfig, SuiteConfigError, run_suite
 
 
-def _common(parser):
-    parser.add_argument("--p", default="2", metavar="RAT",
-                        help="first deformation parameter (rational string)")
-    parser.add_argument("--q", default="3", metavar="RAT",
-                        help="second deformation parameter (rational string)")
-    parser.add_argument("--backend", choices=("numeric", "symbolic"),
-                        default="numeric")
-    parser.add_argument("--window", type=int, default=None, metavar="N",
-                        help="sweep half-width where the subcommand takes one")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write the full JSON report here")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for sampled checks (recorded in report)")
+# flags shared by several subcommands: name -> argparse keyword arguments
+_SHARED = {
+    "p": dict(default="2", metavar="RAT",
+              help="first deformation parameter (rational string)"),
+    "q": dict(default="3", metavar="RAT",
+              help="second deformation parameter (rational string)"),
+    "backend": dict(choices=("numeric", "symbolic"), default="numeric"),
+    "seed": dict(type=int, default=None,
+                 help="seed for sampled checks (recorded in report)"),
+    "window": dict(type=int, default=None, metavar="N",
+                   help="sweep half-width"),
+}
+_CONTEXT = ("p", "q", "backend", "seed")
 
 
 def build_parser():
@@ -38,28 +38,35 @@ def build_parser():
                     "Virasoro algebra and its weight modules")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, flags=_CONTEXT):
+        """A subcommand taking --json and the named shared flags."""
         p = sub.add_parser(name, help=help_text)
-        _common(p)
+        for flag in flags:
+            p.add_argument("--" + flag, **_SHARED[flag])
+        p.add_argument("--json", default=None, metavar="PATH",
+                       help="write the full JSON report here")
         return p
 
-    add("verify-algebra", "skew-symmetry, twisted Jacobi, central cocycle")
+    # size flags default to None: the check's own default (suite._CHECKS)
+    add("verify-algebra", "skew-symmetry, twisted Jacobi, central cocycle",
+        _CONTEXT + ("window",))
 
     p = add("verify-module", "defining relation sweep for one family")
     p.add_argument("--family", required=True,
                    help="e.g. mab:a=1/3,b=-2 or alpha:alpha=0")
-    p.add_argument("--nmax", type=int, default=4)
-    p.add_argument("--kmax", type=int, default=8)
-    p.add_argument("--filter", choices=("all", "generators"), default="all")
+    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--filter", choices=("all", "generators"), default=None)
 
-    p = add("submodules", "enumerate invariant weight-subspace supports")
+    p = add("submodules", "enumerate invariant weight-subspace supports",
+            _CONTEXT + ("window",))
     p.add_argument("--family", required=True)
 
     p = add("iso", "shifted parameters and the diagonal intertwiner")
     p.add_argument("--a", required=True, metavar="RAT")
     p.add_argument("--b", required=True, metavar="RAT")
     p.add_argument("--m", required=True, type=int)
-    p.add_argument("--kmax", type=int, default=8)
+    p.add_argument("--kmax", type=int, default=None)
 
     p = add("classify", "degeneracy profile of the eight linear factors")
     p.add_argument("--a", required=True, metavar="RAT")
@@ -72,38 +79,37 @@ def build_parser():
                    help="also audit the sixteen-line degeneracy table "
                         "symbolically")
 
-    p = add("case-audit", "case constants, junction weight, families")
+    p = add("case-audit", "case constants, junction weight, families",
+            _CONTEXT + ("window",))
     p.add_argument("--a", default=None, metavar="RAT",
                    help="case representative; omit to only run the family "
                         "consistency sweep")
     p.add_argument("--families", action="store_true",
                    help="also run the exceptional-family consistency sweep")
 
-    p = add("uqsl2", "one-parameter quantum sl2 representation checks")
+    # --q is the representation's own parameter; the context is pinned
+    p = add("uqsl2", "one-parameter quantum sl2 representation checks",
+            ("q", "seed"))
     p.add_argument("--two-l", dest="two_l", required=True, type=int)
     p.add_argument("--omega", required=True, type=int, choices=(1, -1))
-    # the global --q doubles as the rep's parameter; --p plays no role here
 
-    p = add("suite", "run a JSON suite configuration")
+    p = add("suite", "run a JSON suite configuration", ())
     p.add_argument("--config", required=True, metavar="PATH")
 
     return top
 
 
-def _one_check_config(args, checks):
+def _one_check_config(args, checks, context=None):
+    """Suite config of the given checks; a None value takes the default."""
     doc = {
-        "context": {"p": args.p, "q": args.q, "backend": args.backend},
-        "checks": checks,
+        "context": context or {"p": args.p, "q": args.q,
+                               "backend": args.backend},
+        "checks": [{k: v for k, v in spec.items() if v is not None}
+                   for spec in checks],
     }
     if args.seed is not None:
         doc["seed"] = args.seed
     return SuiteConfig.from_dict(doc)
-
-
-def _windowed(args, spec):
-    if args.window is not None:
-        spec["window"] = args.window
-    return spec
 
 
 def _build_config(args):
@@ -111,14 +117,14 @@ def _build_config(args):
     if cmd == "suite":
         return SuiteConfig.from_path(args.config)
     if cmd == "verify-algebra":
-        return _one_check_config(args, [_windowed(args, {"check": cmd})])
+        return _one_check_config(args, [{"check": cmd, "window": args.window}])
     if cmd == "verify-module":
         return _one_check_config(args, [{
             "check": "verify-module", "family": args.family,
             "nmax": args.nmax, "kmax": args.kmax, "filter": args.filter}])
     if cmd == "submodules":
-        return _one_check_config(args, [_windowed(
-            args, {"check": cmd, "family": args.family})])
+        return _one_check_config(args, [{
+            "check": cmd, "family": args.family, "window": args.window}])
     if cmd == "iso":
         return _one_check_config(args, [{
             "check": "iso", "a": args.a, "b": args.b, "m": args.m,
@@ -135,9 +141,11 @@ def _build_config(args):
     if cmd == "case-audit":
         checks = []
         if args.a is not None:
-            checks.append(_windowed(args, {"check": "case-audit", "a": args.a}))
+            checks.append({"check": "case-audit", "a": args.a,
+                           "window": args.window})
         if args.families or args.a is None:
-            checks.append(_windowed(args, {"check": "family-consistency"}))
+            checks.append({"check": "family-consistency",
+                           "window": args.window})
         return _one_check_config(args, checks)
     if cmd == "uqsl2":
         checks = [{"check": "uqsl2", "two_l": args.two_l,
@@ -147,10 +155,7 @@ def _build_config(args):
                            "omega": args.omega, "q": args.q})
         # the rep carries its own q; pin a neutral two-parameter context so
         # --q 2 does not collide with the context guard p != q
-        doc = {"context": {"p": "2", "q": "3"}, "checks": checks}
-        if args.seed is not None:
-            doc["seed"] = args.seed
-        return SuiteConfig.from_dict(doc)
+        return _one_check_config(args, checks, {"p": "2", "q": "3"})
     raise SuiteConfigError("unknown command %r" % cmd)
 
 
@@ -205,7 +210,7 @@ def _glue_negative_rationals(argv):
             nxt = argv[i + 1]
             try:
                 parse_rational(nxt)
-            except (ValueError, ZeroDivisionError):
+            except ValueError:
                 out.append(tok)
             else:
                 out.append("%s=%s" % (tok, nxt))
@@ -222,18 +227,13 @@ def main(argv=None):
         argv = sys.argv[1:]
     args = parser.parse_args(_glue_negative_rationals(list(argv)))
     try:
-        config = _build_config(args)
-    except (SuiteConfigError, OSError) as exc:
+        report = run_suite(_build_config(args))
+        if args.json:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(report.serialize())
+    except (OSError, ValueError) as exc:
         print("vpq: %s" % exc, file=sys.stderr)
         return 2
-    try:
-        report = run_suite(config)
-    except (ValueError, SuiteConfigError) as exc:
-        print("vpq: %s" % exc, file=sys.stderr)
-        return 2
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.serialize())
     _summarize(report, sys.stdout)
     return 0 if report.failed == 0 else 1
 

@@ -22,23 +22,8 @@ Families:
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .report import ResidualReport
-from .scalar import RationalFunction, is_zero, parse_rational, scalar_str
-
-
-def _coerce(ctx, v):
-    """Accept ints, Fractions, rational strings, or backend scalars."""
-    if isinstance(v, RationalFunction):
-        if ctx.backend != "symbolic":
-            raise ValueError("symbolic parameter in a numeric context")
-        return v
-    if isinstance(v, (int, Fraction)):
-        return ctx.from_fraction(Fraction(v))
-    if isinstance(v, str):
-        return ctx.from_fraction(parse_rational(v))
-    return v
+from .scalar import is_zero, parse_rational, scalar_str
 
 
 class CoefficientRule:
@@ -94,9 +79,7 @@ class Mab(CoefficientRule):
         self.b = b
 
     def coeff(self, ctx, n, k):
-        a = _coerce(ctx, self.a)
-        b = _coerce(ctx, self.b)
-        return ctx.hq(k) - ctx.upow(k) * (a + b * ctx.hq(n))
+        return ctx.hq(k) - ctx.upow(k) * (self.a + self.b * ctx.hq(n))
 
     def params(self):
         return {"a": self.a, "b": self.b}
@@ -115,8 +98,8 @@ class ExcAlpha(CoefficientRule):
     def coeff(self, ctx, n, k):
         if k != -1:
             return ctx.hq(n + k + 1)
-        t = _coerce(ctx, self.alpha)
-        return ctx.hq(n) + ctx.upow(n) * ctx.qint(-n) * ctx.qint(n + 1) * t
+        return (ctx.hq(n)
+                + ctx.upow(n) * ctx.qint(-n) * ctx.qint(n + 1) * self.alpha)
 
     def params(self):
         return {"alpha": self.alpha}
@@ -134,8 +117,8 @@ class ExcAlphaPrime(CoefficientRule):
     def coeff(self, ctx, n, k):
         if k != -n:
             return ctx.hq(k)
-        t = _coerce(ctx, self.alphap)
-        return ctx.hq(-n) + ctx.upow(-n) * ctx.qint(-n) * ctx.qint(n + 1) * t
+        return (ctx.hq(-n)
+                + ctx.upow(-n) * ctx.qint(-n) * ctx.qint(n + 1) * self.alphap)
 
     def params(self):
         return {"alphap": self.alphap}
@@ -154,8 +137,8 @@ class ExcBeta(CoefficientRule):
     def coeff(self, ctx, n, k):
         if k != 1:
             return ctx.hq(n + k - 1)
-        t = _coerce(ctx, self.beta)
-        return ctx.hq(n) + ctx.upow(n) * ctx.qint(n) * ctx.qint(-n + 1) * t
+        return (ctx.hq(n)
+                + ctx.upow(n) * ctx.qint(n) * ctx.qint(-n + 1) * self.beta)
 
     def params(self):
         return {"beta": self.beta}
@@ -182,12 +165,11 @@ class ExcBetaPrime(CoefficientRule):
     def coeff(self, ctx, n, k):
         if k != -n:
             return ctx.hq(k)
-        t = _coerce(ctx, self.betap)
         if self.reading == "given":
             pair = ctx.qint(n) * ctx.qint(n + 1)
         else:
             pair = ctx.qint(n) * ctx.qint(-n + 1)
-        return ctx.hq(-n) + ctx.upow(-n) * pair * t
+        return ctx.hq(-n) + ctx.upow(-n) * pair * self.betap
 
     def params(self):
         out = {"betap": self.betap}
@@ -208,7 +190,7 @@ class TableRule(CoefficientRule):
     def coeff(self, ctx, n, k):
         if (n, k) not in self.entries:
             raise ValueError("table rule queried outside its window: (%d,%d)" % (n, k))
-        return _coerce(ctx, self.entries[(n, k)])
+        return ctx.scalar(self.entries[(n, k)])
 
     def params(self):
         return {"window": self.window, "size": len(self.entries)}
@@ -358,7 +340,6 @@ def weight_injective(ctx, a, window):
     Closed form: a != -1/(p-q).  The brute-force distinctness scan is run
     as well; the two must agree under the context guard.
     """
-    a = _coerce(ctx, a)
     closed = not is_zero(a + 1 / (ctx.p - ctx.q))
     rule = Mab(a, ctx.zero)
     seen = [rule.coeff(ctx, 0, k) for k in range(-window, window + 1)]
@@ -486,8 +467,6 @@ def find_submodules_ex(ctx, rule, window):
 
 def is_reducible_closed_form(ctx, a, b, mmax):
     """Witness m with a = -p^{-m}[m] and b in {-p^{-m} q^m, 0}, if any."""
-    a = _coerce(ctx, a)
-    b = _coerce(ctx, b)
     if is_zero(a + 1 / (ctx.p - ctx.q)):
         raise ValueError("a = -1/(p-q) is outside this criterion's domain")
     for m in sorted(range(-int(mmax), int(mmax) + 1), key=lambda x: (abs(x), x)):
@@ -500,8 +479,6 @@ def is_reducible_closed_form(ctx, a, b, mmax):
 
 def shift_params(ctx, a, b, m):
     """Parameters of the isomorphic copy under index shift by m."""
-    a = _coerce(ctx, a)
-    b = _coerce(ctx, b)
     scale = ctx.upow(-m)
     return ((a + ctx.hq(m)) * scale, b * scale)
 

@@ -26,11 +26,15 @@ class GuardError(ValueError):
 
 
 def parse_rational(text):
-    """Parse '7', '-3/5' etc. into a Fraction. Floats are rejected."""
+    """Parse '7', '-3/5' etc. into a Fraction.  Floats and zero
+    denominators are rejected with ValueError."""
     s = str(text).strip()
     if "." in s or "e" in s.lower():
         raise ValueError("exact rational expected, got %r" % (text,))
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (text,)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -540,16 +544,18 @@ class RationalFunction:
         if g.is_const() and g.const_value() == 1:
             num = self.num * o.den + o.num * self.den
             den = self.den * o.den
-            return RationalFunction(num, den)
-        db = poly_divexact(self.den, g)
-        dd = poly_divexact(o.den, g)
-        num = self.num * dd + o.num * db
-        h = poly_gcd(num, g)
-        if not (h.is_const() and h.const_value() == 1):
-            num = poly_divexact(num, h)
-            g = poly_divexact(g, h)
-        den = db * dd * g
-        return RationalFunction(num, den)
+        else:
+            db = poly_divexact(self.den, g)
+            dd = poly_divexact(o.den, g)
+            num = self.num * dd + o.num * db
+            h = poly_gcd(num, g)
+            if not (h.is_const() and h.const_value() == 1):
+                num = poly_divexact(num, h)
+                g = poly_divexact(g, h)
+            den = db * dd * g
+        # Henrici: num is coprime to den, whose factors all lead positive;
+        # a zero sum has equal denominators, so it comes out as 0/1
+        return RationalFunction(num, den, _reduced=True)
 
     __radd__ = __add__
 
@@ -690,7 +696,8 @@ class ScalarContext:
 
     ``p`` and ``q`` are scalars of the active backend.  Code built on top of
     the context only ever uses ``+ - * / **`` on scalars, so both backends
-    run the same source.
+    run the same source.  ``scalar`` is the one conversion of an outside
+    value (int, Fraction, rational string) into a scalar.
 
     The context is the one cache layer: ``ppow``, ``qpow``, ``qint``,
     ``upow`` (u^n = p^{-n} q^n) and ``hq`` (h(n) = p^{-n}[n]) are computed
@@ -703,6 +710,8 @@ class ScalarContext:
         self.q = q
         self.guard_window = int(guard_window)
         self.formal = formal
+        self.zero = self.scalar(0)
+        self.one = self.scalar(1)
         self._qint_cache = {}
         self._ppow_cache = {}
         self._qpow_cache = {}
@@ -737,23 +746,21 @@ class ScalarContext:
 
     # scalar helpers ---------------------------------------------------------
 
-    @property
-    def zero(self):
-        return self.from_int(0)
-
-    @property
-    def one(self):
-        return self.from_int(1)
-
-    def from_int(self, n):
-        if self.backend == "numeric":
-            return Fraction(n)
-        return RationalFunction.from_int(n)
-
-    def from_fraction(self, fr):
-        if self.backend == "numeric":
-            return Fraction(fr)
-        return RationalFunction.from_fraction(fr)
+    def scalar(self, v):
+        """The one conversion of an outside value into a scalar of this
+        backend: an int, a Fraction, a rational string or a scalar of this
+        backend.  Anything else (a float, a symbolic value under the
+        numeric backend) is rejected."""
+        if isinstance(v, str):
+            v = parse_rational(v)
+        numeric = self.backend == "numeric"
+        if isinstance(v, Fraction if numeric else RationalFunction):
+            return v
+        if isinstance(v, (int, Fraction)):
+            return Fraction(v) if numeric else RationalFunction.from_fraction(v)
+        if isinstance(v, RationalFunction):
+            raise ValueError("symbolic parameter in a numeric context")
+        raise TypeError("not an exact scalar: %r" % (v,))
 
     def var(self, name):
         if self.backend != "symbolic":

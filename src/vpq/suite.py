@@ -34,7 +34,7 @@ def _want_str_rational(spec, key, where):
             "%s: %r must be a rational string, got %r" % (where, key, v))
     try:
         parse_rational(v)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise SuiteConfigError("%s: bad rational %r: %s" % (where, key, exc))
     return v
 
@@ -297,9 +297,13 @@ def _check_is_reducible_grid(ctx, spec, rng):
     return rep
 
 
+def _ab(ctx, spec):
+    """The check's rational parameters a, b as scalars of the context."""
+    return ctx.scalar(spec["a"]), ctx.scalar(spec["b"])
+
+
 def _check_iso(ctx, spec, rng):
-    a = ctx.from_fraction(spec["a"])
-    b = ctx.from_fraction(spec["b"])
+    a, b = _ab(ctx, spec)
     m = spec["m"]
     a2, b2 = modules.shift_params(ctx, a, b, m)
     rep = ResidualReport("iso", {
@@ -341,7 +345,7 @@ def _check_sampled_iso(ctx, spec, rng):
             a2 = _rand_fraction(rng)
             b2 = _rand_fraction(rng)
             sa, sb = modules.shift_params(ctx, a, b, m)
-            if not (sa == ctx.from_fraction(a2) and sb == ctx.from_fraction(b2)):
+            if not (sa == ctx.scalar(a2) and sb == ctx.scalar(b2)):
                 break
         plain.append({"a": str(a), "b": str(b),
                       "a2": str(a2), "b2": str(b2), "m": m})
@@ -356,8 +360,7 @@ def _check_sampled_iso(ctx, spec, rng):
 
 
 def _check_classify(ctx, spec, rng):
-    a = ctx.from_fraction(spec["a"])
-    b = ctx.from_fraction(spec["b"])
+    a, b = _ab(ctx, spec)
     prof = classify.degeneracy_profile(ctx, a, b)
     rep = ResidualReport("classify", {
         "a": scalar_str(a), "b": scalar_str(b), **ctx.describe()})
@@ -374,7 +377,7 @@ def _check_classify(ctx, spec, rng):
 
 
 def _check_audit_identities(ctx, spec, rng):
-    return classify.identity_audit(ctx, spec["a"], spec["b"])
+    return classify.identity_audit(ctx, *_ab(ctx, spec))
 
 
 def _check_degeneracy_table(ctx, spec, rng):
@@ -383,16 +386,15 @@ def _check_degeneracy_table(ctx, spec, rng):
 
 
 def _check_roots(ctx, spec, rng):
-    return classify.quadratic_roots_audit(ctx, spec["a"], spec["b"])
+    return classify.quadratic_roots_audit(ctx, *_ab(ctx, spec))
 
 
 def _check_l2_display(ctx, spec, rng):
-    return classify.l2_display_audit(ctx, spec["a"], spec["b"], spec["jmax"])
+    return classify.l2_display_audit(ctx, *_ab(ctx, spec), spec["jmax"])
 
 
 def _check_fg_recurrences(ctx, spec, rng):
-    a = ctx.from_fraction(spec["a"])
-    b = ctx.from_fraction(spec["b"])
+    a, b = _ab(ctx, spec)
     F0, G0, d_f, d_g = classify.fg_constants(ctx, classify.x_factors(ctx, a, b))
     if F0 is None or G0 is None:
         return classify.fg_failure(ResidualReport("fg-recurrences", {}), d_f, d_g)
@@ -400,7 +402,7 @@ def _check_fg_recurrences(ctx, spec, rng):
 
 
 def _check_case_audit(ctx, spec, rng):
-    return caseaudit.case_constants_audit(ctx, spec["a"],
+    return caseaudit.case_constants_audit(ctx, ctx.scalar(spec["a"]),
                                           window=spec["window"])
 
 
@@ -420,19 +422,23 @@ def _check_annihilator(ctx, spec, rng):
 
 
 def _check_quadratic_in_x(ctx, spec, rng):
-    a = ctx.from_fraction(spec["a"])
+    a = ctx.scalar(spec["a"])
     return caseaudit.quadratic_in_x_check(ctx, Mab(a, a * ctx.q),
                                           spec["window"])
 
 
+def _uqsl2_rep(spec):
+    # the representation carries its own q, apart from the context's
+    return uqsl2.Uqsl2Rep(spec["omega"], spec["two_l"],
+                          parse_rational(spec["q"]))
+
+
 def _check_uqsl2(ctx, spec, rng):
-    rep = uqsl2.Uqsl2Rep(spec["omega"], spec["two_l"], spec["q"])
-    return uqsl2.rep_relation_audit(rep)
+    return uqsl2.rep_relation_audit(_uqsl2_rep(spec))
 
 
 def _check_uqsl2_x(ctx, spec, rng):
-    rep = uqsl2.Uqsl2Rep(spec["omega"], spec["two_l"], spec["q"])
-    return uqsl2.quadratic_in_x_fit(rep)
+    return uqsl2.quadratic_in_x_fit(_uqsl2_rep(spec))
 
 
 _HANDLERS = {

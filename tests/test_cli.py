@@ -6,7 +6,8 @@ import pytest
 
 from vpq import cli
 from vpq.report import ResidualReport
-from vpq.suite import JsonReport, SuiteConfig, SuiteConfigError, run_suite
+from vpq.suite import (_CHECKS, JsonReport, SuiteConfig, SuiteConfigError,
+                       run_suite)
 
 
 def run(capsys, *argv):
@@ -247,3 +248,71 @@ def test_vacuous_check_sizes_are_rejected():
                               {"check": "qint-identities", "mmax": 0}]}
     for rep in run_suite(SuiteConfig.from_dict(doc)).reports:
         assert rep.checked > 0 and rep.failed == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-module", "--family", "mab:a=1/0,b=0"),
+    ("submodules", "--family", "alpha:alpha=1/0"),
+    ("iso", "--a", "1/0", "--b", "1", "--m", "1"),
+])
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("vpq:") and "zero denominator" in err
+
+
+@pytest.mark.parametrize("check", ["submodules", "annihilator"])
+def test_zero_denominator_family_in_config_is_a_usage_error(
+        capsys, tmp_path, check):
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({
+        "context": {"p": "2", "q": "3"},
+        "checks": [{"check": check, "family": "betap:betap=2/0"}]}))
+    rc, out, err = run(capsys, "suite", "--config", str(config))
+    assert rc == 2 and out == ""
+    assert "zero denominator" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."])
+def test_unwritable_json_path_is_a_usage_error(capsys, tmp_path, target):
+    rc, out, err = run(capsys, "verify-algebra", "--window", "1",
+                       "--json", str(tmp_path / target))
+    assert rc == 2 and out == ""
+    assert err.startswith("vpq:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--a", "1", "--b", "1", "--window", "5"),
+    ("verify-module", "--family", "mab:a=1,b=1", "--window", "3"),
+    ("iso", "--a", "0", "--b", "1", "--m", "1", "--window", "3"),
+    ("audit-identities", "--a", "1", "--b", "1", "--window", "3"),
+    ("uqsl2", "--two-l", "2", "--omega", "1", "--window", "3"),
+    ("uqsl2", "--two-l", "2", "--omega", "1", "--p", "5"),
+    ("uqsl2", "--two-l", "2", "--omega", "1", "--backend", "symbolic"),
+    ("suite", "--config", "suite.json", "--window", "3"),
+    ("suite", "--config", "suite.json", "--p", "5"),
+    ("suite", "--config", "suite.json", "--q", "5"),
+    ("suite", "--config", "suite.json", "--backend", "symbolic"),
+    ("suite", "--config", "suite.json", "--seed", "1"),
+])
+def test_flags_a_subcommand_would_ignore_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_size_flags_default_to_the_check_defaults(capsys, tmp_path):
+    path = tmp_path / "out.json"
+    rc, _, _ = run(capsys, "verify-module", "--family", "mab:a=1,b=1",
+                   "--json", str(path))
+    assert rc == 0
+    params = json.loads(path.read_text())["checks"][0]["params"]
+    table = _CHECKS["verify-module"]
+    assert (params["nmax"], params["kmax"], params["pair_filter"]) == (
+        table["nmax"][1], table["kmax"][1], table["filter"][1])
+    rc, _, _ = run(capsys, "iso", "--a", "0", "--b", "1", "--m", "1",
+                   "--json", str(path))
+    assert rc == 0
+    params = json.loads(path.read_text())["checks"][0]["params"]
+    assert params["kmax"] == _CHECKS["iso"]["kmax"][1]

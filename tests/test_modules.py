@@ -5,6 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vpq.caseaudit import case3_constants, case_constants_audit
+from vpq.classify import (identity_audit, l2_display_audit,
+                          quadratic_roots_audit, second_solution)
 from vpq.modules import (
     ExcAlpha,
     ExcAlphaPrime,
@@ -286,7 +289,7 @@ def test_memoised_sweep_matches_direct_sweep(backend):
         if backend == "formal":
             rules = _family_rules(lambda i: ctx.var("ab"[i % 2]))
         else:
-            rules = _family_rules(lambda i: ctx.from_fraction(_NUMERIC[i]))
+            rules = _family_rules(lambda i: ctx.scalar(_NUMERIC[i]))
     for rule in rules:
         # the generator window is where the exceptional families close up;
         # the betap "given" reading leaves failures, which must match too
@@ -335,3 +338,45 @@ def test_memo_rule_describes_its_rule(ctx):
     memo = MemoRule(ctx, rule)
     assert memo.describe() == rule.describe() == "betap:betap=1/5,reading=given"
     assert memo.coeff(ctx, 2, -2) is memo.coeff(ctx, 2, -2)
+
+
+@pytest.mark.parametrize("backend", ["numeric", "symbolic"])
+def test_parameters_may_be_ints_fractions_or_scalars(backend):
+    # every formula mixes its parameters with context scalars, so int and
+    # Fraction parameters promote exactly; only the outside value changes
+    ctx = (ScalarContext.numeric(2, 3) if backend == "numeric"
+           else ScalarContext.symbolic("2", "3"))
+    results = []
+    for conv in (int, Fraction, ctx.scalar):
+        a, b, t = conv(1), conv(-2), conv(3)
+        coeffs = [rule.coeff(ctx, n, k)
+                  for rule in (Mab(a, b), ExcAlpha(t), ExcAlphaPrime(t),
+                               ExcBeta(t), ExcBetaPrime(t))
+                  for n in (-2, 1) for k in (-1, 1, 2)]
+        assert all(type(c) is type(ctx.one) for c in coeffs)
+        reports = [verify_module(ctx, Mab(a, b), 2, 3),
+                   identity_audit(ctx, a, b),
+                   l2_display_audit(ctx, a, b, 2),
+                   quadratic_roots_audit(ctx, a, b),
+                   case_constants_audit(ctx, conv(-1), window=4)]
+        scalars = [*shift_params(ctx, a, b, 2), second_solution(ctx, a, b),
+                   case3_constants(ctx, t).H]
+        results.append(([str(c) for c in coeffs + scalars],
+                        [r.to_dict() for r in reports],
+                        is_reducible_closed_form(ctx, conv(0), conv(0), 2),
+                        weight_injective(ctx, a, 4)))
+    assert results[0] == results[1] == results[2]
+
+
+def test_table_rule_converts_its_entries_once_read():
+    sym = ScalarContext.symbolic("2", "3")
+    rule = TableRule({(1, 0): 2, (0, 0): "1/3", (0, 1): Fraction(-1)},
+                     window=1)
+    for ctx in (ScalarContext.numeric(2, 3), sym):
+        got = [rule.coeff(ctx, 1, 0), rule.coeff(ctx, 0, 0),
+               rule.coeff(ctx, 0, 1)]
+        assert all(type(c) is type(ctx.one) for c in got)
+        assert [str(c) for c in got] == ["2", "1/3", "-1"]
+    with pytest.raises(ValueError, match="symbolic parameter"):
+        TableRule({(0, 0): sym.var("a")}, window=0).coeff(
+            ScalarContext.numeric(2, 3), 0, 0)

@@ -111,6 +111,25 @@ def test_rf_field_distributes(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@given(rfs, rfs, rfs)
+# 1/(p+1) + p/(p+1) = 1 cancels the shared denominator factor
+@example(_rf([(1, 0, 0)], [(1, 1, 0), (1, 0, 0)]),
+         _rf([(1, 1, 0)], [(1, 1, 0), (1, 0, 0)]),
+         _rf([(1, 0, 0)], [(1, 1, 0)]))
+def test_rf_sum_is_reduced_without_renormalising(a, b, c):
+    # __add__ builds its result as already reduced, both when the summands'
+    # denominators are coprime and when they share factors (a/c + b/c)
+    sums = [a + (-a), a + b]
+    if not c.is_zero():
+        sums.append(a / c + b / c)
+    for s in sums:
+        g = poly_gcd(s.num, s.den)
+        assert g.is_const() and g.const_value() == 1
+        again = RationalFunction(s.num, s.den)
+        assert (again.num, again.den) == (s.num, s.den)
+    assert sums[0].is_zero() and sums[0].den == Poly.const(1)
+
+
 _SYMS = sympy.symbols("p q a b")
 
 
@@ -184,8 +203,29 @@ def test_parse_rational_accepts_fraction_strings():
 def test_parse_rational_rejects_garbage():
     with pytest.raises(ValueError):
         parse_rational("x")
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match="zero denominator"):
         parse_rational("1/0")
+
+
+def test_context_scalar_is_the_one_conversion(ctx, sym):
+    for c in (ctx, sym):
+        for v in (3, Fraction(3), "3", " 6/2 "):
+            s = c.scalar(v)
+            assert s == 3 and type(s) is type(c.p)
+        assert c.scalar(c.p) is c.p
+        assert c.zero == c.scalar(0) and c.one == c.scalar(1)
+        for bad in ("1/0", "0.5", "x"):
+            with pytest.raises(ValueError):
+                c.scalar(bad)
+        for bad in (0.5, 1e3, None, [1]):
+            with pytest.raises(TypeError):
+                c.scalar(bad)
+    a = sym.var("a")
+    assert sym.scalar(a) is a
+    with pytest.raises(ValueError, match="symbolic parameter"):
+        ctx.scalar(a)
+    assert not hasattr(ScalarContext, "from_int")
+    assert not hasattr(ScalarContext, "from_fraction")
 
 
 def test_guard_rejects_degenerate_points():

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from .classify import XPolynomial
 from .modules import (ExcAlpha, ExcAlphaPrime, ExcBeta, ExcBetaPrime, Mab,
-                      verify_module)
+                      MemoRule, verify_module)
 from .report import ResidualReport
 from .scalar import is_zero, scalar_str
 
@@ -32,32 +32,27 @@ def quadratic_in_x_check(ctx, rule, window):
 
     Fits a degree-<=2 polynomial through three sample weights and verifies
     exact agreement at every other |j| <= window, for the coefficient of
-    v_j in p^{2j} q^{-2j} times the down-up and up-down compositions.
+    v_j in u^{-2j} = p^{2j} q^{-2j} times the down-up and up-down
+    compositions.  The sweep reads the rule through one MemoRule.
     """
     window = int(window)
     if window < 4:
         raise ValueError("quadratic_in_x_check needs window >= 4")
     rep = ResidualReport("quadratic-in-x", {
         "rule": rule.describe(), "window": window, **ctx.describe()})
+    memo = MemoRule(ctx, rule)
     xs = {j: ctx.q ** -j * ctx.qint(j) for j in range(-window, window + 1)}
 
     def composite(kind, j):
-        s = ctx.p ** (2 * j) * ctx.q ** (-2 * j)
         if kind == "down-up":
-            return s * rule.coeff(ctx, 1, j) * rule.coeff(ctx, -1, j + 1)
-        return s * rule.coeff(ctx, -1, j) * rule.coeff(ctx, 1, j - 1)
+            pair = memo.coeff(ctx, 1, j) * memo.coeff(ctx, -1, j + 1)
+        else:
+            pair = memo.coeff(ctx, -1, j) * memo.coeff(ctx, 1, j - 1)
+        return ctx.upow(-2 * j) * pair
 
     for kind in ("down-up", "up-down"):
         nodes = [0, 1, 2]
-        fit = XPolynomial([ctx.zero])
-        for k in nodes:
-            basis = XPolynomial([ctx.one])
-            for l in nodes:
-                if l == k:
-                    continue
-                den = xs[k] - xs[l]
-                basis = basis * XPolynomial([-xs[l] / den, ctx.one / den])
-            fit = fit + basis.scale(composite(kind, k))
+        fit = XPolynomial.through([(xs[k], composite(kind, k)) for k in nodes])
         rep.section("fit_%s" % kind, fit.serialize())
         for j in range(-window, window + 1):
             if j in nodes:

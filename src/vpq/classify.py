@@ -14,7 +14,7 @@ other "given", and the choice is recorded as a finding, never silently.
 
 from __future__ import annotations
 
-from .modules import Mab
+from .modules import Mab, MemoRule
 from .report import ResidualReport
 from .scalar import is_zero, scalar_str
 
@@ -39,6 +39,20 @@ class XPolynomial:
     @staticmethod
     def x(ctx):
         return XPolynomial([ctx.zero, ctx.one])
+
+    @staticmethod
+    def through(points):
+        """The Lagrange interpolant of degree < len(points) through the
+        (x, y) pairs; the x values must be distinct."""
+        fit = XPolynomial([])
+        for k, (xk, yk) in enumerate(points):
+            basis = XPolynomial([yk])
+            for l, (xl, _) in enumerate(points):
+                if l != k:
+                    den = xk - xl
+                    basis = basis * XPolynomial([-xl / den, 1 / den])
+            fit = fit + basis
+        return fit
 
     def degree(self):
         """Exact degree; None is the zero polynomial's sentinel."""
@@ -522,136 +536,134 @@ def identity_audit(ctx, a, b):
 
 # -- displayed action coefficients and the recurrences -----------------------
 
-def _mab_parts(ctx, a, b):
-    rule = Mab(a, b)
-    up = lambda k: rule.coeff(ctx, 1, k)
-    dn = lambda k: rule.coeff(ctx, -1, k)
-    w2 = lambda k: rule.coeff(ctx, 2, k)
-    wm2 = lambda k: rule.coeff(ctx, -2, k)
-    return up, dn, w2, wm2
-
-
-def closed_form_f(ctx, a, b, F0, j):
-    """f(j) = p^{-3j} q^{3j} F0 / (dn(j+2) dn(j+1)); None on zero denominator."""
-    _, dn, _, _ = _mab_parts(ctx, a, b)
-    den = dn(j + 2) * dn(j + 1)
+def closed_form_f(ctx, rule, F0, j):
+    """f(j) = u^{3j} F0 / (c(-1,j+2) c(-1,j+1)); None on zero denominator."""
+    den = rule.coeff(ctx, -1, j + 2) * rule.coeff(ctx, -1, j + 1)
     if is_zero(den):
         return None
-    return ctx.p ** (-3 * j) * ctx.q ** (3 * j) * F0 / den
+    return ctx.upow(3 * j) * F0 / den
 
 
-def closed_form_g(ctx, a, b, G0, j):
-    """g(j) = p^{-3j} q^{3j} G0 / (up(j-2) up(j-1)); None on zero denominator."""
-    up, _, _, _ = _mab_parts(ctx, a, b)
-    den = up(j - 2) * up(j - 1)
+def closed_form_g(ctx, rule, G0, j):
+    """g(j) = u^{3j} G0 / (c(1,j-2) c(1,j-1)); None on zero denominator."""
+    den = rule.coeff(ctx, 1, j - 2) * rule.coeff(ctx, 1, j - 1)
     if is_zero(den):
         return None
-    return ctx.p ** (-3 * j) * ctx.q ** (3 * j) * G0 / den
+    return ctx.upow(3 * j) * G0 / den
 
 
 def fg_recurrence_audit(ctx, a, b, F0, G0, jmax):
-    """The two step recurrences against the closed forms, swept over j."""
-    up, dn, _, _ = _mab_parts(ctx, a, b)
+    """The two step recurrences against the closed forms, swept over j.
+
+    The sweep reads the mab(a, b) coefficients through one MemoRule."""
+    rule = MemoRule(ctx, Mab(a, b))
     rep = ResidualReport("fg-recurrences", {
         "a": scalar_str(a), "b": scalar_str(b),
         "F0": scalar_str(F0), "G0": scalar_str(G0),
         "jmax": int(jmax), **ctx.describe()})
     for j in range(-jmax, jmax + 1):
-        fj = closed_form_f(ctx, a, b, F0, j)
-        fjm1 = closed_form_f(ctx, a, b, F0, j - 1)
+        fj = closed_form_f(ctx, rule, F0, j)
+        fjm1 = closed_form_f(ctx, rule, F0, j - 1)
         if fj is None or fjm1 is None:
             rep.note("f-recurrence skipped at j=%d (zero denominator)" % j)
         else:
             rep.record("f-step", (j,),
-                       ctx.q ** -3 * fj * dn(j + 2) - ctx.p ** -3 * fjm1 * dn(j))
-        gj = closed_form_g(ctx, a, b, G0, j)
-        gjp1 = closed_form_g(ctx, a, b, G0, j + 1)
+                       ctx.q ** -3 * fj * rule.coeff(ctx, -1, j + 2)
+                       - ctx.p ** -3 * fjm1 * rule.coeff(ctx, -1, j))
+        gj = closed_form_g(ctx, rule, G0, j)
+        gjp1 = closed_form_g(ctx, rule, G0, j + 1)
         if gj is None or gjp1 is None:
             rep.note("g-recurrence skipped at j=%d (zero denominator)" % j)
         else:
             rep.record("g-step", (j,),
-                       ctx.p ** 3 * gjp1 * up(j) - ctx.q ** 3 * gj * up(j - 2))
+                       ctx.p ** 3 * gjp1 * rule.coeff(ctx, 1, j)
+                       - ctx.q ** 3 * gj * rule.coeff(ctx, 1, j - 2))
     return rep
 
 
-def l2_coefficients(ctx, a, b, j, reading="adjusted"):
+def l2_coefficients(ctx, rule, j, reading="adjusted"):
     """The displayed rational coefficients of the ±2 actions on v_j.
 
-    Returns (c2, cm2).  c2 is identical under both readings.  cm2's display
-    admits two readings differing in the first factor's exponent and one
-    bracket sign; "adjusted" (default) is the reading consistent with the
-    recurrences, "given" is the literal one.  Vanishing denominators raise
-    with the offending factor named.
+    Returns (c2, cm2), built from the rule's c(±1,·) and c(±2,·).  c2 is
+    identical under both readings.  cm2's display admits two readings
+    differing in the first factor's exponent and one bracket sign;
+    "adjusted" (default) is the reading consistent with the recurrences,
+    "given" is the literal one, written in the rule's parameters a and b.
+    Vanishing denominators raise with the offending factor named.
     """
     if reading not in ("adjusted", "given"):
         raise ValueError("reading must be 'adjusted' or 'given'")
     j = int(j)
-    up, dn, w2, wm2 = _mab_parts(ctx, a, b)
-    den1 = dn(j + 2)
-    den2 = dn(j + 1)
+    c = lambda n, k: rule.coeff(ctx, n, k)
+    den1 = c(-1, j + 2)
+    den2 = c(-1, j + 1)
     if is_zero(den1):
         raise ValueError("c2 denominator dn(j+2) vanishes at j=%d" % j)
     if is_zero(den2):
         raise ValueError("c2 denominator dn(j+1) vanishes at j=%d" % j)
-    c2 = up(j) * up(j + 1) * wm2(j + 2) / (den1 * den2)
-    den3 = up(j - 2)
-    den4 = up(j - 1)
+    c2 = c(1, j) * c(1, j + 1) * c(-2, j + 2) / (den1 * den2)
+    den3 = c(1, j - 2)
+    den4 = c(1, j - 1)
     if is_zero(den3):
         raise ValueError("cm2 denominator up(j-2) vanishes at j=%d" % j)
     if is_zero(den4):
         raise ValueError("cm2 denominator up(j-1) vanishes at j=%d" % j)
-    p, q = ctx.p, ctx.q
     if reading == "adjusted":
-        first = dn(j)
-        second = w2(j - 2)
+        first = c(-1, j)
+        second = c(2, j - 2)
     else:
+        p, q = ctx.p, ctx.q
+        params = rule.params()
+        a, b = params["a"], params["b"]
         first = (p ** -j * ctx.qint(j) - a * p ** -j * q ** j
                  - b * p ** (-j - 1) * q ** j * ctx.qint(-1))
         second = (p ** (-j + 2) * ctx.qint(j - 2) - a * p ** (-j + 2) * q ** (j - 2)
                   - b * p ** -j * q ** (j - 2) * ctx.qint(-2))
-    cm2 = first * dn(j - 1) * second / (den3 * den4)
+    cm2 = first * c(-1, j - 1) * second / (den3 * den4)
     return c2, cm2
 
 
 def l2_display_audit(ctx, a, b, jmax):
     """Sweep of the displayed ±2 coefficients against rule values and the
     closed forms, plus the gauge-invariant product against the partner
-    parameters."""
+    parameters.  The sweep reads the mab(a, b) coefficients through one
+    MemoRule."""
     rep = ResidualReport("l2-display", {
         "a": scalar_str(a), "b": scalar_str(b), "jmax": int(jmax),
         **ctx.describe()})
     F, G, d_f, d_g = fg_constants(ctx, x_factors(ctx, a, b))
     if F is None or G is None:
         return fg_failure(rep, d_f, d_g)
-    _, _, w2, wm2 = _mab_parts(ctx, a, b)
+    rule = MemoRule(ctx, Mab(a, b))
     bprime = second_solution(ctx, a, b)
     partner = Mab(a, bprime)
     variant = Mab(a, 1 - a * (ctx.p - ctx.q) - b)
     variant_hits = 0
     for j in range(-jmax, jmax + 1):
         try:
-            c2, cm2 = l2_coefficients(ctx, a, b, j)
+            c2, cm2 = l2_coefficients(ctx, rule, j)
         except ValueError as exc:
             rep.note("skipped j=%d: %s" % (j, exc))
             continue
-        fj = closed_form_f(ctx, a, b, F, j)
-        gj = closed_form_g(ctx, a, b, G, j)
+        fj = closed_form_f(ctx, rule, F, j)
+        gj = closed_form_g(ctx, rule, G, j)
         if fj is not None:
-            rep.record("c2-display", (j,), c2 - w2(j) - fj)
+            rep.record("c2-display", (j,), c2 - rule.coeff(ctx, 2, j) - fj)
         if gj is not None:
-            rep.record("cm2-display", (j,), cm2 - wm2(j) - gj)
+            wm2 = rule.coeff(ctx, -2, j)
+            rep.record("cm2-display", (j,), cm2 - wm2 - gj)
             try:
-                _, cm2g = l2_coefficients(ctx, a, b, j, reading="given")
+                _, cm2g = l2_coefficients(ctx, rule, j, reading="given")
             except ValueError:
                 cm2g = None
-            if cm2g is not None and not is_zero(cm2g - wm2(j) - gj):
+            if cm2g is not None and not is_zero(cm2g - wm2 - gj):
                 rep.finding(
                     "cm2-display-reading",
                     "literal cm2 display fails at j=%d; adjusted reading "
                     "passes" % j,
-                    {"j": j, "residual": scalar_str(cm2g - wm2(j) - gj)})
+                    {"j": j, "residual": scalar_str(cm2g - wm2 - gj)})
         try:
-            c2s, cm2s = l2_coefficients(ctx, a, b, j + 2)
+            c2s, cm2s = l2_coefficients(ctx, rule, j + 2)
         except ValueError:
             continue
         del c2s

@@ -364,54 +364,6 @@ def _edges(ctx, rule, window):
     return adj
 
 
-def _sccs(adj):
-    """Tarjan strongly connected components, iterative."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    comps = []
-    counter = [0]
-    for root in sorted(adj):
-        if root in index:
-            continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    v = stack.pop()
-                    on_stack.discard(v)
-                    comp.append(v)
-                    if v == node:
-                        break
-                comps.append(sorted(comp))
-    return comps
-
-
 SUBMODULE_CAP = 2 ** 12
 
 
@@ -421,24 +373,30 @@ def find_submodules(ctx, rule, window):
 
 
 def find_submodules_ex(ctx, rule, window):
-    """(subsets, truncated).  Condenses the action graph into strongly
-    connected components and enumerates subsets of components closed under
-    outgoing edges.  Capped at SUBMODULE_CAP results; windows used here keep
+    """(subsets, truncated).  Computes the set of indices each index reaches
+    under the action; indices with equal reach sets form one component, and
+    a set of components is closed exactly when it contains the reach of each
+    of its members.  Capped at SUBMODULE_CAP results; windows used here keep
     it far below the cap unless the rule has no edges at all.
     """
     window = int(window)
     adj = _edges(ctx, rule, window)
-    comps = _sccs(adj)
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
+    reach = {}
+    for k in adj:
+        seen, todo = {k}, [k]
+        while todo:
+            for t in adj[todo.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        reach[k] = frozenset(seen)
+    by_reach = {}
+    for k, r in reach.items():
+        by_reach.setdefault(r, []).append(k)
+    comps = list(by_reach.values())
     nc = len(comps)
-    succ = [0] * nc
-    for k, outs in adj.items():
-        for t in outs:
-            if comp_of[t] != comp_of[k]:
-                succ[comp_of[k]] |= 1 << comp_of[t]
+    succ = [sum(1 << j for j, comp in enumerate(comps) if comp[0] in r)
+            for r in by_reach]
     results = []
     full = (1 << nc) - 1
     truncated = False

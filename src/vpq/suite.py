@@ -163,6 +163,12 @@ class SuiteConfig:
                         raise SuiteConfigError(
                             "%s: %r must be a string" % (where, key))
                     norm[key] = v
+            if name == "is-reducible-grid" and \
+                    norm["window"] < max(norm["mmax"], 1):
+                # the witness supports of every m up to mmax must fit
+                raise SuiteConfigError(
+                    "%s (%s): 'window' must be >= max('mmax', 1) = %d"
+                    % (where, name, max(norm["mmax"], 1)))
             checks.append(norm)
         return cls(context, seed, checks)
 
@@ -271,8 +277,8 @@ def _check_is_reducible_grid(ctx, spec, rng):
         "mmax": spec["mmax"], "window": spec["window"], **ctx.describe()})
     variant_irreducible = []
     for m in range(-spec["mmax"], spec["mmax"] + 1):
-        a = -(p ** -m) * ctx.qint(m)
-        for label, b in (("b=-p^-m q^m", -(p ** -m) * q ** m),
+        a = -ctx.hq(m)
+        for label, b in (("b=-p^-m q^m", -ctx.upow(m)),
                          ("b=0", ctx.zero)):
             subs = modules.find_submodules(ctx, Mab(a, b), spec["window"])
             rep.expect("statement-branch-reducible", (label, m),

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .classify import XPolynomial
 from .report import ResidualReport
 from .scalar import is_zero, scalar_str
 
@@ -144,18 +145,10 @@ def quadratic_in_x_fit(rep):
 
     for kind in ("FE", "EF"):
         nodes = ms[:3]
-        # Lagrange interpolation through the node values
-        def fitted(x):
-            total = 0
-            for k in nodes:
-                term = scaled(kind, k)
-                for l in nodes:
-                    if l != k:
-                        term = term * (x - xs[l]) / (xs[k] - xs[l])
-                total = term + total
-            return total
+        fit = XPolynomial.through([(xs[k], scaled(kind, k)) for k in nodes])
         for m in ms:
             if m in nodes:
                 continue
-            out.record("x-quadratic", (kind, m), scaled(kind, m) - fitted(xs[m]))
+            out.record("x-quadratic", (kind, m),
+                       scaled(kind, m) - fit.eval(xs[m]))
     return out

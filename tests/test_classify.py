@@ -25,7 +25,8 @@ from vpq.classify import (
     second_solution,
     x_factors,
 )
-from vpq.scalar import ScalarContext
+from vpq.modules import Mab, MemoRule
+from vpq.scalar import ScalarContext, scalar_str
 
 
 small_fracs = st.fractions(
@@ -59,6 +60,13 @@ def test_xpoly_degree_sentinels():
 def test_xpoly_serialize_is_exact():
     p = XPolynomial([Fraction(-5, 28), Fraction(1, 7), Fraction(1)])
     assert p.serialize() == ["-5/28", "1/7", "1"]
+
+
+@given(st.lists(small_fracs, min_size=3, max_size=3),
+       st.lists(small_fracs, min_size=3, max_size=3, unique=True))
+def test_xpoly_through_recovers_a_quadratic(coeffs, xs):
+    poly = XPolynomial(coeffs)
+    assert XPolynomial.through([(x, poly.eval(x)) for x in xs]) == poly
 
 
 def test_x_factor_constant_terms(ctx):
@@ -207,21 +215,68 @@ def test_closed_forms_match_recurrence(ctx):
 
 def test_closed_form_returns_none_on_vanishing_denominator(ctx):
     # (a,b) = (-1/2,-3/2) kills the k=0 step coefficient
-    assert closed_form_f(ctx, Fraction(-1, 2), Fraction(-3, 2),
+    assert closed_form_f(ctx, Mab(Fraction(-1, 2), Fraction(-3, 2)),
                          Fraction(1), -2) is None
-    assert closed_form_g(ctx, Fraction(-1, 2), Fraction(0),
+    assert closed_form_g(ctx, Mab(Fraction(-1, 2), Fraction(0)),
                          Fraction(1), 3) is not None
 
 
 def test_l2_coefficient_values(ctx):
-    c2, cm2 = l2_coefficients(ctx, Fraction(1), Fraction(1), 2)
+    c2, cm2 = l2_coefficients(ctx, Mab(Fraction(1), Fraction(1)), 2)
     assert c2 == Fraction(21199, 176)
     assert cm2 == Fraction(-3, 28)
 
 
 def test_l2_coefficients_raise_on_vanishing_factor(ctx):
     with pytest.raises(ValueError):
-        l2_coefficients(ctx, Fraction(-1, 2), Fraction(-3, 2), -2)
+        l2_coefficients(ctx, Mab(Fraction(-1, 2), Fraction(-3, 2)), -2)
+
+
+def test_cm2_readings_differ_only_in_the_b_terms(ctx):
+    # the given reading reads a and b from the rule's parameters
+    for j in (-3, 2, 4):
+        rule = Mab(Fraction(5), Fraction(0))
+        assert l2_coefficients(ctx, rule, j, "given") == \
+            l2_coefficients(ctx, rule, j)
+        rule = Mab(Fraction(5), Fraction(1))
+        assert l2_coefficients(ctx, rule, j, "given")[1] != \
+            l2_coefficients(ctx, rule, j)[1]
+
+
+def _outcome(fn, *args):
+    """A reader's result as exact strings, None, or its ValueError text."""
+    try:
+        out = fn(*args)
+    except ValueError as exc:
+        return "raises: %s" % exc
+    if out is None:
+        return None
+    return [scalar_str(v) for v in (out if isinstance(out, tuple) else (out,))]
+
+
+@pytest.mark.parametrize("point", ["numeric", "formal"])
+def test_rule_readers_agree_over_memo_and_bare_rule(point):
+    if point == "numeric":
+        c = ScalarContext.numeric(2, 3)
+        params = [(Fraction(1), Fraction(1)),
+                  (Fraction(-1, 2), Fraction(-3, 2))]
+    else:
+        c = ScalarContext.symbolic("2", "3")
+        params = [(c.var("a"), c.var("b"))]
+    F0, G0 = Fraction(15, 16), Fraction(-20, 243)
+    values = 0
+    for a, b in params:
+        bare = Mab(a, b)
+        memo = MemoRule(c, bare)
+        for j in range(-4, 5):
+            for fn, args in ((closed_form_f, (F0, j)),
+                             (closed_form_g, (G0, j)),
+                             (l2_coefficients, (j, "adjusted")),
+                             (l2_coefficients, (j, "given"))):
+                got = _outcome(fn, c, memo, *args)
+                assert got == _outcome(fn, c, bare, *args)
+                values += isinstance(got, list)
+    assert values > 30
 
 
 def test_l2_display_audit(ctx):

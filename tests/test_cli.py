@@ -250,6 +250,33 @@ def test_vacuous_check_sizes_are_rejected():
         assert rep.checked > 0 and rep.failed == 0
 
 
+@pytest.mark.parametrize("mmax,window", [(4, 0), (4, 1), (4, 2), (4, 3),
+                                          (0, 0)])
+def test_reducible_grid_window_below_mmax_is_a_usage_error(
+        capsys, tmp_path, mmax, window):
+    # the witness supports need window >= max(mmax, 1); smaller windows
+    # used to fail statement-branch-reducible and exit 1
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({
+        "context": {"p": "2", "q": "3"},
+        "checks": [{"check": "verify-algebra", "window": 1},
+                   {"check": "is-reducible-grid", "mmax": mmax,
+                    "window": window}]}))
+    rc, out, err = run(capsys, "suite", "--config", str(config))
+    assert rc == 2 and out == ""
+    assert err.startswith("vpq:") and "must be >=" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mmax,window", [(4, 4), (0, 1)])
+def test_reducible_grid_smallest_windows_pass(mmax, window):
+    doc = {"context": {"p": "2", "q": "3"},
+           "checks": [{"check": "is-reducible-grid", "mmax": mmax,
+                       "window": window}]}
+    rep, = run_suite(SuiteConfig.from_dict(doc)).reports
+    assert rep.checked > 0 and rep.failed == 0
+
+
 @pytest.mark.parametrize("argv", [
     ("verify-module", "--family", "mab:a=1/0,b=0"),
     ("submodules", "--family", "alpha:alpha=1/0"),

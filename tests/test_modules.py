@@ -9,6 +9,7 @@ from vpq.caseaudit import case3_constants, case_constants_audit
 from vpq.classify import (identity_audit, l2_display_audit,
                           quadratic_roots_audit, second_solution)
 from vpq.modules import (
+    SUBMODULE_CAP,
     ExcAlpha,
     ExcAlphaPrime,
     ExcBeta,
@@ -222,6 +223,53 @@ def test_submodule_supports_are_action_closed(ctx):
                     continue
                 if rule.coeff(ctx, n, k) != 0:
                     assert t in sset
+
+
+def _is_closed(ctx, rule, window, support):
+    return all(t in support for k in support
+               for t in range(-window, window + 1)
+               if t != k and rule.coeff(ctx, t - k, k) != 0)
+
+
+def _closed_supports(ctx, rule, window):
+    """Brute force: every proper nonempty index set closed under the action."""
+    idx = list(range(-window, window + 1))
+    out = []
+    for mask in range(1, (1 << len(idx)) - 1):
+        sset = {k for i, k in enumerate(idx) if mask >> i & 1}
+        if _is_closed(ctx, rule, window, sset):
+            out.append(sorted(sset))
+    return sorted(out, key=lambda s: (len(s), s))
+
+
+def _table_pairs(window):
+    return [(t - k, k) for k in range(-window, window + 1)
+            for t in range(-window, window + 1) if t != k]
+
+
+@given(st.integers(0, 3).flatmap(lambda w: st.tuples(
+    st.just(w),
+    st.sets(st.sampled_from(_table_pairs(w))) if w else st.just(set()))))
+@settings(max_examples=80, deadline=None)
+def test_submodule_search_matches_brute_force(ctx, case):
+    window, edges = case
+    rule = TableRule({nk: int(nk in edges) for nk in _table_pairs(window)},
+                     window)
+    subs, truncated = find_submodules_ex(ctx, rule, window)
+    assert truncated is False
+    assert subs == _closed_supports(ctx, rule, window)
+
+
+def test_submodule_search_truncates_at_the_cap(ctx):
+    # no edges: every one of the 2^13 - 2 proper supports is closed
+    window = 6
+    rule = TableRule({nk: 0 for nk in _table_pairs(window)}, window)
+    subs, truncated = find_submodules_ex(ctx, rule, window)
+    assert truncated is True and len(subs) == SUBMODULE_CAP == 4096
+    assert subs[:3] == [[-6], [-5], [-4]]
+    assert len({tuple(s) for s in subs}) == len(subs)
+    assert all(0 < len(s) < 2 * window + 1 for s in subs)
+    assert all(_is_closed(ctx, rule, window, set(s)) for s in subs)
 
 
 # -- the memoised sweep against a direct one ----------------------------------

@@ -1,24 +1,33 @@
-"""Suite-level contracts: the two backends agree, and no config escapes the
-exit-code contract (0 clean, 1 nonzero residual, 2 usage error)."""
+"""Suite-level contracts: the two backends agree, the bundled suite's report
+bytes stay fixed, and no config escapes the exit-code contract (0 clean,
+1 nonzero residual, 2 usage error)."""
 
 import contextlib
+import functools
+import hashlib
 import io
 import json
 import tempfile
 from importlib import resources
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from vpq import cli
 from vpq.suite import _CHECKS, SuiteConfig, run_suite
 
 
-def _bundled_suite(backend):
+@functools.lru_cache(maxsize=None)
+def _bundled_report(backend):
     doc = json.loads(resources.files("vpq").joinpath(
         "data/acceptance_suite.json").read_text())
     doc["context"]["backend"] = backend
-    return run_suite(SuiteConfig.from_dict(doc)).to_dict()
+    return run_suite(SuiteConfig.from_dict(doc))
+
+
+def _bundled_suite(backend):
+    return _bundled_report(backend).to_dict()
 
 
 def _without_backend(x):
@@ -43,6 +52,20 @@ def test_bundled_suite_agrees_on_both_backends():
     assert summary(num) == summary(sym)
     # at a rational point every scalar string agrees too
     assert _without_backend(num) == _without_backend(sym)
+
+
+# sha256 of the serialized bundled suite; a change that alters any report
+# byte on purpose updates these and says why
+_BUNDLED_SHA256 = {
+    "numeric": "d1125d7dd5444606821a9265c01794aa7a6e93ad6644ed1d9f090ccdcd7e9a98",
+    "symbolic": "8eff1dfbcb27060ead0127abd29fea148f04d62a700b50cb33879b9da15eed40",
+}
+
+
+@pytest.mark.parametrize("backend", sorted(_BUNDLED_SHA256))
+def test_bundled_suite_bytes_are_unchanged(backend):
+    data = _bundled_report(backend).serialize().encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == _BUNDLED_SHA256[backend]
 
 
 # -- config fuzzer --------------------------------------------------------------

@@ -307,7 +307,12 @@ def relation_residual(ctx, rule, n, m, k):
 def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
     """Sweep relation_residual over the window; returns a ResidualReport.
 
-    The sweep reads each coefficient c(n,k) through one MemoRule."""
+    The sweep reads each coefficient c(n,k) through one MemoRule.  The axiom
+    is antisymmetric in its generator pair, so each unordered pair is
+    computed once: (n, m) with n < m is kept until the sweep reaches (m, n),
+    which records the negated residual (the same exact value, so the same
+    report bytes).  The diagonal n = m is computed; it alone reads c(2n, k).
+    """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     if kmax < nmax:
@@ -318,14 +323,21 @@ def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
         "family": rule.describe(), "nmax": int(nmax), "kmax": int(kmax),
         "pair_filter": pair_filter, **ctx.describe()})
     memo = MemoRule(ctx, rule)
+    ks = range(-kmax, kmax + 1)
+    pending = {}    # (n, m) with n < m -> its residuals, until (m, n) is due
     for n in range(-nmax, nmax + 1):
         for m in range(-nmax, nmax + 1):
             if pair_filter == "generators":
                 if not (-2 <= n <= 2 and -2 <= m <= 2 and -2 <= n + m <= 2):
                     continue
-            for k in range(-kmax, kmax + 1):
-                rep.record("module-relation", (n, m, k),
-                           relation_residual(ctx, memo, n, m, k))
+            if n > m:
+                residuals = [-r for r in pending.pop((m, n))]
+            else:
+                residuals = [relation_residual(ctx, memo, n, m, k) for k in ks]
+                if n < m:
+                    pending[n, m] = residuals
+            for k, r in zip(ks, residuals):
+                rep.record("module-relation", (n, m, k), r)
     return rep
 
 
@@ -376,8 +388,13 @@ def find_submodules_ex(ctx, rule, window):
     """(subsets, truncated).  Computes the set of indices each index reaches
     under the action; indices with equal reach sets form one component, and
     a set of components is closed exactly when it contains the reach of each
-    of its members.  Capped at SUBMODULE_CAP results; windows used here keep
-    it far below the cap unless the rule has no edges at all.
+    of its members.  Closed sets are enumerated by an include/exclude search
+    over the components, highest first: including one forces in its reach,
+    excluding one forces out everything that reaches it.  Every branch
+    left open still has a closed completion, so the time follows the number
+    of closed sets, and they come in increasing bitmask order.  Capped at
+    SUBMODULE_CAP results, the first that order meets; windows used here
+    keep it far below the cap unless the rule has no edges at all.
     """
     window = int(window)
     adj = _edges(ctx, rule, window)
@@ -397,23 +414,27 @@ def find_submodules_ex(ctx, rule, window):
     nc = len(comps)
     succ = [sum(1 << j for j, comp in enumerate(comps) if comp[0] in r)
             for r in by_reach]
+    pred = [sum(1 << j for j in range(nc) if succ[j] >> i & 1)
+            for i in range(nc)]
     results = []
     full = (1 << nc) - 1
     truncated = False
-    for mask in range(1, full):
-        ok = True
-        mm = mask
-        while mm:
-            i = (mm & -mm).bit_length() - 1
-            if succ[i] & ~mask:
-                ok = False
-                break
-            mm &= mm - 1
-        if not ok:
+    # (highest undecided component, included mask, excluded mask); the
+    # exclude branch is pushed last so it is searched first
+    todo = [(nc - 1, 0, 0)]
+    while todo:
+        i, inc, exc = todo.pop()
+        while i >= 0 and (inc | exc) >> i & 1:
+            i -= 1
+        if i >= 0:
+            todo.append((i - 1, inc | succ[i], exc))
+            todo.append((i - 1, inc, exc | pred[i]))
+            continue
+        if inc in (0, full):
             continue
         members = []
         for i in range(nc):
-            if mask >> i & 1:
+            if inc >> i & 1:
                 members.extend(comps[i])
         results.append(sorted(members))
         if len(results) >= SUBMODULE_CAP:

@@ -1,10 +1,13 @@
 """Weight modules: defining relation, reducibility, shifts, intertwiners."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vpq import modules
 from vpq.caseaudit import case3_constants, case_constants_audit
 from vpq.classify import (identity_audit, l2_display_audit,
                           quadratic_roots_audit, second_solution)
@@ -31,7 +34,7 @@ from vpq.modules import (
     weight_injective,
 )
 from vpq.report import ResidualReport
-from vpq.scalar import ScalarContext
+from vpq.scalar import ScalarContext, scalar_str
 
 
 small_fracs = st.fractions(
@@ -272,6 +275,22 @@ def test_submodule_search_truncates_at_the_cap(ctx):
     assert all(_is_closed(ctx, rule, window, set(s)) for s in subs)
 
 
+def test_submodule_search_time_follows_its_output(ctx):
+    # a chain (only c(1,k) nonzero) has 2*window + 1 singleton components but
+    # only the 2*window tails {j, ..., window} are closed; the search must not
+    # walk all 2^29 component sets to find them
+    window = 14
+    rule = TableRule({nk: int(nk[0] == 1) for nk in _table_pairs(window)},
+                     window)
+    start = time.perf_counter()
+    subs, truncated = find_submodules_ex(ctx, rule, window)
+    assert time.perf_counter() - start < 1.0
+    assert truncated is False
+    assert subs == [list(range(j, window + 1))
+                    for j in range(window, -window, -1)]
+    assert len(subs) == 28
+
+
 # -- the memoised sweep against a direct one ----------------------------------
 
 def _literal_coeff(ctx, rule, n, k):
@@ -338,13 +357,79 @@ def test_memoised_sweep_matches_direct_sweep(backend):
             rules = _family_rules(lambda i: ctx.var("ab"[i % 2]))
         else:
             rules = _family_rules(lambda i: ctx.scalar(_NUMERIC[i]))
-    for rule in rules:
+    # a random table fails almost everywhere, so the negated residuals of the
+    # swapped pairs are compared string by string
+    rnd = random.Random(20261018)
+
+    def entry():
+        x = Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))
+        return x * ctx.var("a") + 1 if backend == "formal" else x
+
+    table = TableRule({(n, k): entry() for n in range(-4, 5)
+                       for k in range(-6, 7)}, 6)
+    for rule in rules + [table]:
         # the generator window is where the exceptional families close up;
         # the betap "given" reading leaves failures, which must match too
         for pair_filter, nmax, kmax in (("generators", 2, 4), ("all", 2, 3)):
             memo = verify_module(ctx, rule, nmax, kmax, pair_filter)
             direct = _direct_sweep(ctx, rule, nmax, kmax, pair_filter)
             assert memo.to_dict() == direct.to_dict()
+    assert direct.failed > 100
+    # without c(±4, k) the table is too small for nmax 2; only the diagonal
+    # (±2, ±2) reads c(±4, k), and both sweeps must stop there
+    small = TableRule({nk: v for nk, v in table.entries.items()
+                       if abs(nk[0]) < 4}, 6)
+    errors = []
+    for sweep in (verify_module, _direct_sweep):
+        with pytest.raises(ValueError) as err:
+            sweep(ctx, small, 2, 3, "all")
+        errors.append(str(err.value))
+    assert errors == ["table rule queried outside its window: (-4,-3)"] * 2
+
+
+_PAIR_KEYS = [(n, k) for n in range(-4, 5) for k in range(-4, 5)]
+
+
+@pytest.mark.parametrize("backend", ["numeric", "symbolic"])
+@given(st.lists(small_fracs, min_size=len(_PAIR_KEYS),
+                max_size=len(_PAIR_KEYS)),
+       st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
+@settings(max_examples=60, deadline=None)
+def test_relation_residual_is_antisymmetric_in_its_pair(backend, values,
+                                                       n, m, k):
+    # verify_module records the negated residual of (n, m) at (m, n) and
+    # never computes the latter, for any coefficient rule
+    ctx = (ScalarContext.numeric(2, 3) if backend == "numeric"
+           else ScalarContext.symbolic("2", "3"))
+    rule = TableRule(dict(zip(_PAIR_KEYS, values)), 4)
+    forward = relation_residual(ctx, rule, n, m, k)
+    swapped = relation_residual(ctx, rule, m, n, k)
+    assert swapped == -forward
+    assert scalar_str(swapped) == scalar_str(-forward)
+    assert ctx.is_zero(relation_residual(ctx, rule, n, n, k))
+
+
+@pytest.mark.parametrize("pair_filter", ["all", "generators"])
+def test_verify_module_computes_each_pair_once(ctx, monkeypatch, pair_filter):
+    calls = []
+
+    def counting(ctx, rule, n, m, k):
+        calls.append((n, m, k))
+        return relation_residual(ctx, rule, n, m, k)
+
+    monkeypatch.setattr(modules, "relation_residual", counting)
+    nmax, kmax = 3, 5
+    rep = verify_module(ctx, ExcBetaPrime(Fraction(1), reading="given"),
+                        nmax, kmax, pair_filter)
+    pairs = [(n, m) for n in range(-nmax, nmax + 1)
+             for m in range(n, nmax + 1)
+             if pair_filter == "all" or max(abs(n), abs(m), abs(n + m)) <= 2]
+    assert len(calls) == len(pairs) * (2 * kmax + 1)
+    assert sorted({(n, m) for n, m, _ in calls}) == pairs
+    assert rep.failed > 0
+    # every ordered pair is still recorded
+    diagonal = sum(n == m for n, m in pairs)
+    assert rep.checked == (2 * len(pairs) - diagonal) * (2 * kmax + 1)
 
 
 @pytest.mark.parametrize("ctx_kind", ["numeric", "formal"])

@@ -15,10 +15,48 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 VARS = ("p", "q", "a", "b")
 _NV = len(VARS)
-_ZEXP = (0,) * _NV
+
+# A monomial is one int: a _BITS-wide field per variable, VARS[0] in the top
+# field, so int order on packed monomials is lex order on exponent vectors.
+# The top bit of every field is a guard bit (Monagan & Pearce, CASC 2007):
+# an exponent above _EMAX sets it and raises instead of carrying into the
+# next field, and d divides e exactly when (e | _GUARD) - d keeps every
+# guard bit set.
+_BITS = 16
+_EMAX = (1 << (_BITS - 1)) - 1
+_FIELD = (1 << _BITS) - 1
+_SHIFTS = tuple(_BITS * (_NV - 1 - i) for i in range(_NV))
+_LOW = sum(1 << s for s in _SHIFTS)
+_GUARD = _LOW << (_BITS - 1)
+_ZEXP = 0
+_ONE = {_ZEXP: 1}
+
+
+def _overflow():
+    return ValueError("exponent above %d, the limit of a packed monomial"
+                      % _EMAX)
+
+
+def _unpack(e):
+    """Exponents of the packed monomial e, in VARS order."""
+    return tuple((e >> s) & _FIELD for s in _SHIFTS)
+
+
+def _fmin(x, y):
+    """Fieldwise minimum of two packed monomials."""
+    m = ((((x | _GUARD) - y) & _GUARD) >> (_BITS - 1)) * _FIELD  # x >= y
+    return (y & m) | (x & ~m)
+
+
+def _fmax(x, y):
+    """Fieldwise maximum of two packed monomials."""
+    m = ((((x | _GUARD) - y) & _GUARD) >> (_BITS - 1)) * _FIELD  # x >= y
+    return (x & m) | (y & ~m)
 
 
 class GuardError(ValueError):
@@ -38,14 +76,15 @@ def parse_rational(text):
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials in p, q, a, b (sparse exponent-tuple -> coefficient)
+# integer polynomials in p, q, a, b (sparse packed monomial -> coefficient)
 # ---------------------------------------------------------------------------
 
 class Poly:
     """Multivariate polynomial over Z with a canonical sparse representation.
 
-    Terms map exponent tuples (one slot per entry of VARS) to nonzero int
-    coefficients.  The zero polynomial is the empty dict.
+    Terms map packed monomials (one int per monomial, one field per entry of
+    VARS, see ``_BITS``) to nonzero int coefficients.  The zero polynomial is
+    the empty dict.  An exponent above ``_EMAX`` raises ValueError.
     """
 
     __slots__ = ("terms", "_hash")
@@ -67,10 +106,7 @@ class Poly:
 
     @staticmethod
     def var(name):
-        i = VARS.index(name)
-        e = [0] * _NV
-        e[i] = 1
-        return Poly({tuple(e): 1})
+        return Poly({1 << _SHIFTS[VARS.index(name)]: 1})
 
     # predicates -----------------------------------------------------------
 
@@ -89,12 +125,8 @@ class Poly:
 
     def variables(self):
         """Indices of variables that actually occur."""
-        seen = set()
-        for e in self.terms:
-            for i in range(_NV):
-                if e[i]:
-                    seen.add(i)
-        return sorted(seen)
+        e = reduce(or_, self.terms, 0)
+        return [i for i, s in enumerate(_SHIFTS) if (e >> s) & _FIELD]
 
     # arithmetic -----------------------------------------------------------
 
@@ -128,21 +160,21 @@ class Poly:
         if len(self.terms) == 1:
             # distinct exponents stay distinct under a monomial shift
             (e1, c1), = self.terms.items()
-            t = {(e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3]):
-                 c1 * c2 for e2, c2 in other.terms.items()}
-            r = Poly.__new__(Poly)
-            r.terms = t
-            r._hash = None
-            return r
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                s = t.get(e, 0) + c1 * c2
-                if s:
-                    t[e] = s
-                else:
-                    del t[e]
+            t = {e1 + e2: c1 * c2 for e2, c2 in other.terms.items()}
+        else:
+            t = {}
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    e = e1 + e2
+                    s = t.get(e, 0) + c1 * c2
+                    if s:
+                        t[e] = s
+                    else:
+                        del t[e]
+        # fields below the guard bit sum without a carry, so a guard bit
+        # left set in the result is the only sign of an overflow
+        if reduce(or_, t, 0) & _GUARD:
+            raise _overflow()
         r = Poly.__new__(Poly)
         r.terms = t
         r._hash = None
@@ -152,15 +184,19 @@ class Poly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
         if len(self.terms) == 1:
+            # e * n multiplies every field by n once each is <= _EMAX // n
             (e, c), = self.terms.items()
-            return Poly({(e[0] * n, e[1] * n, e[2] * n, e[3] * n): c ** n})
+            if n and (e + (_EMAX - _EMAX // n) * _LOW) & _GUARD:
+                raise _overflow()
+            return Poly({e * n: c ** n})
         result = Poly.const(1)
         base = self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -171,10 +207,10 @@ class Poly:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
-    # ordering helpers (lex on exponent tuples) ----------------------------
+    # ordering helpers (lex on exponents, int order on packed monomials) ---
 
     def lead(self):
-        """(exponent, coefficient) of the lex-largest term."""
+        """(packed monomial, coefficient) of the lex-largest term."""
         e = max(self.terms)
         return e, self.terms[e]
 
@@ -192,18 +228,19 @@ class Poly:
     def degree_in(self, i):
         if not self.terms:
             return -1
-        return max(e[i] for e in self.terms)
+        s = _SHIFTS[i]
+        return max((e >> s) & _FIELD for e in self.terms)
 
     # evaluation -----------------------------------------------------------
 
     def eval(self, values):
-        """Evaluate at a 4-tuple of Fractions."""
+        """Evaluate at a tuple of Fractions, one per entry of VARS."""
         acc = Fraction(0)
         for e, c in self.terms.items():
             t = Fraction(c)
-            for i in range(_NV):
-                if e[i]:
-                    t *= values[i] ** e[i]
+            for v, d in zip(values, _unpack(e)):
+                if d:
+                    t *= v ** d
             acc += t
         return acc
 
@@ -214,11 +251,11 @@ class Poly:
         for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
             factors = []
-            for i in range(_NV):
-                if e[i] == 1:
-                    factors.append(VARS[i])
-                elif e[i] > 1:
-                    factors.append("%s^%d" % (VARS[i], e[i]))
+            for name, d in zip(VARS, _unpack(e)):
+                if d == 1:
+                    factors.append(name)
+                elif d > 1:
+                    factors.append("%s^%d" % (name, d))
             if not factors:
                 body = str(abs(c))
             else:
@@ -240,12 +277,11 @@ class Poly:
 
 def _coeffs_in(p, i):
     """Split p by the exponent of variable i: degree -> Poly in the others."""
+    s = _SHIFTS[i]
+    rest = ~(_FIELD << s)
     buckets = {}
     for e, c in p.terms.items():
-        d = e[i]
-        e0 = list(e)
-        e0[i] = 0
-        buckets.setdefault(d, {})[tuple(e0)] = c
+        buckets.setdefault((e >> s) & _FIELD, {})[e & rest] = c
     return {d: Poly(t) for d, t in buckets.items()}
 
 
@@ -269,8 +305,8 @@ def poly_divexact(a, b):
         (eb, cb), = b.terms.items()
         t = {}
         for e, c in a.terms.items():
-            ee = (e[0] - eb[0], e[1] - eb[1], e[2] - eb[2], e[3] - eb[3])
-            if ee[0] < 0 or ee[1] < 0 or ee[2] < 0 or ee[3] < 0:
+            ee = ((e | _GUARD) - eb) ^ _GUARD
+            if ee & _GUARD:
                 raise ValueError("inexact polynomial division")
             qc, r = divmod(c, cb)
             if r:
@@ -278,23 +314,32 @@ def poly_divexact(a, b):
             t[ee] = qc
         return Poly(t)
     # an exact quotient has degree deg_i(a) - deg_i(b) in every variable,
-    # which also bounds the loop when b does not divide a
-    top = [a.degree_in(i) - b.degree_in(i) for i in range(_NV)]
-    if min(top) < 0:
+    # which also bounds the loop when b does not divide a; top keeps its
+    # guard bits set, so top - ee clears one exactly where ee leaves the box
+    top = (reduce(_fmax, a.terms) | _GUARD) - reduce(_fmax, b.terms)
+    if top & _GUARD != _GUARD:
         raise ValueError("inexact polynomial division")
     q = {}
-    r = a
+    r = dict(a.terms)
     eb, cb = b.lead()
-    while r.terms:
-        er, cr = r.lead()
-        ee = tuple(er[i] - eb[i] for i in range(_NV))
-        if any(x < 0 or x > t for x, t in zip(ee, top)):
+    bterms = b.terms.items()
+    while r:
+        er = max(r)
+        ee = ((er | _GUARD) - eb) ^ _GUARD
+        if ee & _GUARD or (top - ee) & _GUARD != _GUARD:
             raise ValueError("inexact polynomial division")
-        qc, rem = divmod(cr, cb)
+        qc, rem = divmod(r[er], cb)
         if rem:
             raise ValueError("inexact polynomial division")
-        q[ee] = q.get(ee, 0) + qc
-        r = r - Poly({ee: qc}) * b
+        # the lead falls strictly, so each quotient monomial comes once
+        q[ee] = qc
+        for e2, c2 in bterms:
+            e = ee + e2
+            s = r.get(e, 0) - qc * c2
+            if s:
+                r[e] = s
+            else:
+                del r[e]
     return Poly(q)
 
 
@@ -310,9 +355,7 @@ def _prem(a, b, i):
             return r
         rc = _coeffs_in(r, i)
         lr = rc[dr]
-        shift = [0] * _NV
-        shift[i] = dr - db
-        r = r * lb - Poly({tuple(shift): 1}) * lr * b
+        r = r * lb - Poly({(dr - db) << _SHIFTS[i]: 1}) * lr * b
 
 
 def _content_in(p, i):
@@ -349,11 +392,10 @@ def _trivial_gcd(a, b):
     if len(a.terms) == 1 or len(b.terms) == 1:
         if len(b.terms) == 1:
             a, b = b, a
-        (ea, ca), = a.terms.items()
-        e = ea
+        (e, ca), = a.terms.items()
         for eb in b.terms:
-            e = tuple(min(e[i], eb[i]) for i in range(_NV))
-            if not any(e):
+            e = _fmin(e, eb)
+            if not e:
                 break
         return Poly({e: math.gcd(abs(ca), b.content())})
     if not set(a.variables()) & set(b.variables()):
@@ -374,11 +416,12 @@ _HEU_TRIES = 6
 
 def _eval_var(p, i, x):
     """p with variable i replaced by the integer x."""
+    s = _SHIFTS[i]
     t = {}
     for e, c in p.terms.items():
-        d = e[i]
+        d = (e >> s) & _FIELD
         if d:
-            e = e[:i] + (0,) + e[i + 1:]
+            e ^= d << s
             c *= x ** d
         t[e] = t.get(e, 0) + c
     return Poly(t)
@@ -387,6 +430,7 @@ def _eval_var(p, i, x):
 def _interpolate(h, i, x):
     """Polynomial in variable i whose balanced base-x digits give h's
     integer coefficients (h does not contain variable i)."""
+    s = _SHIFTS[i]
     t = {}
     half = x // 2
     for e, c in h.terms.items():
@@ -396,7 +440,9 @@ def _interpolate(h, i, x):
             if r > half:
                 r -= x
             if r:
-                t[e[:i] + (d,) + e[i + 1:]] = r
+                if d > _EMAX:
+                    raise _overflow()
+                t[e | d << s] = r
             c = (c - r) // x
             d += 1
     return Poly(t)
@@ -489,7 +535,7 @@ class RationalFunction:
                 den = Poly.const(1)
             else:
                 g = poly_gcd(num, den)
-                if not (g.is_const() and g.const_value() == 1):
+                if g.terms != _ONE:
                     num = poly_divexact(num, g)
                     den = poly_divexact(den, g)
             if den.lead_sign() < 0:
@@ -540,8 +586,20 @@ class RationalFunction:
             return o
         if o.is_zero():
             return self
+        if self.den.terms == o.den.terms:
+            # a/d + b/d: only gcd(a + b, d) can cancel.  Reduced summands
+            # with a zero sum always share d, so every zero sum ends here.
+            num = self.num + o.num
+            if num.is_zero():
+                return RationalFunction.from_int(0)
+            den = self.den
+            g = poly_gcd(num, den)
+            if g.terms != _ONE:
+                num = poly_divexact(num, g)
+                den = poly_divexact(den, g)
+            return RationalFunction(num, den, _reduced=True)
         g = poly_gcd(self.den, o.den)
-        if g.is_const() and g.const_value() == 1:
+        if g.terms == _ONE:
             num = self.num * o.den + o.num * self.den
             den = self.den * o.den
         else:
@@ -549,12 +607,11 @@ class RationalFunction:
             dd = poly_divexact(o.den, g)
             num = self.num * dd + o.num * db
             h = poly_gcd(num, g)
-            if not (h.is_const() and h.const_value() == 1):
+            if h.terms != _ONE:
                 num = poly_divexact(num, h)
                 g = poly_divexact(g, h)
             den = db * dd * g
-        # Henrici: num is coprime to den, whose factors all lead positive;
-        # a zero sum has equal denominators, so it comes out as 0/1
+        # Henrici: num is coprime to den, whose factors all lead positive
         return RationalFunction(num, den, _reduced=True)
 
     __radd__ = __add__
@@ -582,10 +639,12 @@ class RationalFunction:
             return RationalFunction.from_int(0)
         g1 = poly_gcd(self.num, o.den)
         g2 = poly_gcd(o.num, self.den)
-        n1 = self.num if g1.is_const() and g1.const_value() == 1 else poly_divexact(self.num, g1)
-        d2 = o.den if g1.is_const() and g1.const_value() == 1 else poly_divexact(o.den, g1)
-        n2 = o.num if g2.is_const() and g2.const_value() == 1 else poly_divexact(o.num, g2)
-        d1 = self.den if g2.is_const() and g2.const_value() == 1 else poly_divexact(self.den, g2)
+        n1, d2 = self.num, o.den
+        if g1.terms != _ONE:
+            n1, d2 = poly_divexact(n1, g1), poly_divexact(d2, g1)
+        n2, d1 = o.num, self.den
+        if g2.terms != _ONE:
+            n2, d1 = poly_divexact(n2, g2), poly_divexact(d1, g2)
         num = n1 * n2
         den = d1 * d2
         if den.lead_sign() < 0:
@@ -642,7 +701,7 @@ class RationalFunction:
         return self.num.eval(values) / d
 
     def __str__(self):
-        if self.den.is_const() and self.den.const_value() == 1:
+        if self.den.terms == _ONE:
             return str(self.num)
         ns = str(self.num)
         if len(self.num.terms) > 1:

@@ -5,19 +5,28 @@ and field axioms get property-based coverage rather than a handful of
 spot values.
 """
 
+import inspect
+import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sympy
 
+from vpq import cli, scalar, suite
+from vpq.algebra import verify_algebra
+from vpq.modules import ExcBetaPrime, Mab, relation_residual, verify_module
 from vpq.scalar import (
+    _EMAX,
+    VARS,
     GuardError,
     Poly,
     RationalFunction,
     ScalarContext,
+    _interpolate,
     _prs_gcd,
+    _unpack,
     is_zero,
     parse_rational,
     pascal_residual,
@@ -134,7 +143,7 @@ _SYMS = sympy.symbols("p q a b")
 
 
 def _to_sympy(poly):
-    return sum((c * sympy.Mul(*[s ** k for s, k in zip(_SYMS, e)])
+    return sum((c * sympy.Mul(*[s ** k for s, k in zip(_SYMS, _unpack(e))])
                 for e, c in poly.terms.items()), sympy.Integer(0))
 
 
@@ -346,3 +355,180 @@ def test_context_describe_round_trips():
 def test_symbolic_context_accepts_pinned_constants():
     sctx = ScalarContext.symbolic("2", "3")
     assert sctx.is_zero(sctx.qint(2) - 5)
+
+
+# -- packed monomials ----------------------------------------------------------
+
+def _monomial(exps, mod=scalar):
+    """The packed key of prod VARS[i]^exps[i], built through Poly."""
+    m = mod.Poly.const(1)
+    for name, d in zip(VARS, exps):
+        m = m * mod.Poly.var(name) ** d
+    (e, c), = m.terms.items()
+    assert c == 1
+    return e
+
+
+exponents = st.tuples(*[st.integers(0, 40)] * len(VARS))
+
+
+@given(exponents, exponents)
+def test_packed_order_is_lex_order(x, y):
+    ex, ey = _monomial(x), _monomial(y)
+    assert _unpack(ex) == x and _unpack(ey) == y
+    assert (ex < ey) == (x < y) and (ex == ey) == (x == y)
+
+
+def test_exponent_past_the_field_raises_instead_of_carrying():
+    p, q, b = Poly.var("p"), Poly.var("q"), Poly.var("b")
+    for v in (p, b):    # the top field and the lowest one
+        assert v ** 16383 * v ** 16384 == v ** _EMAX
+        with pytest.raises(ValueError, match="exponent above 32767"):
+            v ** 20000 * v ** 20000
+        with pytest.raises(ValueError, match="exponent above 32767"):
+            (v * Poly.const(3)) ** (_EMAX + 1)
+        with pytest.raises(ValueError, match="exponent above 32767"):
+            (v ** 16384) ** 2
+    with pytest.raises(ValueError, match="exponent above 32767"):
+        (p + b ** 20000) * (q + b ** 20000)
+    assert str(b ** _EMAX * p) == "p*b^32767"
+    # balanced base-2 digits of 2^32768: one digit, at index 32768
+    assert str(_interpolate(Poly.const(2 ** _EMAX), VARS.index("q"), 2)) \
+        == "q^32767"
+    with pytest.raises(ValueError, match="exponent above 32767"):
+        _interpolate(Poly.const(2 ** (_EMAX + 1)), VARS.index("q"), 2)
+
+
+def test_exponent_overflow_is_a_usage_error_in_the_cli(capsys, monkeypatch):
+    def overflowing(ctx, spec, rng):
+        p = Poly.var("p")
+        return p ** 20000 * p ** 20000
+
+    monkeypatch.setitem(suite._HANDLERS, "verify-algebra", overflowing)
+    rc = cli.main(["verify-algebra", "--window", "1"])
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == ""
+    assert out.err == "vpq: exponent above 32767, the limit of a packed " \
+        "monomial\n"
+
+
+def _scalar_module(names):
+    """vpq.scalar's own source, executed afresh with VARS = names."""
+    text = inspect.getsource(scalar)
+    old = 'VARS = ("p", "q", "a", "b")'
+    assert text.count(old) == 1
+    mod = types.ModuleType("vpq_scalar_wide")
+    exec(compile(text.replace(old, "VARS = %r" % (names,)),
+                 scalar.__file__, "exec"), mod.__dict__)
+    return mod
+
+
+_WIDE = _scalar_module(VARS + ("U", "V", "W"))
+
+four_var_terms = st.lists(
+    st.tuples(st.integers(-5, 5), *[st.integers(0, 3)] * len(VARS)),
+    min_size=1, max_size=4)
+
+
+def _poly_in(mod, terms):
+    total = mod.Poly()
+    for c, *exps in terms:
+        total = total + mod.Poly.const(c) * mod.Poly(
+            {_monomial(exps, mod): 1})
+    return total
+
+
+@given(four_var_terms, four_var_terms, four_var_terms)
+@settings(max_examples=40, deadline=None)
+def test_seven_variable_layout_prints_four_variable_polys_identically(
+        f, g, h):
+    assume(not _poly_in(scalar, g).is_zero())
+    assume(not _poly_in(scalar, h).is_zero())
+    outs = []
+    for mod in (scalar, _WIDE):
+        pf, pg, ph = (_poly_in(mod, t) for t in (f, g, h))
+        prod = pf * pg * ph
+        outs.append([
+            str(pf), str(prod), str(ph ** 3),
+            str(mod.poly_divexact(prod, pg)),
+            str(mod.poly_gcd(pf * ph, pg * ph)),
+            str(mod.RationalFunction(pf, pg) + mod.RationalFunction(ph, pg)),
+            str(mod.RationalFunction(pf * ph, pg * ph)),
+        ])
+    assert outs[0] == outs[1]
+
+
+def test_seven_variable_layout_orders_new_variables_last():
+    u, p = _WIDE.Poly.var("U"), _WIDE.Poly.var("p")
+    w = _WIDE.Poly.var("W")
+    assert str((u + p) * (u - w)) == "p*U - p*W + U^2 - U*W"
+    assert _WIDE.poly_gcd(u * p * p, u * u * w) == u
+
+
+def test_prs_fallback_gives_the_same_reports(monkeypatch):
+    """The formal sweeps come out the same with the heuristic gcd off, so
+    _prs_gcd, _prem, _content_in and _coeffs_in are checked end to end."""
+    def reports():
+        f = ScalarContext.symbolic()
+        return [verify_module(f, Mab(f.var("a"), f.var("b")), 2, 3).to_dict(),
+                verify_algebra(f, window=3).to_dict()]
+
+    heuristic = reports()
+    prs_calls = []
+    prs = scalar._prs_gcd
+
+    def counting(a, b):
+        prs_calls.append(1)
+        return prs(a, b)
+
+    monkeypatch.setattr(scalar, "_HEU_TRIES", 0)
+    monkeypatch.setattr(scalar, "_prs_gcd", counting)
+    assert reports() == heuristic
+    assert len(prs_calls) > 100
+
+
+# -- evaluation homomorphism ----------------------------------------------------
+
+_NMAX, _KMAX = 2, 2
+
+
+@pytest.fixture(scope="module")
+def formal_values():
+    """Formal Mab coefficients and residuals, and the nonzero residuals of
+    the betap "given" reading, keyed by what they are."""
+    f = ScalarContext.symbolic()
+    a, b = f.var("a"), f.var("b")
+    mab, given = Mab(a, b), ExcBetaPrime(a, reading="given")
+    out = {}
+    pairs = range(-_NMAX, _NMAX + 1)
+    for n in range(-2 * _NMAX, 2 * _NMAX + 1):
+        for k in range(-_KMAX - _NMAX, _KMAX + _NMAX + 1):
+            out["coeff", n, k] = mab.coeff(f, n, k)
+    for n in pairs:
+        for m in pairs:
+            for k in range(-_KMAX, _KMAX + 1):
+                out["mab", n, m, k] = relation_residual(f, mab, n, m, k)
+                out["given", n, m, k] = relation_residual(f, given, n, m, k)
+    assert sum(not v.is_zero() for v in out.values()) > 20
+    return out
+
+
+nonzero_fractions = small_fractions.filter(bool)
+
+
+@given(nonzero_fractions, nonzero_fractions, small_fractions, small_fractions)
+@settings(max_examples=25, deadline=None)
+def test_formal_values_evaluate_to_the_numeric_ones(formal_values, p, q, a, b):
+    try:
+        ctx = ScalarContext.numeric(p, q)
+    except GuardError:
+        assume(False)
+    mab, given = Mab(a, b), ExcBetaPrime(a, reading="given")
+    for key, value in formal_values.items():
+        kind, *idx = key
+        if kind == "coeff":
+            expected = mab.coeff(ctx, *idx)
+        else:
+            expected = relation_residual(
+                ctx, mab if kind == "mab" else given, *idx)
+        assert value.eval((p, q, a, b)) == expected, key

@@ -23,13 +23,13 @@ from .classify import (PAIR_ORDER, DegeneracyProfile, XPolynomial,
                        quadratic_roots_audit, second_solution, x_factors)
 from .modules import (CoefficientRule, ExcAlpha, ExcAlphaPrime, ExcBeta,
                       ExcBetaPrime, Mab, MemoRule, TableRule, WindowedVector,
-                      act, coeff, find_intertwiner, find_submodules,
+                      act, find_intertwiner, find_submodules,
                       find_submodules_ex, is_reducible_closed_form,
                       parse_family, relation_residual, shift_params,
                       verify_module, weight, weight_injective)
 from .report import ResidualReport
 from .scalar import (GuardError, Poly, RationalFunction, ScalarContext,
-                     is_zero, parse_rational, pascal_residual, qint,
+                     is_zero, parse_rational, pascal_residual,
                      reflection_residual, scalar_str)
 from .suite import (JsonReport, SuiteConfig, SuiteConfigError, run_suite,
                     VERSION)
@@ -49,7 +49,7 @@ __all__ = [
     "case1_constants", "case2_constants", "case3_constants",
     "case4_constants", "case_constants_audit", "case_tag",
     "central_cocycle_residual", "central_coefficient", "closed_form_f",
-    "closed_form_g", "coeff", "condition_scalar", "constraint_residuals",
+    "closed_form_g", "condition_scalar", "constraint_residuals",
     "degeneracy_profile", "degeneracy_table_audit", "ef_coefficient", "eta",
     "family_consistency", "fe_coefficient", "fg_recurrence_audit",
     "fgi_polynomials", "find_intertwiner", "find_j0", "find_j0_all",
@@ -57,7 +57,7 @@ __all__ = [
     "hom_jacobi_residual", "hom_twist", "identity_audit",
     "is_reducible_closed_form", "is_zero", "k_eigenvalue", "l2_coefficients",
     "l2_display_audit", "one_param_qint", "parse_family", "parse_rational",
-    "pascal_residual", "qint", "quadratic_in_x_check", "quadratic_in_x_fit",
+    "pascal_residual", "quadratic_in_x_check", "quadratic_in_x_fit",
     "quadratic_roots", "quadratic_roots_audit", "reflection_residual",
     "relation_residual", "rep_relation_audit", "run_suite", "scalar_str",
     "second_solution", "shift_params", "skew_residual", "verify_algebra",

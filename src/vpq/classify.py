@@ -37,10 +37,6 @@ class XPolynomial:
         return XPolynomial([s if s is not None else ctx.zero])
 
     @staticmethod
-    def x(ctx):
-        return XPolynomial([ctx.zero, ctx.one])
-
-    @staticmethod
     def through(points):
         """The Lagrange interpolant of degree < len(points) through the
         (x, y) pairs; the x values must be distinct."""

@@ -239,10 +239,6 @@ def parse_family(spec):
     return cls(*[given[f] for f in fields])
 
 
-def coeff(ctx, rule, n, k):
-    return rule.coeff(ctx, int(n), int(k))
-
-
 class WindowedVector:
     """Sparse vector supported on |k| <= window, no stored zeros."""
 

@@ -373,9 +373,9 @@ def poly_gcd(a, b):
 
     Trivial shapes are answered directly; the rest go to the heuristic gcd,
     with the primitive PRS as the fallback when no evaluation point works.
+    Each of the three returns a positive lead on its own.
     """
-    g = _trivial_gcd(a, b) or _heu_gcd(a, b) or _prs_gcd(a, b)
-    return g if g.is_zero() or g.lead_sign() > 0 else -g
+    return _trivial_gcd(a, b) or _heu_gcd(a, b) or _prs_gcd(a, b)
 
 
 def _trivial_gcd(a, b):
@@ -449,10 +449,9 @@ def _interpolate(h, i, x):
 
 
 def _heu_gcd(a, b):
-    """gcd(a, b) up to sign, or None when every evaluation point failed."""
-    g = _trivial_gcd(a, b)
-    if g is not None:
-        return g
+    """gcd(a, b) of two inputs _trivial_gcd did not answer, or None when
+    every evaluation point failed.  The balanced digits of the positive-lead
+    image gcd give a positive lead."""
     cont = Poly.const(math.gcd(a.content(), b.content()))
     a, b = poly_divexact(a, cont), poly_divexact(b, cont)
     i = max(set(a.variables()) | set(b.variables()))
@@ -462,7 +461,7 @@ def _heu_gcd(a, b):
         aa = _eval_var(a, i, x)
         bb = _eval_var(b, i, x)
         if not (aa.is_zero() or bb.is_zero()):
-            gg = _heu_gcd(aa, bb)
+            gg = _trivial_gcd(aa, bb) or _heu_gcd(aa, bb)
             if gg is None:
                 return None
             h = _interpolate(gg, i, x)
@@ -546,16 +545,6 @@ class RationalFunction:
     # construction ---------------------------------------------------------
 
     @staticmethod
-    def from_int(n):
-        return RationalFunction(Poly.const(n), Poly.const(1), _reduced=True)
-
-    @staticmethod
-    def from_fraction(fr):
-        fr = Fraction(fr)
-        return RationalFunction(
-            Poly.const(fr.numerator), Poly.const(fr.denominator), _reduced=True)
-
-    @staticmethod
     def var(name):
         return RationalFunction(Poly.var(name), Poly.const(1), _reduced=True)
 
@@ -572,10 +561,8 @@ class RationalFunction:
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, int):
-            return RationalFunction.from_int(other)
-        if isinstance(other, Fraction):
-            return RationalFunction.from_fraction(other)
+        if isinstance(other, (int, Fraction)):
+            return _rf_const(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -591,7 +578,7 @@ class RationalFunction:
             # with a zero sum always share d, so every zero sum ends here.
             num = self.num + o.num
             if num.is_zero():
-                return RationalFunction.from_int(0)
+                return _rf_const(0)
             den = self.den
             g = poly_gcd(num, den)
             if g.terms != _ONE:
@@ -636,7 +623,7 @@ class RationalFunction:
         if o is NotImplemented:
             return NotImplemented
         if self.is_zero() or o.is_zero():
-            return RationalFunction.from_int(0)
+            return _rf_const(0)
         g1 = poly_gcd(self.num, o.den)
         g2 = poly_gcd(o.num, self.den)
         n1, d2 = self.num, o.den
@@ -677,7 +664,7 @@ class RationalFunction:
     def __pow__(self, n):
         n = int(n)
         if n == 0:
-            return RationalFunction.from_int(1)
+            return _rf_const(1)
         if n < 0:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
@@ -714,6 +701,12 @@ class RationalFunction:
     __repr__ = __str__
 
 
+def _rf_const(v):
+    """The int or Fraction v as a constant RationalFunction."""
+    return RationalFunction(Poly.const(v.numerator), Poly.const(v.denominator),
+                            _reduced=True)
+
+
 # ---------------------------------------------------------------------------
 # contexts
 # ---------------------------------------------------------------------------
@@ -724,10 +717,15 @@ def scalar_str(x):
 
 
 def is_zero(x):
-    """Exact zero test for a scalar of either backend (or for anything
-    with an ``is_zero`` method); the only passing residual is this zero."""
+    """The one exact zero test, for a scalar of either backend (or anything
+    with an ``is_zero`` method); the only passing residual is this zero.
+    A float is no exact scalar and raises TypeError."""
     test = getattr(x, "is_zero", None)
-    return x == 0 if test is None else test()
+    if test is not None:
+        return test()
+    if isinstance(x, float):
+        raise TypeError("not an exact scalar: %r" % (x,))
+    return x == 0
 
 
 def _guarded_point(p, q):
@@ -751,7 +749,7 @@ def _guarded_point(p, q):
 
 
 class ScalarContext:
-    """Carries the backend, the deformation parameters and the guard window.
+    """Carries the backend and the deformation parameters p, q.
 
     ``p`` and ``q`` are scalars of the active backend.  Code built on top of
     the context only ever uses ``+ - * / **`` on scalars, so both backends
@@ -760,14 +758,13 @@ class ScalarContext:
 
     The context is the one cache layer: ``ppow``, ``qpow``, ``qint``,
     ``upow`` (u^n = p^{-n} q^n) and ``hq`` (h(n) = p^{-n}[n]) are computed
-    once per exponent.  ``guard_window`` is only echoed in reports.
+    once per exponent.
     """
 
-    def __init__(self, backend, p, q, guard_window=64, formal=False):
+    def __init__(self, backend, p, q, formal=False):
         self.backend = backend
         self.p = p
         self.q = q
-        self.guard_window = int(guard_window)
         self.formal = formal
         self.zero = self.scalar(0)
         self.one = self.scalar(1)
@@ -780,12 +777,12 @@ class ScalarContext:
     # constructors ----------------------------------------------------------
 
     @staticmethod
-    def numeric(p, q, guard_window=64):
+    def numeric(p, q):
         pf, qf = _guarded_point(p, q)
-        return ScalarContext("numeric", pf, qf, guard_window)
+        return ScalarContext("numeric", pf, qf)
 
     @staticmethod
-    def symbolic(p=None, q=None, guard_window=64):
+    def symbolic(p=None, q=None):
         """Symbolic context.  p/q omitted means a formal variable."""
         if (p is None) != (q is None):
             raise GuardError("p and q must be both formal or both constant")
@@ -794,14 +791,9 @@ class ScalarContext:
                 "symbolic",
                 RationalFunction.var("p"),
                 RationalFunction.var("q"),
-                guard_window,
                 formal=True)
         pf, qf = _guarded_point(p, q)
-        return ScalarContext(
-            "symbolic",
-            RationalFunction.from_fraction(pf),
-            RationalFunction.from_fraction(qf),
-            guard_window)
+        return ScalarContext("symbolic", _rf_const(pf), _rf_const(qf))
 
     # scalar helpers ---------------------------------------------------------
 
@@ -816,7 +808,7 @@ class ScalarContext:
         if isinstance(v, Fraction if numeric else RationalFunction):
             return v
         if isinstance(v, (int, Fraction)):
-            return Fraction(v) if numeric else RationalFunction.from_fraction(v)
+            return Fraction(v) if numeric else _rf_const(v)
         if isinstance(v, RationalFunction):
             raise ValueError("symbolic parameter in a numeric context")
         raise TypeError("not an exact scalar: %r" % (v,))
@@ -826,22 +818,12 @@ class ScalarContext:
             raise GuardError("free variables need the symbolic backend")
         return RationalFunction.var(name)
 
-    is_zero = staticmethod(is_zero)
-
-    def guard_report(self):
-        return {
-            "window": self.guard_window,
-            "mode": "formal" if self.formal else "rational-point",
-            "unit_ratio_checked": not self.formal,
-            "q_not_unit_checked": not self.formal,
-        }
-
     def describe(self):
         return {
             "backend": self.backend,
             "p": scalar_str(self.p),
             "q": scalar_str(self.q),
-            "guard": self.guard_report(),
+            "guard": {"mode": "formal" if self.formal else "rational-point"},
         }
 
     # memoised one-index quantities --------------------------------------------
@@ -882,10 +864,6 @@ class ScalarContext:
         if hit is None:
             hit = self._hq_cache[n] = self.ppow(-n) * self.qint(n)
         return hit
-
-
-def qint(ctx, n):
-    return ctx.qint(n)
 
 
 def pascal_residual(ctx, m, n):

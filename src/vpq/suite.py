@@ -116,13 +116,14 @@ class SuiteConfig:
             "p": _want_str_rational(rawctx, "p", "context"),
             "q": _want_str_rational(rawctx, "q", "context"),
             "backend": rawctx.get("backend", "numeric"),
-            "guard_window": rawctx.get("guard_window", 64),
         }
         if context["backend"] not in ("numeric", "symbolic"):
             raise SuiteConfigError("backend must be 'numeric' or 'symbolic'")
-        if (isinstance(context["guard_window"], bool)
-                or not isinstance(context["guard_window"], int)
-                or context["guard_window"] < 1):
+        # guard_window bounds nothing (the guard is closed form); configs
+        # written for older versions carry it, so it is validated, not kept
+        window = rawctx.get("guard_window", 1)
+        if (isinstance(window, bool) or not isinstance(window, int)
+                or window < 1):
             raise SuiteConfigError("guard_window must be a positive integer")
         seed = doc.get("seed")
         if seed is not None and (isinstance(seed, bool)
@@ -182,13 +183,9 @@ class SuiteConfig:
         return cls.from_dict(doc)
 
     def build_context(self):
-        if self.context["backend"] == "symbolic":
-            return ScalarContext.symbolic(
-                self.context["p"], self.context["q"],
-                guard_window=self.context["guard_window"])
-        return ScalarContext.numeric(
-            self.context["p"], self.context["q"],
-            guard_window=self.context["guard_window"])
+        make = (ScalarContext.symbolic if self.context["backend"] == "symbolic"
+                else ScalarContext.numeric)
+        return make(self.context["p"], self.context["q"])
 
 
 def _rand_fraction(rng, nonzero=False):

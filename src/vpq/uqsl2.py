@@ -18,13 +18,17 @@ from fractions import Fraction
 
 from .classify import XPolynomial
 from .report import ResidualReport
-from .scalar import is_zero, scalar_str
+from .scalar import is_zero, parse_rational, scalar_str
 
 
 def _rat(v):
-    if isinstance(v, (int, str, Fraction)):
+    """q as a Fraction: an int, a Fraction or a rational string, the values
+    ``ScalarContext.scalar`` takes; anything else raises TypeError."""
+    if isinstance(v, str):
+        return parse_rational(v)
+    if isinstance(v, (int, Fraction)):
         return Fraction(v)
-    return v
+    raise TypeError("not an exact scalar: %r" % (v,))
 
 
 def one_param_qint(q, n):

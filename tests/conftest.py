@@ -1,6 +1,34 @@
+import signal
+
 import pytest
 
 from vpq.scalar import ScalarContext
+
+# Seconds a single test call may run, above the 120 s budget of the slowest
+# acceptance criterion: a hang (say, a remainder loop that never shrinks)
+# then fails its test instead of stalling the run.
+TEST_TIME_LIMIT = 180
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised by the alarm.  Not an Exception, so Hypothesis does not catch
+    it and re-run the hanging example while shrinking."""
+
+
+if hasattr(signal, "SIGALRM"):
+    @pytest.hookimpl(hookwrapper=True)
+    def pytest_runtest_call(item):
+        def expire(signum, frame):
+            raise TimeLimitExceeded(
+                "test call ran past its %d s time limit" % TEST_TIME_LIMIT)
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(TEST_TIME_LIMIT)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,7 @@ from vpq.algebra import (
     skew_residual,
     verify_algebra,
 )
-from vpq.scalar import ScalarContext, qint
+from vpq.scalar import ScalarContext
 
 
 idx = st.integers(-8, 8)

@@ -125,6 +125,12 @@ def test_pair_order_covers_all_sixteen():
     assert set(ADJUSTED_LINES) <= {"%s=%s" % pq for pq in PAIR_ORDER}
 
 
+def test_identity_audit_rejects_float_parameters(ctx):
+    # in floats, rounding would read as failed identities
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        identity_audit(ctx, 0.3, 0.1)
+
+
 def test_degeneracy_table_audit_needs_symbolic(ctx):
     with pytest.raises(ValueError):
         degeneracy_table_audit(ctx)

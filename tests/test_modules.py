@@ -34,7 +34,7 @@ from vpq.modules import (
     weight_injective,
 )
 from vpq.report import ResidualReport
-from vpq.scalar import ScalarContext, scalar_str
+from vpq.scalar import ScalarContext, is_zero, scalar_str
 
 
 small_fracs = st.fractions(
@@ -62,7 +62,7 @@ def test_mab_relation_formal_in_all_four_letters():
     for n in range(-2, 3):
         for m in range(-2, 3):
             for k in range(-3, 4):
-                assert sctx.is_zero(relation_residual(sctx, rule, n, m, k))
+                assert is_zero(relation_residual(sctx, rule, n, m, k))
 
 
 def test_verify_module_counts_and_validation(ctx):
@@ -75,6 +75,12 @@ def test_verify_module_counts_and_validation(ctx):
         verify_module(ctx, Mab(0, 0), 4, 2)
     with pytest.raises(ValueError):
         verify_module(ctx, Mab(0, 0), 2, 4, pair_filter="some")
+
+
+def test_float_module_parameters_raise(ctx):
+    # in floats, rounding would read as failed residuals
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        verify_module(ctx, Mab(0.3, 0.1), 2, 4)
 
 
 def test_exceptional_families_pass_at_param_zero(ctx):
@@ -406,7 +412,7 @@ def test_relation_residual_is_antisymmetric_in_its_pair(backend, values,
     swapped = relation_residual(ctx, rule, m, n, k)
     assert swapped == -forward
     assert scalar_str(swapped) == scalar_str(-forward)
-    assert ctx.is_zero(relation_residual(ctx, rule, n, n, k))
+    assert is_zero(relation_residual(ctx, rule, n, n, k))
 
 
 @pytest.mark.parametrize("pair_filter", ["all", "generators"])
@@ -444,7 +450,7 @@ def test_family_coefficients_match_their_literal_formulas(ctx_kind):
         for n in range(-3, 4):
             for k in range(-4, 5):
                 got = rule.coeff(ctx, n, k)
-                assert ctx.is_zero(got - _literal_coeff(ctx, rule, n, k)), \
+                assert is_zero(got - _literal_coeff(ctx, rule, n, k)), \
                     (rule.describe(), n, k)
 
 

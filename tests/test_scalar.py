@@ -32,7 +32,6 @@ from vpq.scalar import (
     pascal_residual,
     poly_divexact,
     poly_gcd,
-    qint,
     reflection_residual,
     scalar_str,
 )
@@ -250,14 +249,10 @@ def test_guard_rejects_degenerate_points():
 
 def test_guard_rejects_q_minus_p_at_any_window():
     # the only rational roots of unity are +-1, so the guard is closed form
-    for window in (1, 2, 64):
-        with pytest.raises(GuardError):
-            ScalarContext.numeric(2, -2, guard_window=window)
-        with pytest.raises(GuardError):
-            ScalarContext.symbolic("-3/2", "3/2", guard_window=window)
-    # a huge window costs nothing and is still echoed
-    big = ScalarContext.numeric("5/2", "-3/4", guard_window=10 ** 7)
-    assert big.describe()["guard"]["window"] == 10 ** 7
+    with pytest.raises(GuardError):
+        ScalarContext.numeric(2, -2)
+    with pytest.raises(GuardError):
+        ScalarContext.symbolic("-3/2", "3/2")
 
 
 @pytest.mark.parametrize("make", [
@@ -274,7 +269,7 @@ def test_context_caches_match_direct_powers(make):
             assert c.qpow(n) == q ** n
             assert c.qint(n) == (p ** n - q ** n) / (p - q)
             assert c.upow(n) == p ** -n * q ** n == (q / p) ** n
-            assert c.hq(n) == p ** -n * qint(c, n)
+            assert c.hq(n) == p ** -n * c.qint(n)
         assert c.hq(n) is c.hq(n)
 
 
@@ -291,20 +286,24 @@ def test_is_zero_is_exact_on_both_backends(sym):
     assert not is_zero(Fraction(1, 10 ** 30))
     assert not is_zero(sym.qint(2))
     assert is_zero(sym.qint(2) - sym.p - sym.q)
+    # a float residual such as -2.8e-17 is rounding, not an exact scalar
+    for bad in (0.0, 0.3, -2.7755575615628914e-17, Fraction(2) - 0.5):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            is_zero(bad)
 
 
 def test_quantum_integer_values(ctx):
     # [n] = (p^n - q^n)/(p - q) at p=2, q=3
-    assert qint(ctx, 0) == 0
-    assert qint(ctx, 1) == 1
-    assert qint(ctx, 2) == 5
-    assert qint(ctx, 3) == 19
-    assert qint(ctx, -1) == Fraction(-1, 6)
+    assert ctx.qint(0) == 0
+    assert ctx.qint(1) == 1
+    assert ctx.qint(2) == 5
+    assert ctx.qint(3) == 19
+    assert ctx.qint(-1) == Fraction(-1, 6)
 
 
 def test_quantum_integer_symbolic(sym):
     assert scalar_str(sym.qint(2)) == "p + q"
-    assert sym.is_zero(sym.qint(0))
+    assert is_zero(sym.qint(0))
 
 
 @given(st.integers(-20, 20), st.integers(-20, 20))
@@ -321,9 +320,9 @@ def test_reflection_rule(ctx, n):
 
 def test_pascal_and_reflection_formal(sym):
     for m in range(-6, 7):
-        assert sym.is_zero(reflection_residual(sym, m))
+        assert is_zero(reflection_residual(sym, m))
         for n in range(-6, 7):
-            assert sym.is_zero(pascal_residual(sym, m, n))
+            assert is_zero(pascal_residual(sym, m, n))
 
 
 @given(st.integers(-12, 12))
@@ -332,29 +331,41 @@ def test_qint_matches_sympy_closed_form(n):
     p, q = sympy.Rational(5, 2), sympy.Rational(-3, 4)
     expected = (p ** n - q ** n) / (p - q)
     ctx = ScalarContext.numeric("5/2", "-3/4")
-    assert qint(ctx, n) == Fraction(int(expected.p), int(expected.q))
+    assert ctx.qint(n) == Fraction(int(expected.p), int(expected.q))
 
 
 def test_symbolic_qint_matches_sympy():
     p, q = sympy.symbols("p q")
     sctx = ScalarContext.symbolic()
     for n in range(-5, 6):
-        ours = sympy.sympify(scalar_str(qint(sctx, n)))
+        ours = sympy.sympify(scalar_str(sctx.qint(n)))
         theirs = (p ** n - q ** n) / (p - q)
         assert sympy.simplify(ours - theirs) == 0
 
 
 def test_context_describe_round_trips():
-    ctx = ScalarContext.numeric("5/2", "-3/4", guard_window=32)
+    ctx = ScalarContext.numeric("5/2", "-3/4")
     d = ctx.describe()
     assert d["backend"] == "numeric"
     assert d["p"] == "5/2" and d["q"] == "-3/4"
-    assert d["guard"]["window"] == 32
+    assert d["guard"] == {"mode": "rational-point"}
 
 
 def test_symbolic_context_accepts_pinned_constants():
     sctx = ScalarContext.symbolic("2", "3")
-    assert sctx.is_zero(sctx.qint(2) - 5)
+    assert is_zero(sctx.qint(2) - 5)
+
+
+def test_method_twins_are_gone():
+    import vpq
+    from vpq import classify, modules
+    assert not hasattr(ScalarContext, "is_zero")
+    assert not hasattr(scalar, "qint")
+    assert not hasattr(modules, "coeff")
+    assert not hasattr(RationalFunction, "from_int")
+    assert not hasattr(RationalFunction, "from_fraction")
+    assert not hasattr(classify.XPolynomial, "x")
+    assert not {"coeff", "qint"} & set(vpq.__all__)
 
 
 # -- packed monomials ----------------------------------------------------------

@@ -57,8 +57,8 @@ def test_bundled_suite_agrees_on_both_backends():
 # sha256 of the serialized bundled suite; a change that alters any report
 # byte on purpose updates these and says why
 _BUNDLED_SHA256 = {
-    "numeric": "d1125d7dd5444606821a9265c01794aa7a6e93ad6644ed1d9f090ccdcd7e9a98",
-    "symbolic": "8eff1dfbcb27060ead0127abd29fea148f04d62a700b50cb33879b9da15eed40",
+    "numeric": "1b112d6528961027fbda7b11ad452282a0109c4907aff512f4593c79dc5f37e6",
+    "symbolic": "996fd5a24df4c8c997dc5a86c2a516bdafee4185d2e3f62d981e4388eee81935",
 }
 
 
@@ -66,6 +66,19 @@ _BUNDLED_SHA256 = {
 def test_bundled_suite_bytes_are_unchanged(backend):
     data = _bundled_report(backend).serialize().encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == _BUNDLED_SHA256[backend]
+
+
+def test_legacy_guard_window_is_validated_and_not_reported():
+    # configs written for older versions carry guard_window; it bounds
+    # nothing, so it runs and leaves no trace in the report
+    doc = {"context": {"p": "2", "q": "3", "guard_window": 64},
+           "checks": [{"check": "qint-identities", "mmax": 2},
+                      {"check": "verify-algebra", "window": 2}]}
+    report = run_suite(SuiteConfig.from_dict(doc)).to_dict()
+    assert report["totals"]["checked"] > 0 and report["totals"]["failed"] == 0
+    assert "guard_window" not in json.dumps(report)
+    for check in report["checks"]:
+        assert check["params"]["guard"] == {"mode": "rational-point"}
 
 
 # -- config fuzzer --------------------------------------------------------------

@@ -58,6 +58,19 @@ def test_rep_validation():
     assert rep.weights() == [-5, -3, -1, 1, 3, 5]
 
 
+def test_rep_takes_exact_q_only():
+    # in floats, whether ef-fe-commutator passes depends on rounding
+    for q in (0.3, 0.5):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            Uqsl2Rep(1, 4, q)
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            one_param_qint(q, 2)
+    assert Uqsl2Rep(1, 4, "3/10").q == Fraction(3, 10)
+    assert rep_relation_audit(Uqsl2Rep(1, 4, "3/10")).failed == 0
+    with pytest.raises(ValueError, match="exact rational"):
+        Uqsl2Rep(1, 4, "0.3")
+
+
 def test_weight_parity_is_enforced():
     rep = Uqsl2Rep(1, 4, 2)
     with pytest.raises(ValueError):

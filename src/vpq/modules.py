@@ -2,7 +2,7 @@
 
 A module here is a coefficient rule c(n,k) acting by L_n v_k = c(n,k) v_{k+n}
 on basis vectors indexed by Z.  The defining axiom, checked everywhere by
-`relation_residual`, is
+`relation_residual` and its row form, is
 
     p^{-n} q^n L_n L_m - p^{-m} q^m L_m L_n = ([m]/p^m - [n]/p^n) L_{m+n}
 
@@ -291,19 +291,26 @@ def act(ctx, rule, n, v):
     return WindowedVector(v.window, out)
 
 
-def relation_residual(ctx, rule, n, m, k):
-    """Defining-axiom residual on v_k for the generator pair (n, m):
+def _pair_residuals(ctx, rule, n, m, ks):
+    """Defining-axiom residuals on v_k, k in ks, for the generator pair (n, m):
     u^n c(m,k) c(n,m+k) - u^m c(n,k) c(m,n+k) - (h(m) - h(n)) c(n+m,k)."""
     c = rule.coeff
-    return (ctx.upow(n) * c(ctx, m, k) * c(ctx, n, m + k)
-            - ctx.upow(m) * c(ctx, n, k) * c(ctx, m, n + k)
-            - (ctx.hq(m) - ctx.hq(n)) * c(ctx, n + m, k))
+    un, um, hd = ctx.upow(n), ctx.upow(m), ctx.hq(m) - ctx.hq(n)
+    return [un * c(ctx, m, k) * c(ctx, n, m + k)
+            - um * c(ctx, n, k) * c(ctx, m, n + k)
+            - hd * c(ctx, n + m, k) for k in ks]
+
+
+def relation_residual(ctx, rule, n, m, k):
+    """Defining-axiom residual on v_k for the generator pair (n, m)."""
+    return _pair_residuals(ctx, rule, n, m, (k,))[0]
 
 
 def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
-    """Sweep relation_residual over the window; returns a ResidualReport.
+    """Sweep the defining axiom over the window; returns a ResidualReport.
 
-    The sweep reads each coefficient c(n,k) through one MemoRule.  The axiom
+    The sweep reads each coefficient c(n,k) through one MemoRule and
+    evaluates each generator pair as one row over all k.  The axiom
     is antisymmetric in its generator pair, so each unordered pair is
     computed once: (n, m) with n < m is kept until the sweep reaches (m, n),
     which records the negated residual (the same exact value, so the same
@@ -329,7 +336,7 @@ def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
             if n > m:
                 residuals = [-r for r in pending.pop((m, n))]
             else:
-                residuals = [relation_residual(ctx, memo, n, m, k) for k in ks]
+                residuals = _pair_residuals(ctx, memo, n, m, ks)
                 if n < m:
                     pending[n, m] = residuals
             for k, r in zip(ks, residuals):

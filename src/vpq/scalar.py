@@ -385,7 +385,11 @@ def _trivial_gcd(a, b):
     if b.is_zero():
         return a if a.lead_sign() > 0 else -a
     if a.is_const() or b.is_const():
-        return Poly.const(math.gcd(a.content(), b.content()))
+        if b.is_const():
+            a, b = b, a
+        # a ±1 constant settles it without reading the other side
+        g = a.content()
+        return Poly.const(g if g == 1 else math.gcd(g, b.content()))
     if a.terms == b.terms:
         return a if a.lead_sign() > 0 else -a
     # single-term fast path: a monomial divides exactly what its exponents allow

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vpq import algebra
 from vpq.algebra import (
     AlgebraElement,
     bracket,
@@ -17,7 +18,7 @@ from vpq.algebra import (
     skew_residual,
     verify_algebra,
 )
-from vpq.scalar import ScalarContext
+from vpq.scalar import ScalarContext, is_zero
 
 
 idx = st.integers(-8, 8)
@@ -135,3 +136,83 @@ def test_generation_reaches_every_window_index(ctx):
 def test_generation_ladder_coefficients_are_nonzero(ctx):
     for step in generation_check(ctx, 6).to_dict()["sections"]["ladder"]:
         assert Fraction(step["coefficient"]) != 0
+
+
+# -- the structure-constant kernels against the bracket composition --------
+
+def _composed_skew(ctx, n, m):
+    ln = AlgebraElement.generator(ctx, n)
+    lm = AlgebraElement.generator(ctx, m)
+    return bracket(ctx, ln, lm) + bracket(ctx, lm, ln)
+
+
+def _composed_jacobi(ctx, k, l, m):
+    gens = [AlgebraElement.generator(ctx, i) for i in (k, l, m)]
+    acc = AlgebraElement.zero(ctx)
+    for i in range(3):
+        x, y, z = gens[i], gens[(i + 1) % 3], gens[(i + 2) % 3]
+        acc = acc + bracket(ctx, hom_twist(ctx, x), bracket(ctx, y, z))
+    return acc
+
+
+def _same(a, b):
+    return (a - b).is_zero() and str(a) == str(b)
+
+
+@pytest.mark.parametrize("point", [(2, 3), ("5/2", "-3/4"), "formal"])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_kernels_equal_the_bracket_composition(monkeypatch, point, perturbed):
+    """For |k|, |l|, |m| <= 4 the residuals summed from structure constants
+    equal the bracket/twist composition, both for the true constants (all
+    zero) and for perturbed ones that make every kind of term nonzero."""
+    ctx = (ScalarContext.symbolic() if point == "formal"
+           else ScalarContext.numeric(*point))
+    if perturbed:
+        true_eta, true_central = eta, central_coefficient
+        monkeypatch.setattr(algebra, "eta", lambda c, n, m:
+                            true_eta(c, n, m) + n - 2 * m)
+        monkeypatch.setattr(algebra, "central_coefficient", lambda c, n:
+                            true_central(c, n) + n * n)
+    generator_parts = central_parts = 0
+    window = range(-4, 5)
+    for k in window:
+        for l in window:
+            got = skew_residual(ctx, k, l)
+            assert _same(got, _composed_skew(ctx, k, l)), (k, l)
+            for m in window:
+                got = hom_jacobi_residual(ctx, k, l, m)
+                assert _same(got, _composed_jacobi(ctx, k, l, m)), (k, l, m)
+                generator_parts += bool(got.coeffs)
+                central_parts += not is_zero(got.central)
+    if perturbed:
+        assert generator_parts > 500 and central_parts > 30
+    else:
+        assert generator_parts == central_parts == 0
+
+
+def _failures(rep):
+    return {f["identity"] for f in rep.to_dict()["failures"]}
+
+
+def test_verify_algebra_fails_on_a_wrong_central_coefficient(ctx, monkeypatch):
+    # c(n) + n stays odd in n, so only the cocycle can see it
+    true_central = central_coefficient
+    monkeypatch.setattr(algebra, "central_coefficient",
+                        lambda c, n: true_central(c, n) + n)
+    rep = verify_algebra(ctx, 3)
+    assert rep.failed > 0
+    assert _failures(rep) == {"central-cocycle"}
+
+
+def test_verify_algebra_fails_on_a_wrong_eta(ctx, monkeypatch):
+    # eta(n,m)·(n-m)^2 stays antisymmetric, so skew symmetry still holds
+    true_eta = eta
+    monkeypatch.setattr(algebra, "eta",
+                        lambda c, n, m: true_eta(c, n, m) * (n - m) ** 2)
+    rep = verify_algebra(ctx, 3)
+    assert "hom-jacobi" in _failures(rep)
+    assert "skew" not in _failures(rep)
+    for f in rep.to_dict()["failures"]:
+        if f["identity"] == "hom-jacobi":
+            detail = str(hom_jacobi_residual(ctx, *f["indices"]))
+            assert f["residual"] == detail != "0"

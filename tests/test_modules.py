@@ -418,20 +418,23 @@ def test_relation_residual_is_antisymmetric_in_its_pair(backend, values,
 @pytest.mark.parametrize("pair_filter", ["all", "generators"])
 def test_verify_module_computes_each_pair_once(ctx, monkeypatch, pair_filter):
     calls = []
+    pair_residuals = modules._pair_residuals
 
-    def counting(ctx, rule, n, m, k):
-        calls.append((n, m, k))
-        return relation_residual(ctx, rule, n, m, k)
+    def counting(ctx, rule, n, m, ks):
+        rows = pair_residuals(ctx, rule, n, m, ks)
+        calls.append(((n, m), len(rows)))
+        return rows
 
-    monkeypatch.setattr(modules, "relation_residual", counting)
+    monkeypatch.setattr(modules, "_pair_residuals", counting)
     nmax, kmax = 3, 5
     rep = verify_module(ctx, ExcBetaPrime(Fraction(1), reading="given"),
                         nmax, kmax, pair_filter)
     pairs = [(n, m) for n in range(-nmax, nmax + 1)
              for m in range(n, nmax + 1)
              if pair_filter == "all" or max(abs(n), abs(m), abs(n + m)) <= 2]
-    assert len(calls) == len(pairs) * (2 * kmax + 1)
-    assert sorted({(n, m) for n, m, _ in calls}) == pairs
+    # one row evaluation per unordered pair, 2·kmax + 1 residuals each
+    assert sorted(pair for pair, _ in calls) == pairs
+    assert all(size == 2 * kmax + 1 for _, size in calls)
     assert rep.failed > 0
     # every ordered pair is still recorded
     diagonal = sum(n == m for n, m in pairs)

@@ -6,6 +6,7 @@ spot values.
 """
 
 import inspect
+import math
 import types
 from fractions import Fraction
 
@@ -476,13 +477,36 @@ def test_seven_variable_layout_orders_new_variables_last():
     assert _WIDE.poly_gcd(u * p * p, u * u * w) == u
 
 
+@pytest.mark.parametrize("const", [1, -1, 6, -4])
+@pytest.mark.parametrize("other", [
+    [(1, 1, 0), (2, 0, 1)],         # p + 2q, content 1
+    [(3, 1, 1), (-2, 0, 0)],        # 3pq - 2, content 1
+    [(4, 1, 0), (6, 0, 2)],         # 4p + 6q^2, content 2
+    [(6, 2, 0), (-9, 0, 0)],        # 6p^2 - 9, content 3
+    [(-12, 0, 0)],
+    [(1, 0, 0)],
+])
+def test_trivial_gcd_constant_branch(const, other):
+    """With a constant operand the gcd is the gcd of the two contents, in
+    either order and also when the constant is ±1; checked against the PRS
+    and sympy."""
+    c, b = Poly.const(const), _poly_from(other)
+    want = Poly.const(math.gcd(const, b.content()))
+    for x, y in ((c, b), (b, c)):
+        assert scalar._trivial_gcd(x, y) == want
+        assert _prs_gcd(x, y) == want
+        assert sympy.gcd(_to_sympy(x), _to_sympy(y)) == _to_sympy(want)
+
+
 def test_prs_fallback_gives_the_same_reports(monkeypatch):
     """The formal sweeps come out the same with the heuristic gcd off, so
-    _prs_gcd, _prem, _content_in and _coeffs_in are checked end to end."""
+    _prs_gcd, _prem, _content_in and _coeffs_in are checked end to end.
+    verify_algebra sums cached structure constants and sends few gcds per
+    triple to the PRS, so its window is wide enough for over a hundred."""
     def reports():
         f = ScalarContext.symbolic()
         return [verify_module(f, Mab(f.var("a"), f.var("b")), 2, 3).to_dict(),
-                verify_algebra(f, window=3).to_dict()]
+                verify_algebra(f, window=7).to_dict()]
 
     heuristic = reports()
     prs_calls = []

@@ -331,7 +331,11 @@ def quadratic_roots(ctx, a, b):
     """
     partner = second_solution(ctx, a, b)
     if not is_zero(_step_product(ctx, a, partner) - _step_product(ctx, a, b)):
-        raise AssertionError("partner root fails the defining quadratic")
+        raise ValueError(
+            "quadratic roots: partner b'=%s of b=%s fails the defining "
+            "quadratic c(1,0)·c(-1,1) (a=%s, p=%s, q=%s)"
+            % (scalar_str(partner), scalar_str(b), scalar_str(a),
+               scalar_str(ctx.p), scalar_str(ctx.q)))
     return (b, partner)
 
 

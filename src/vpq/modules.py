@@ -2,7 +2,7 @@
 
 A module here is a coefficient rule c(n,k) acting by L_n v_k = c(n,k) v_{k+n}
 on basis vectors indexed by Z.  The defining axiom, checked everywhere by
-`relation_residual` and its row form, is
+`relation_residual` (the sweep judges it by its numerator first), is
 
     p^{-n} q^n L_n L_m - p^{-m} q^m L_m L_n = ([m]/p^m - [n]/p^n) L_{m+n}
 
@@ -23,7 +23,7 @@ Families:
 from __future__ import annotations
 
 from .report import ResidualReport
-from .scalar import is_zero, parse_rational, scalar_str
+from .scalar import exact_parts, is_zero, parse_rational, scalar_str
 
 
 class CoefficientRule:
@@ -291,30 +291,75 @@ def act(ctx, rule, n, v):
     return WindowedVector(v.window, out)
 
 
-def _pair_residuals(ctx, rule, n, m, ks):
-    """Defining-axiom residuals on v_k, k in ks, for the generator pair (n, m):
+def relation_residual(ctx, rule, n, m, k):
+    """Defining-axiom residual on v_k for the generator pair (n, m):
     u^n c(m,k) c(n,m+k) - u^m c(n,k) c(m,n+k) - (h(m) - h(n)) c(n+m,k)."""
     c = rule.coeff
-    un, um, hd = ctx.upow(n), ctx.upow(m), ctx.hq(m) - ctx.hq(n)
-    return [un * c(ctx, m, k) * c(ctx, n, m + k)
-            - um * c(ctx, n, k) * c(ctx, m, n + k)
-            - hd * c(ctx, n + m, k) for k in ks]
+    return (ctx.upow(n) * c(ctx, m, k) * c(ctx, n, m + k)
+            - ctx.upow(m) * c(ctx, n, k) * c(ctx, m, n + k)
+            - (ctx.hq(m) - ctx.hq(n)) * c(ctx, n + m, k))
 
 
-def relation_residual(ctx, rule, n, m, k):
-    """Defining-axiom residual on v_k for the generator pair (n, m)."""
-    return _pair_residuals(ctx, rule, n, m, (k,))[0]
+class _PartsTable:
+    """`exact_parts` of each coefficient c(n, k) one sweep reads, each
+    computed once.  A row holds one n; the table dies with the sweep."""
+
+    def __init__(self, ctx, rule):
+        self.ctx = ctx
+        self.rule = rule
+        self.rows = {}
+
+    def row(self, n, ks):
+        """[(numerator, denominator) of c(n, k) for k in ks]."""
+        row = self.rows.setdefault(n, {})
+        for k in ks:
+            if k not in row:
+                row[k] = exact_parts(self.rule.coeff(self.ctx, n, k))
+        return [row[k] for k in ks]
+
+
+def _pair_numerators(ctx, table, n, m, ks):
+    """Numerators of the `relation_residual`s on v_k, k in ks, for the
+    generator pair (n, m), over a common denominator.
+
+    Write the three terms of the residual as t_i = N_i/D_i, with N_i and
+    D_i the products of the numerators and of the denominators of t_i's
+    factors.  Every D_i is nonzero, so the residual t1 - t2 - t3 is zero
+    exactly when N1·D2·D3 - N2·D1·D3 - N3·D1·D2 is.  That takes ring
+    products only (ints or Polys): no gcd and no reduced quotient.
+    """
+    a1, b1 = exact_parts(ctx.upow(n))
+    a2, b2 = exact_parts(ctx.upow(m))
+    hm, dhm = exact_parts(ctx.hq(m))
+    hn, dhn = exact_parts(ctx.hq(n))
+    a3, b3 = hm * dhn - hn * dhm, dhm * dhn    # h(m) - h(n)
+    row = table.row
+    out = []
+    # parts of c(m,k), c(n,m+k), c(n,k), c(m,n+k) and c(n+m,k)
+    for (nm, dm), (nnm, dnm), (nn, dn), (nmn, dmn), (ns, ds) in zip(
+            row(m, ks), row(n, [m + k for k in ks]), row(n, ks),
+            row(m, [n + k for k in ks]), row(n + m, ks)):
+        d1 = b1 * dm * dnm
+        d2 = b2 * dn * dmn
+        out.append((a1 * nm * nnm * d2 - a2 * nn * nmn * d1) * (b3 * ds)
+                   - a3 * ns * (d1 * d2))
+    return out
 
 
 def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
     """Sweep the defining axiom over the window; returns a ResidualReport.
 
-    The sweep reads each coefficient c(n,k) through one MemoRule and
-    evaluates each generator pair as one row over all k.  The axiom
-    is antisymmetric in its generator pair, so each unordered pair is
-    computed once: (n, m) with n < m is kept until the sweep reaches (m, n),
-    which records the negated residual (the same exact value, so the same
-    report bytes).  The diagonal n = m is computed; it alone reads c(2n, k).
+    The sweep reads the numerator and denominator of each coefficient
+    c(n,k) once, from one table that lives for the sweep, and evaluates
+    each generator pair as one row of residual numerators over all k
+    (`_pair_numerators`).  A zero numerator is a zero residual and is
+    recorded as the context's zero; only a nonzero one is reduced, by
+    `relation_residual` at that k, so a failure reads as the exact reduced
+    residual.  The axiom is antisymmetric in its generator pair, so each
+    unordered pair is computed once: (n, m) with n < m is kept until the
+    sweep reaches (m, n), which records the negated residuals (the same
+    exact values, so the same report bytes).  The diagonal n = m is
+    computed; it alone reads c(2n, k).
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -325,22 +370,26 @@ def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
     rep = ResidualReport("verify-module", {
         "family": rule.describe(), "nmax": int(nmax), "kmax": int(kmax),
         "pair_filter": pair_filter, **ctx.describe()})
-    memo = MemoRule(ctx, rule)
+    table = _PartsTable(ctx, rule)
+    zero = ctx.zero
     ks = range(-kmax, kmax + 1)
-    pending = {}    # (n, m) with n < m -> its residuals, until (m, n) is due
+    pending = {}    # (n, m) with n < m -> its failures, until (m, n) is due
     for n in range(-nmax, nmax + 1):
         for m in range(-nmax, nmax + 1):
             if pair_filter == "generators":
                 if not (-2 <= n <= 2 and -2 <= m <= 2 and -2 <= n + m <= 2):
                     continue
             if n > m:
-                residuals = [-r for r in pending.pop((m, n))]
+                failures = {k: -r for k, r in pending.pop((m, n)).items()}
             else:
-                residuals = _pair_residuals(ctx, memo, n, m, ks)
+                nums = _pair_numerators(ctx, table, n, m, ks)
+                failures = {k: relation_residual(ctx, rule, n, m, k)
+                            for k, x in zip(ks, nums) if not is_zero(x)}
                 if n < m:
-                    pending[n, m] = residuals
-            for k, r in zip(ks, residuals):
-                rep.record("module-relation", (n, m, k), r)
+                    pending[n, m] = failures
+            for k in ks:
+                rep.record("module-relation", (n, m, k),
+                           failures.get(k, zero))
     return rep
 
 
@@ -362,7 +411,11 @@ def weight_injective(ctx, a, window):
         not is_zero(seen[i] - seen[j])
         for i in range(len(seen)) for j in range(i + 1, len(seen)))
     if closed != brute:
-        raise AssertionError("weight injectivity: closed form and scan disagree")
+        raise ValueError(
+            "weight injectivity: closed form a != -1/(p-q) gives %s, the scan "
+            "over |k| <= %d gives %s (a=%s, p=%s, q=%s)"
+            % (closed, window, brute, scalar_str(a), scalar_str(ctx.p),
+               scalar_str(ctx.q)))
     return closed
 
 

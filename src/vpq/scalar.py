@@ -723,13 +723,26 @@ def scalar_str(x):
 def is_zero(x):
     """The one exact zero test, for a scalar of either backend (or anything
     with an ``is_zero`` method); the only passing residual is this zero.
-    A float is no exact scalar and raises TypeError."""
+    Anything else, such as a float, is no exact scalar and raises
+    TypeError."""
+    if isinstance(x, (Fraction, int)):
+        return x == 0
     test = getattr(x, "is_zero", None)
-    if test is not None:
-        return test()
-    if isinstance(x, float):
+    if test is None:
         raise TypeError("not an exact scalar: %r" % (x,))
-    return x == 0
+    return test()
+
+
+def exact_parts(x):
+    """(numerator, denominator) of a scalar of either backend: ints for a
+    Fraction or an int, Polys for a RationalFunction.  The denominator is
+    never zero, so x is zero exactly when the numerator is.  Anything else
+    (a float) raises TypeError."""
+    if isinstance(x, (Fraction, int)):
+        return x.numerator, x.denominator
+    if isinstance(x, RationalFunction):
+        return x.num, x.den
+    raise TypeError("not an exact scalar: %r" % (x,))
 
 
 def _guarded_point(p, q):

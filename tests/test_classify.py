@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vpq import classify
 from vpq.classify import (
     ADJUSTED_LINES,
     PAIR_ORDER,
@@ -160,6 +161,17 @@ def test_second_solution_involutes(ctx):
 def test_quadratic_roots(ctx):
     assert quadratic_roots(ctx, Fraction(2), Fraction(1, 4)) == \
         (Fraction(1, 4), Fraction(3, 4))
+
+
+def test_quadratic_roots_reports_a_partner_off_the_quadratic(ctx, monkeypatch):
+    # the "1 - a(p-q) - b" reading of the partner is not a root at (2, 3)
+    monkeypatch.setattr(classify, "second_solution",
+                        lambda ctx, a, b: 1 - a * (ctx.p - ctx.q) - b)
+    with pytest.raises(ValueError) as err:
+        quadratic_roots(ctx, Fraction(2), Fraction(1, 4))
+    assert str(err.value) == (
+        "quadratic roots: partner b'=11/4 of b=1/4 fails the defining "
+        "quadratic c(1,0)·c(-1,1) (a=2, p=2, q=3)")
 
 
 def test_quadratic_roots_audit(ctx):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpq import modules
+from vpq import modules, scalar
 from vpq.caseaudit import case3_constants, case_constants_audit
 from vpq.classify import (identity_audit, l2_display_audit,
                           quadratic_roots_audit, second_solution)
@@ -34,7 +34,7 @@ from vpq.modules import (
     weight_injective,
 )
 from vpq.report import ResidualReport
-from vpq.scalar import ScalarContext, is_zero, scalar_str
+from vpq.scalar import RationalFunction, ScalarContext, is_zero, scalar_str
 
 
 small_fracs = st.fractions(
@@ -159,6 +159,20 @@ def test_weight_injectivity_closed_form(ctx):
     assert weight_injective(ctx, Fraction(1), 8) is False
     assert weight_injective(ctx, Fraction(0), 8) is True
     assert weight_injective(ctx, Fraction(-1, 2), 8) is True
+
+
+def test_weight_injectivity_reports_a_scan_that_disagrees(ctx, monkeypatch):
+    # a scan that sees one weight everywhere contradicts the closed form
+    class Flat(Mab):
+        def coeff(self, ctx, n, k):
+            return ctx.one
+
+    monkeypatch.setattr(modules, "Mab", Flat)
+    with pytest.raises(ValueError) as err:
+        weight_injective(ctx, Fraction(0), 3)
+    assert str(err.value) == (
+        "weight injectivity: closed form a != -1/(p-q) gives True, the scan "
+        "over |k| <= 3 gives False (a=0, p=2, q=3)")
 
 
 def test_shift_params_values(ctx):
@@ -352,14 +366,20 @@ _NUMERIC = (Fraction(1, 3), Fraction(-2), Fraction(1, 2), Fraction(-2),
             Fraction(3), Fraction(1, 5), Fraction(1))
 
 
-@pytest.mark.parametrize("backend", ["numeric", "symbolic", "formal"])
+@pytest.mark.parametrize("backend", ["numeric", "symbolic", "formal",
+                                     "numeric-5/2,-3/4", "formal-pq"])
 def test_memoised_sweep_matches_direct_sweep(backend):
-    if backend == "numeric":
-        ctx = ScalarContext.numeric(2, 3)
+    # verify_module judges each residual by its numerator over a common
+    # denominator and reduces only the nonzero ones; the reference reduces
+    # every residual with relation_residual
+    if backend.startswith("numeric"):
+        ctx = (ScalarContext.numeric(2, 3) if backend == "numeric"
+               else ScalarContext.numeric("5/2", "-3/4"))
         rules = _family_rules(lambda i: _NUMERIC[i])
     else:
-        ctx = ScalarContext.symbolic("2", "3")
-        if backend == "formal":
+        ctx = (ScalarContext.symbolic() if backend == "formal-pq"
+               else ScalarContext.symbolic("2", "3"))
+        if backend.startswith("formal"):
             rules = _family_rules(lambda i: ctx.var("ab"[i % 2]))
         else:
             rules = _family_rules(lambda i: ctx.scalar(_NUMERIC[i]))
@@ -369,7 +389,7 @@ def test_memoised_sweep_matches_direct_sweep(backend):
 
     def entry():
         x = Fraction(rnd.randint(-3, 3), rnd.randint(1, 3))
-        return x * ctx.var("a") + 1 if backend == "formal" else x
+        return x * ctx.var("a") + 1 if backend.startswith("formal") else x
 
     table = TableRule({(n, k): entry() for n in range(-4, 5)
                        for k in range(-6, 7)}, 6)
@@ -391,6 +411,95 @@ def test_memoised_sweep_matches_direct_sweep(backend):
             sweep(ctx, small, 2, 3, "all")
         errors.append(str(err.value))
     assert errors == ["table rule queried outside its window: (-4,-3)"] * 2
+
+
+@pytest.mark.parametrize("backend", ["numeric", "numeric-5/2,-3/4",
+                                     "symbolic", "formal-pq"])
+def test_row_numerators_vanish_exactly_with_their_residuals(backend):
+    # the numerator over D1·D2·D3 is zero exactly when the reduced residual
+    # is, on passing rules (a wrong denominator factor shows there) and on
+    # a random table that fails almost everywhere
+    if backend == "formal-pq":
+        ctx = ScalarContext.symbolic()
+        rules = _family_rules(lambda i: ctx.var("ab"[i % 2]))
+    else:
+        ctx = {"numeric": ScalarContext.numeric(2, 3),
+               "numeric-5/2,-3/4": ScalarContext.numeric("5/2", "-3/4"),
+               "symbolic": ScalarContext.symbolic("2", "3")}[backend]
+        rules = _family_rules(lambda i: ctx.scalar(_NUMERIC[i]))
+    rnd = random.Random(20261019)
+    rules.append(TableRule({(n, k): ctx.scalar(Fraction(rnd.randint(-3, 3),
+                                                        rnd.randint(1, 3)))
+                            for n in range(-4, 5) for k in range(-5, 6)}, 5))
+    ks = range(-3, 4)
+    zeros = nonzeros = 0
+    for rule in rules:
+        table = modules._PartsTable(ctx, rule)
+        for n in range(-2, 3):
+            for m in range(-2, 3):
+                nums = modules._pair_numerators(ctx, table, n, m, ks)
+                assert len(nums) == len(ks)
+                for k, x in zip(ks, nums):
+                    want = is_zero(relation_residual(ctx, rule, n, m, k))
+                    assert is_zero(x) == want, (rule.describe(), n, m, k)
+                    zeros += want
+                    nonzeros += not want
+    assert zeros > 1000 and nonzeros > 100
+
+
+@pytest.mark.parametrize("backend", ["numeric", "formal-pq"])
+def test_passing_sweep_reduces_no_residual(backend, monkeypatch):
+    # a zero numerator is recorded as the context's zero; only a nonzero
+    # one is reduced by relation_residual
+    if backend == "numeric":
+        ctx = ScalarContext.numeric("5/2", "-3/4")
+        passing = Mab(Fraction(1, 3), Fraction(-2))
+        failing = ExcBetaPrime(Fraction(1), reading="given")
+    else:
+        ctx = ScalarContext.symbolic()
+        passing = Mab(ctx.var("a"), ctx.var("b"))
+        failing = ExcBetaPrime(ctx.var("a"), reading="given")
+    reduced = []
+
+    def counting(ctx, rule, n, m, k):
+        reduced.append((n, m, k))
+        return relation_residual(ctx, rule, n, m, k)
+
+    monkeypatch.setattr(modules, "relation_residual", counting)
+    rep = verify_module(ctx, passing, 2, 3)
+    assert rep.checked == 5 * 5 * 7 and rep.failed == 0
+    assert reduced == []
+    rep = verify_module(ctx, failing, 2, 3, pair_filter="generators")
+    # each failing unordered pair is reduced once, its swap negated
+    assert 0 < len(reduced) <= rep.failed
+    assert {tuple(f["indices"]) for f in rep.failures} >= set(reduced)
+
+
+@pytest.mark.parametrize("backend", ["numeric", "formal-pq"])
+def test_passing_rows_build_no_quotient(backend, monkeypatch):
+    # once a sweep's coefficients are in its table, the rows of a passing
+    # rule take ring products only: no gcd, no Fraction, no RationalFunction
+    if backend == "numeric":
+        ctx = ScalarContext.numeric("5/2", "-3/4")
+        rule = Mab(Fraction(1, 3), Fraction(-2))
+    else:
+        ctx = ScalarContext.symbolic()
+        rule = Mab(ctx.var("a"), ctx.var("b"))
+    table = modules._PartsTable(ctx, rule)
+    pairs = [(n, m) for n in range(-2, 3) for m in range(n, 3)]
+    ks = range(-3, 4)
+    for n, m in pairs:
+        modules._pair_numerators(ctx, table, n, m, ks)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("quotient arithmetic on a passing row")
+
+    monkeypatch.setattr(Fraction, "__new__", forbidden)
+    monkeypatch.setattr(RationalFunction, "__init__", forbidden)
+    monkeypatch.setattr(scalar, "poly_gcd", forbidden)
+    rows = [modules._pair_numerators(ctx, table, n, m, ks) for n, m in pairs]
+    monkeypatch.undo()
+    assert all(is_zero(x) for row in rows for x in row)
 
 
 _PAIR_KEYS = [(n, k) for n in range(-4, 5) for k in range(-4, 5)]
@@ -418,14 +527,14 @@ def test_relation_residual_is_antisymmetric_in_its_pair(backend, values,
 @pytest.mark.parametrize("pair_filter", ["all", "generators"])
 def test_verify_module_computes_each_pair_once(ctx, monkeypatch, pair_filter):
     calls = []
-    pair_residuals = modules._pair_residuals
+    pair_numerators = modules._pair_numerators
 
-    def counting(ctx, rule, n, m, ks):
-        rows = pair_residuals(ctx, rule, n, m, ks)
+    def counting(ctx, table, n, m, ks):
+        rows = pair_numerators(ctx, table, n, m, ks)
         calls.append(((n, m), len(rows)))
         return rows
 
-    monkeypatch.setattr(modules, "_pair_residuals", counting)
+    monkeypatch.setattr(modules, "_pair_numerators", counting)
     nmax, kmax = 3, 5
     rep = verify_module(ctx, ExcBetaPrime(Fraction(1), reading="given"),
                         nmax, kmax, pair_filter)

@@ -28,6 +28,7 @@ from vpq.scalar import (
     _interpolate,
     _prs_gcd,
     _unpack,
+    exact_parts,
     is_zero,
     parse_rational,
     pascal_residual,
@@ -288,9 +289,22 @@ def test_is_zero_is_exact_on_both_backends(sym):
     assert not is_zero(sym.qint(2))
     assert is_zero(sym.qint(2) - sym.p - sym.q)
     # a float residual such as -2.8e-17 is rounding, not an exact scalar
-    for bad in (0.0, 0.3, -2.7755575615628914e-17, Fraction(2) - 0.5):
+    for bad in (0.0, 0.3, -2.7755575615628914e-17, Fraction(2) - 0.5,
+                "0", None):
         with pytest.raises(TypeError, match="not an exact scalar"):
             is_zero(bad)
+
+
+def test_exact_parts_split_a_scalar_of_either_backend(sym):
+    assert exact_parts(Fraction(-6, 4)) == (-3, 2)
+    assert exact_parts(7) == (7, 1)
+    x = sym.qint(-2)
+    num, den = exact_parts(x)
+    assert (num, den) == (x.num, x.den)
+    assert RationalFunction(num, den) == x
+    for bad in (0.5, "1/2", None):
+        with pytest.raises(TypeError, match="not an exact scalar"):
+            exact_parts(bad)
 
 
 def test_quantum_integer_values(ctx):

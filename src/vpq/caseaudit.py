@@ -23,8 +23,9 @@ def annihilator_spectrum(ctx, rule, n, window):
     """All weights k with |k| <= window annihilated by the level-n action."""
     n = int(n)
     window = int(window)
-    return [k for k in range(-window, window + 1)
-            if is_zero(rule.coeff(ctx, n, k))]
+    ks = range(-window, window + 1)
+    return [k for k, (num, _) in zip(ks, rule.parts_row(ctx, n, ks))
+            if is_zero(num)]
 
 
 def quadratic_in_x_check(ctx, rule, window):

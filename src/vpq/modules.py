@@ -8,6 +8,13 @@ on basis vectors indexed by Z.  The defining axiom, checked everywhere by
 
 and the central element acts as zero on every family.
 
+A rule gives single values through `coeff` and whole rows through
+`parts_row(ctx, n, ks)`: an unreduced (numerator, denominator) pair for each
+c(n, k), k in ks, ints on the numeric backend and Polys on the symbolic one,
+every denominator nonzero.  The module sweep, the submodule graph and the
+intertwiner validation read rows and test numerators, so a row of `Mab` takes
+ring products only; a value is reduced only where a report prints it.
+
 Families:
 
 * mab(a, b)     -- the two-parameter family
@@ -33,6 +40,11 @@ class CoefficientRule:
 
     def coeff(self, ctx, n, k):
         raise NotImplementedError
+
+    def parts_row(self, ctx, n, ks):
+        """[(numerator, denominator) of c(n, k) for k in ks], unreduced; the
+        numerator is zero exactly when c(n, k) is."""
+        return [exact_parts(self.coeff(ctx, n, k)) for k in ks]
 
     def params(self):
         return {}
@@ -80,6 +92,19 @@ class Mab(CoefficientRule):
 
     def coeff(self, ctx, n, k):
         return ctx.hq(k) - ctx.upow(k) * (self.a + self.b * ctx.hq(n))
+
+    def parts_row(self, ctx, n, ks):
+        """c(n,k) = h(k) - u^k A_n with A_n = a + b h(n): one reduced
+        constant per row, then ring products of its parts with the cached
+        parts of h(k) and u^k."""
+        An, Ad = exact_parts(self.a + self.b * ctx.hq(n))
+        out = []
+        for k in ks:
+            hn, hd = exact_parts(ctx.hq(k))
+            un, ud = exact_parts(ctx.upow(k))
+            x = ud * Ad
+            out.append((hn * x - un * hd * An, hd * x))
+        return out
 
     def params(self):
         return {"a": self.a, "b": self.b}
@@ -301,8 +326,8 @@ def relation_residual(ctx, rule, n, m, k):
 
 
 class _PartsTable:
-    """`exact_parts` of each coefficient c(n, k) one sweep reads, each
-    computed once.  A row holds one n; the table dies with the sweep."""
+    """The parts of each coefficient c(n, k) one sweep reads, each computed
+    once.  A row holds one n; the table dies with the sweep."""
 
     def __init__(self, ctx, rule):
         self.ctx = ctx
@@ -312,9 +337,10 @@ class _PartsTable:
     def row(self, n, ks):
         """[(numerator, denominator) of c(n, k) for k in ks]."""
         row = self.rows.setdefault(n, {})
-        for k in ks:
-            if k not in row:
-                row[k] = exact_parts(self.rule.coeff(self.ctx, n, k))
+        missing = [k for k in ks if k not in row]
+        if missing:
+            row.update(zip(missing,
+                           self.rule.parts_row(self.ctx, n, missing)))
         return [row[k] for k in ks]
 
 
@@ -350,16 +376,16 @@ def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
     """Sweep the defining axiom over the window; returns a ResidualReport.
 
     The sweep reads the numerator and denominator of each coefficient
-    c(n,k) once, from one table that lives for the sweep, and evaluates
-    each generator pair as one row of residual numerators over all k
-    (`_pair_numerators`).  A zero numerator is a zero residual and is
-    recorded as the context's zero; only a nonzero one is reduced, by
-    `relation_residual` at that k, so a failure reads as the exact reduced
-    residual.  The axiom is antisymmetric in its generator pair, so each
-    unordered pair is computed once: (n, m) with n < m is kept until the
-    sweep reaches (m, n), which records the negated residuals (the same
-    exact values, so the same report bytes).  The diagonal n = m is
-    computed; it alone reads c(2n, k).
+    c(n,k) once, from one table that lives for the sweep and is filled by
+    the rule's `parts_row`, and evaluates each generator pair as one row of
+    residual numerators over all k (`_pair_numerators`).  A zero numerator
+    is a zero residual and is recorded as the context's zero; only a
+    nonzero one is reduced, by `relation_residual` at that k, so a failure
+    reads as the exact reduced residual.  The axiom is antisymmetric in its
+    generator pair, so each unordered pair is computed once: (n, m) with
+    n < m is kept until the sweep reaches (m, n), which records the negated
+    residuals (the same exact values, so the same report bytes).  The
+    diagonal n = m is computed; it alone reads c(2n, k).
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -419,16 +445,22 @@ def weight_injective(ctx, a, window):
     return closed
 
 
+def _row_window(n, window):
+    """The k with k and k + n both in [-window, window]."""
+    return range(max(-window, -window - n), min(window, window - n) + 1)
+
+
 def _edges(ctx, rule, window):
-    """Directed action graph on indices |k| <= window (all n, not just ±1,±2)."""
+    """Directed action graph on indices |k| <= window (all n, not just ±1,±2):
+    k -> k + n wherever c(n, k) has a nonzero numerator, one row per n."""
     adj = {k: [] for k in range(-window, window + 1)}
-    for k in range(-window, window + 1):
-        for t in range(-window, window + 1):
-            n = t - k
-            if n == 0:
-                continue
-            if not is_zero(rule.coeff(ctx, n, k)):
-                adj[k].append(t)
+    for n in range(-2 * window, 2 * window + 1):
+        if n == 0:
+            continue
+        ks = _row_window(n, window)
+        for k, (num, _) in zip(ks, rule.parts_row(ctx, n, ks)):
+            if not is_zero(num):
+                adj[k].append(k + n)
     return adj
 
 
@@ -524,10 +556,10 @@ def find_intertwiner(ctx, ruleA, ruleB, m, window):
     Propagates h from h_0 = 1 along the n=1 constraints, branching with a
     fresh unit scale when a chain decouples (both adjacent coefficients
     zero), then validates every constraint with |n| <= 2 inside the window.
+    The propagation divides values, so h stays exact and reduced; the
+    validation compares cross-multiplied parts, rows of both rules.
     """
     window = int(window)
-    ruleA = MemoRule(ctx, ruleA)
-    ruleB = MemoRule(ctx, ruleB)
     h = {0: ctx.one}
     for step in (1, -1):
         for k in range(0, step * window, step):
@@ -540,12 +572,14 @@ def find_intertwiner(ctx, ruleA, ruleB, m, window):
                 return None
             else:
                 h[k + step] = h[k] * (cb / ca if step > 0 else ca / cb)
+    hparts = {k: exact_parts(v) for k, v in h.items()}
     for n in range(-2, 3):
-        for k in range(-window, window + 1):
-            if abs(k + n) > window:
-                continue
-            lhs = h[k + n] * ruleA.coeff(ctx, n, k)
-            rhs = h[k] * ruleB.coeff(ctx, n, k + m)
-            if not is_zero(lhs - rhs):
+        ks = _row_window(n, window)
+        rowA = ruleA.parts_row(ctx, n, ks)
+        rowB = ruleB.parts_row(ctx, n, [k + m for k in ks])
+        for k, (an, ad), (bn, bd) in zip(ks, rowA, rowB):
+            hn0, hd0 = hparts[k]
+            hn1, hd1 = hparts[k + n]
+            if not is_zero(hn1 * an * hd0 * bd - hn0 * bn * hd1 * ad):
                 return None
     return h

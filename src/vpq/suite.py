@@ -269,7 +269,6 @@ def _check_submodules(ctx, spec, rng):
 
 
 def _check_is_reducible_grid(ctx, spec, rng):
-    p, q = ctx.p, ctx.q
     rep = ResidualReport("is-reducible-grid", {
         "mmax": spec["mmax"], "window": spec["window"], **ctx.describe()})
     variant_irreducible = []
@@ -284,7 +283,7 @@ def _check_is_reducible_grid(ctx, spec, rng):
             rep.expect("closed-form-witness", (label, m), witness == m,
                        "witness=%s" % witness)
         if m != 0:
-            bv = -(p ** -m) * q ** -m
+            bv = -ctx.ppow(-m) * ctx.qpow(-m)
             subs = modules.find_submodules(ctx, Mab(a, bv), spec["window"])
             rep.expect("variant-branch-irreducible", (m,), len(subs) == 0,
                        "found %d invariant subspaces" % len(subs))

@@ -20,14 +20,36 @@ from vpq.caseaudit import (
     find_j0_all,
     quadratic_in_x_check,
 )
-from vpq.modules import Mab
-from vpq.scalar import ScalarContext
+from vpq.modules import ExcAlpha, ExcAlphaPrime, ExcBeta, ExcBetaPrime, Mab
+from vpq.scalar import ScalarContext, is_zero
 
 
 def test_annihilator_spectrum(ctx):
     a = Fraction(1, 7)
     assert annihilator_spectrum(ctx, Mab(a, a * 3), -1, 8) == [0]
     assert annihilator_spectrum(ctx, Mab(Fraction(0), Fraction(0)), 1, 8) == [0]
+
+
+@pytest.mark.parametrize("backend", ["numeric", "symbolic"])
+def test_annihilator_spectrum_matches_the_value_scan(backend):
+    # the spectrum reads one row of numerators; the reference tests each
+    # value c(n, k); the reducible points put zeros off k = 0
+    ctx = (ScalarContext.numeric(2, 3) if backend == "numeric"
+           else ScalarContext.symbolic("2", "3"))
+    rules = [ExcAlpha(Fraction(1, 2)), ExcAlphaPrime(Fraction(-2)),
+             ExcBeta(Fraction(3)), ExcBetaPrime(Fraction(1, 5)),
+             Mab(Fraction(1, 7), Fraction(3, 7))]
+    for m in (-2, 1, 3):
+        rules += [Mab(-ctx.hq(m), -ctx.upow(m)), Mab(-ctx.hq(m), ctx.zero)]
+    spectra = []
+    for rule in rules:
+        for n in (-2, -1, 1, 2):
+            want = [k for k in range(-6, 7)
+                    if is_zero(rule.coeff(ctx, n, k))]
+            got = annihilator_spectrum(ctx, rule, n, 6)
+            assert got == want, (rule.describe(), n)
+            spectra.append(got)
+    assert any(s != sorted(-k for k in s) for s in spectra)
 
 
 def test_quadratic_in_x_fit_coefficients(ctx):

@@ -34,7 +34,8 @@ from vpq.modules import (
     weight_injective,
 )
 from vpq.report import ResidualReport
-from vpq.scalar import RationalFunction, ScalarContext, is_zero, scalar_str
+from vpq.scalar import (RationalFunction, ScalarContext, exact_parts, is_zero,
+                        scalar_str)
 
 
 small_fracs = st.fractions(
@@ -631,3 +632,219 @@ def test_table_rule_converts_its_entries_once_read():
     with pytest.raises(ValueError, match="symbolic parameter"):
         TableRule({(0, 0): sym.var("a")}, window=0).coeff(
             ScalarContext.numeric(2, 3), 0, 0)
+
+
+# -- coefficient rows against single values -----------------------------------
+
+def _row_case(backend):
+    """A context and every family at it, with a random table rule."""
+    if backend.startswith("numeric"):
+        ctx = (ScalarContext.numeric(2, 3) if backend == "numeric"
+               else ScalarContext.numeric("5/2", "-3/4"))
+    else:
+        ctx = (ScalarContext.symbolic() if backend == "formal-pq"
+               else ScalarContext.symbolic("2", "3"))
+    if backend.startswith("formal"):
+        rules = _family_rules(lambda i: ctx.var("ab"[i % 2]))
+    else:
+        rules = _family_rules(lambda i: ctx.scalar(_NUMERIC[i]))
+    rnd = random.Random(20261020)
+    rules.append(TableRule({(n, k): Fraction(rnd.randint(-2, 2),
+                                             rnd.randint(1, 3))
+                            for n in range(-3, 4) for k in range(-6, 7)}, 6))
+    return ctx, rules
+
+
+@pytest.mark.parametrize("backend", ["numeric", "numeric-5/2,-3/4",
+                                     "symbolic", "formal-pq", "formal-ab"])
+def test_parts_row_matches_coeff(backend):
+    # each pair is an unreduced quotient of c(n, k): num = c·den exactly
+    # and den nonzero, on the special lines k = -1, 1, -n and off them, for
+    # rows given in any order
+    ctx, rules = _row_case(backend)
+    for rule in rules:
+        for n in range(-3, 4):
+            for ks in (range(-6, 7), [4, -n, 1, -1, 0]):
+                row = rule.parts_row(ctx, n, ks)
+                assert len(row) == len(ks)
+                for k, (num, den) in zip(ks, row):
+                    cn, cd = exact_parts(rule.coeff(ctx, n, k))
+                    assert not is_zero(den), (rule.describe(), n, k)
+                    assert is_zero(num * cd - cn * den), (rule.describe(), n, k)
+
+
+@pytest.mark.parametrize("backend", ["numeric", "formal-pq"])
+def test_mab_rows_reduce_one_constant_per_row(backend, monkeypatch):
+    # with u^k and h(k) cached, a row of Mab reduces A_n = a + b h(n) and
+    # nothing else, however long it is
+    if backend == "numeric":
+        ctx = ScalarContext.numeric("5/2", "-3/4")
+        rule = Mab(Fraction(1, 3), Fraction(-2))
+    else:
+        ctx = ScalarContext.symbolic()
+        rule = Mab(ctx.var("a"), ctx.var("b"))
+    for n in (-2, 3):
+        rule.parts_row(ctx, n, range(-12, 13))
+    reductions = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            reductions.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Fraction, "__new__",
+                        counting("Fraction", Fraction.__new__))
+    monkeypatch.setattr(scalar, "poly_gcd",
+                        counting("poly_gcd", scalar.poly_gcd))
+    counts = []
+    for n in (-2, 3):
+        for ks in (range(-1, 2), range(-12, 13)):
+            del reductions[:]
+            rule.parts_row(ctx, n, ks)
+            counts.append(len(reductions))
+    monkeypatch.undo()
+    assert counts[0] == counts[1] and counts[2] == counts[3]
+    assert 0 < max(counts) <= 8
+
+
+def _pair_scan_edges(ctx, rule, window):
+    """The action graph by one c(n, k) value per (k, t) pair."""
+    adj = {k: [] for k in range(-window, window + 1)}
+    for k in range(-window, window + 1):
+        for t in range(-window, window + 1):
+            if t != k and not is_zero(rule.coeff(ctx, t - k, k)):
+                adj[k].append(t)
+    return adj
+
+
+@pytest.mark.parametrize("backend", ["numeric", "symbolic"])
+def test_edges_match_the_pair_scan(backend):
+    # the is-reducible-grid rules of the bundled suite (mmax 4, window 8)
+    # and random tables, whose zeros fall anywhere
+    ctx = (ScalarContext.numeric(2, 3) if backend == "numeric"
+           else ScalarContext.symbolic("2", "3"))
+    rules = []
+    for m in range(-4, 5):
+        a = -ctx.hq(m)
+        rules += [Mab(a, -ctx.upow(m)), Mab(a, ctx.zero)]
+        if m:
+            rules.append(Mab(a, -ctx.ppow(-m) * ctx.qpow(-m)))
+    rnd = random.Random(20261021)
+    for window in (0, 1, 3, 5):
+        rules.append(TableRule({nk: rnd.choice((0, 0, 1, Fraction(-2, 3)))
+                                for nk in _table_pairs(window)}, window))
+    edges = 0
+    for rule in rules:
+        window = getattr(rule, "window", 8)
+        adj = modules._edges(ctx, rule, window)
+        assert adj == _pair_scan_edges(ctx, rule, window), rule.describe()
+        edges += sum(map(len, adj.values()))
+    assert edges > 1000
+
+
+def test_submodule_search_calls_no_coeff(ctx, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("Mab.coeff read by the submodule search")
+
+    monkeypatch.setattr(Mab, "coeff", forbidden)
+    subs, truncated = find_submodules_ex(
+        ctx, Mab(Fraction(-1, 2), Fraction(-3, 2)), 5)
+    assert subs == [[k for k in range(-5, 6) if k != -1]]
+    assert truncated is False
+
+
+def _value_intertwiner(ctx, ruleA, ruleB, m, window):
+    """find_intertwiner validated by values: h_{k+n} cA(n,k) - h_k cB(n,k+m)
+    reduced and tested for zero."""
+    h = {0: ctx.one}
+    for step in (1, -1):
+        for k in range(0, step * window, step):
+            j = min(k, k + step)
+            ca = ruleA.coeff(ctx, 1, j)
+            cb = ruleB.coeff(ctx, 1, j + m)
+            if is_zero(ca) and is_zero(cb):
+                h[k + step] = ctx.one
+            elif is_zero(ca) or is_zero(cb):
+                return None
+            else:
+                h[k + step] = h[k] * (cb / ca if step > 0 else ca / cb)
+    for n in range(-2, 3):
+        for k in range(-window, window + 1):
+            if abs(k + n) <= window and not is_zero(
+                    h[k + n] * ruleA.coeff(ctx, n, k)
+                    - h[k] * ruleB.coeff(ctx, n, k + m)):
+                return None
+    return h
+
+
+class _Regauged(modules.CoefficientRule):
+    """rule carried along v_k -> g(k) v_k, its coefficient at `bump` (an
+    (n, k) pair) then moved by one."""
+
+    family = "regauged"
+
+    def __init__(self, rule, g, bump=None):
+        self.rule, self.g, self.bump = rule, g, bump
+
+    def coeff(self, ctx, n, k):
+        c = self.rule.coeff(ctx, n, k) * self.g(k + n) / self.g(k)
+        return c + 1 if (n, k) == self.bump else c
+
+
+@pytest.mark.parametrize("backend", ["numeric", "numeric-5/2,-3/4",
+                                     "symbolic"])
+def test_intertwiner_validation_matches_values(backend, monkeypatch):
+    # shifted pairs (h = 1), regauged shifts (h_k = g(k+m)/g(m), so the
+    # parts of h have denominators), unrelated pairs, and regauged shifts
+    # with one |n| = 2 coefficient bumped: that breaks one constraint of
+    # the validation and none of the n = 1 propagation
+    ctx = {"numeric": ScalarContext.numeric(2, 3),
+           "numeric-5/2,-3/4": ScalarContext.numeric("5/2", "-3/4"),
+           "symbolic": ScalarContext.symbolic("2", "3")}[backend]
+
+    def g(j):
+        return ctx.scalar(Fraction(j * j + 1, abs(j) + 2))
+
+    rnd = random.Random(20261022)
+    window = 6
+    cases = []
+    for _ in range(5):
+        a = Fraction(rnd.randint(-4, 4), rnd.randint(1, 4))
+        b = Fraction(rnd.randint(-4, 4), rnd.randint(1, 4))
+        m = rnd.randint(-3, 3)
+        a2, b2 = shift_params(ctx, a, b, m)
+        k0 = rnd.choice((-window, 0, window - 2))
+        cases += [(Mab(a, b), Mab(a2, b2), m, "related"),
+                  (Mab(a, b), _Regauged(Mab(a2, b2), g), m, "related"),
+                  (Mab(a, b), Mab(a2 + 1, b2), m, "unrelated"),
+                  (Mab(a, b), Mab(a2, b2 * 2 + 1), m, "unrelated"),
+                  (Mab(a, b), _Regauged(Mab(a2, b2), g, (2, k0 + m)), m,
+                   "bumped")]
+    real_coeff = Mab.coeff
+
+    def n1_only(self, ctx, n, k):
+        assert n == 1, "the validation read c(%d, %d) as a value" % (n, k)
+        return real_coeff(self, ctx, n, k)
+
+    gauged = 0
+    for ruleA, ruleB, m, kind in cases:
+        want = _value_intertwiner(ctx, ruleA, ruleB, m, window)
+        with monkeypatch.context() as patch:
+            if isinstance(ruleB, Mab):
+                patch.setattr(Mab, "coeff", n1_only)
+            got = find_intertwiner(ctx, ruleA, ruleB, m, window)
+        assert (got is not None) == (kind == "related") == (want is not None)
+        if kind == "related":
+            assert got == want
+            gauged += any("/" in scalar_str(v) for v in got.values())
+        if kind == "bumped":
+            h = find_intertwiner(ctx, ruleA, _Regauged(ruleB.rule, g), m,
+                                 window)
+            broken = [(n, k) for n in range(-2, 3)
+                      for k in range(-window, window + 1)
+                      if abs(k + n) <= window and not is_zero(
+                          h[k + n] * ruleA.coeff(ctx, n, k)
+                          - h[k] * ruleB.coeff(ctx, n, k + m))]
+            assert broken == [(2, ruleB.bump[1] - m)]
+    assert gauged == 5

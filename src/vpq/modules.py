@@ -379,8 +379,9 @@ def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
     c(n,k) once, from one table that lives for the sweep and is filled by
     the rule's `parts_row`, and evaluates each generator pair as one row of
     residual numerators over all k (`_pair_numerators`).  A zero numerator
-    is a zero residual and is recorded as the context's zero; only a
-    nonzero one is reduced, by `relation_residual` at that k, so a failure
+    is a zero residual, and the row's zeros are counted with one
+    `record_zeros` call.  Only a nonzero one is reduced, by
+    `relation_residual` at that k, and recorded in k order, so a failure
     reads as the exact reduced residual.  The axiom is antisymmetric in its
     generator pair, so each unordered pair is computed once: (n, m) with
     n < m is kept until the sweep reaches (m, n), which records the negated
@@ -397,7 +398,6 @@ def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
         "family": rule.describe(), "nmax": int(nmax), "kmax": int(kmax),
         "pair_filter": pair_filter, **ctx.describe()})
     table = _PartsTable(ctx, rule)
-    zero = ctx.zero
     ks = range(-kmax, kmax + 1)
     pending = {}    # (n, m) with n < m -> its failures, until (m, n) is due
     for n in range(-nmax, nmax + 1):
@@ -413,9 +413,9 @@ def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
                             for k, x in zip(ks, nums) if not is_zero(x)}
                 if n < m:
                     pending[n, m] = failures
-            for k in ks:
-                rep.record("module-relation", (n, m, k),
-                           failures.get(k, zero))
+            rep.record_zeros(len(ks) - len(failures))
+            for k, r in failures.items():
+                rep.record("module-relation", (n, m, k), r)
     return rep
 
 

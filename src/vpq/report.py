@@ -3,6 +3,8 @@
 A report is a pure function of its inputs: sweeps feed it in sorted index
 order, scalars serialize as exact strings, and `to_dict` emits only plain
 JSON types so `json.dumps(sort_keys=True)` yields byte-identical output.
+The row sweeps judge residuals by their numerators, count the zeros of a
+row with one `record_zeros` call and `record` only the nonzero ones.
 
 Failures and findings are distinct sections on purpose.  A failure is a
 nonzero residual under the adjudicated reading of the source formulas; a
@@ -27,6 +29,14 @@ def _plain(value):
 
 
 class ResidualReport:
+    """Counts, failures and findings of one check.
+
+    `record` counts one residual and keeps a nonzero one as a failure;
+    `record_zeros` counts a batch of residuals already judged zero by their
+    numerators, so a sweep calls `record` only for its failures; `expect`
+    counts one boolean check.
+    """
+
     def __init__(self, name, params=None):
         self.name = name
         self.params = dict(params or {})
@@ -52,6 +62,17 @@ class ResidualReport:
                 "residual": scalar_str(residual),
             })
         return zero
+
+    def record_zeros(self, count):
+        """Count `count` residuals already judged zero, in one call.
+
+        A sweep that tests a row of residuals by their numerators counts the
+        row's zeros here and sends only its nonzero residuals, reduced,
+        through `record`, in index order: the counts and the failure entries
+        are what one `record` per residual would give.
+        """
+        self.checked += count
+        self.passed += count
 
     def expect(self, identity, indices, ok, detail=""):
         """Count one boolean check."""

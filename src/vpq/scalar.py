@@ -883,11 +883,51 @@ class ScalarContext:
         return hit
 
 
+def pascal_numerators(ctx, m, ns):
+    """Numerators of the `pascal_residual`s (m, n), n in ns, over a common
+    denominator.
+
+    Write the three terms [m+n], p^n [m] and q^m [n] as t_i = N_i/D_i from
+    the `exact_parts` of the cached qint, ppow and qpow values.  Every D_i
+    is nonzero, so the residual t1 - t2 - t3 is zero exactly when
+    N1·D2·D3 - N2·D1·D3 - N3·D1·D2 is: ring products only (ints or Polys),
+    no gcd and no reduced quotient.  The denominators and the powers are
+    monomials at formal p, q, so they are multiplied first and each q-integer
+    numerator once.
+    """
+    am, bm = exact_parts(ctx.qint(m))
+    qm, dqm = exact_parts(ctx.qpow(m))
+    out = []
+    for n in ns:
+        n1, d1 = exact_parts(ctx.qint(m + n))
+        pn, dpn = exact_parts(ctx.ppow(n))
+        an, bn = exact_parts(ctx.qint(n))
+        d2 = dpn * bm
+        d3 = dqm * bn
+        out.append(n1 * (d2 * d3) - am * (pn * d1 * d3)
+                   - an * (qm * d1 * d2))
+    return out
+
+
 def pascal_residual(ctx, m, n):
-    """[m+n] - p^n [m] - q^m [n]; identically zero."""
+    """[m+n] - p^n [m] - q^m [n]; identically zero.
+
+    Judged by its numerator (`pascal_numerators`): a zero one gives the
+    context's zero, and only a nonzero one is reduced, so a failure reads
+    as the exact reduced residual.
+    """
+    if is_zero(pascal_numerators(ctx, m, (n,))[0]):
+        return ctx.zero
     return ctx.qint(m + n) - ctx.ppow(n) * ctx.qint(m) - ctx.qpow(m) * ctx.qint(n)
 
 
 def reflection_residual(ctx, n):
-    """[-n] + (pq)^(-n) [n]; identically zero."""
+    """[-n] + (pq)^(-n) [n]; identically zero.  Judged by its numerator
+    N1·D2 + N2·D1 as `pascal_residual` is; only a nonzero one is reduced."""
+    n1, d1 = exact_parts(ctx.qint(-n))
+    pn, dpn = exact_parts(ctx.ppow(-n))
+    qn, dqn = exact_parts(ctx.qpow(-n))
+    an, bn = exact_parts(ctx.qint(n))
+    if is_zero(n1 * (dpn * dqn * bn) + an * (pn * qn * d1)):
+        return ctx.zero
     return ctx.qint(-n) + ctx.ppow(-n) * ctx.qpow(-n) * ctx.qint(n)

@@ -17,8 +17,9 @@ from fractions import Fraction
 from . import algebra, caseaudit, classify, modules, uqsl2
 from .modules import Mab, parse_family
 from .report import ResidualReport
-from .scalar import (ScalarContext, parse_rational, pascal_residual,
-                     reflection_residual, scalar_str)
+from .scalar import (ScalarContext, is_zero, parse_rational,
+                     pascal_numerators, pascal_residual, reflection_residual,
+                     scalar_str)
 
 VERSION = "0.1.0"
 
@@ -132,6 +133,9 @@ class SuiteConfig:
         rawchecks = doc["checks"]
         if not isinstance(rawchecks, list):
             raise SuiteConfigError("'checks' must be a list")
+        if not rawchecks:
+            # a suite that checks nothing must not pass
+            raise SuiteConfigError("'checks' must name at least one check")
         checks = []
         for i, spec in enumerate(rawchecks):
             where = "checks[%d]" % i
@@ -201,9 +205,14 @@ def _rand_fraction(rng, nonzero=False):
 def _check_qint(ctx, spec, rng):
     mmax = spec["mmax"]
     rep = ResidualReport("qint-identities", {"mmax": mmax, **ctx.describe()})
-    for m in range(-mmax, mmax + 1):
+    ns = range(-mmax, mmax + 1)
+    for m in ns:
         rep.record("reflection", (m,), reflection_residual(ctx, m))
-        for n in range(-mmax, mmax + 1):
+        # one row of Pascal numerators; only a nonzero one is reduced
+        bad = [n for n, x in zip(ns, pascal_numerators(ctx, m, ns))
+               if not is_zero(x)]
+        rep.record_zeros(len(ns) - len(bad))
+        for n in bad:
             rep.record("pascal", (m, n), pascal_residual(ctx, m, n))
     return rep
 

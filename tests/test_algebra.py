@@ -194,21 +194,46 @@ def _failures(rep):
     return {f["identity"] for f in rep.to_dict()["failures"]}
 
 
+def _wrong_structure_constants(monkeypatch, eta_scale=None, central_shift=None):
+    """Perturb eta(n,m) to eta·eta_scale(n,m) and c(n) to
+    c + central_shift(n), both as the single residuals read them (reduced
+    values) and as verify_algebra's sweep reads them (numerator and
+    denominator parts), so the two paths see the same wrong constants."""
+    sc = algebra._StructureConstants
+    if eta_scale is not None:
+        true_eta, true_parts = eta, sc.eta
+        monkeypatch.setattr(algebra, "eta", lambda c, n, m:
+                            true_eta(c, n, m) * eta_scale(n, m))
+
+        def eta_parts(self, n, m):
+            num, den = true_parts(self, n, m)
+            return num * eta_scale(n, m), den
+        monkeypatch.setattr(sc, "eta", eta_parts)
+    if central_shift is not None:
+        true_central, true_parts = central_coefficient, sc.central
+        monkeypatch.setattr(algebra, "central_coefficient", lambda c, n:
+                            true_central(c, n) + central_shift(n))
+
+        def central_parts(self, n):
+            num, den = true_parts(self, n)
+            return num + central_shift(n) * den, den
+        monkeypatch.setattr(sc, "central", central_parts)
+
+
 def test_verify_algebra_fails_on_a_wrong_central_coefficient(ctx, monkeypatch):
     # c(n) + n stays odd in n, so only the cocycle can see it
-    true_central = central_coefficient
-    monkeypatch.setattr(algebra, "central_coefficient",
-                        lambda c, n: true_central(c, n) + n)
+    _wrong_structure_constants(monkeypatch, central_shift=lambda n: n)
     rep = verify_algebra(ctx, 3)
     assert rep.failed > 0
     assert _failures(rep) == {"central-cocycle"}
+    for f in rep.to_dict()["failures"]:
+        detail = str(central_cocycle_residual(ctx, *f["indices"]))
+        assert f["residual"] == detail != "0"
 
 
 def test_verify_algebra_fails_on_a_wrong_eta(ctx, monkeypatch):
     # eta(n,m)·(n-m)^2 stays antisymmetric, so skew symmetry still holds
-    true_eta = eta
-    monkeypatch.setattr(algebra, "eta",
-                        lambda c, n, m: true_eta(c, n, m) * (n - m) ** 2)
+    _wrong_structure_constants(monkeypatch, eta_scale=lambda n, m: (n - m) ** 2)
     rep = verify_algebra(ctx, 3)
     assert "hom-jacobi" in _failures(rep)
     assert "skew" not in _failures(rep)

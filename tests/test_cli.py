@@ -135,6 +135,17 @@ def test_invalid_config_is_a_usage_error(capsys, tmp_path):
     assert "bogus" in err
 
 
+def test_empty_checks_list_is_a_usage_error(capsys, tmp_path):
+    # a suite that checks nothing used to exit 0 with "total checked=0"
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"context": {"p": "2", "q": "3"},
+                                "checks": []}))
+    rc, out, err = run(capsys, "suite", "--config", str(path))
+    assert rc == 2
+    assert err.startswith("vpq: ") and "at least one check" in err
+    assert "Traceback" not in err and "checked=" not in out
+
+
 def test_suite_runs_are_byte_identical(capsys, tmp_path):
     config = tmp_path / "suite.json"
     config.write_text(json.dumps({

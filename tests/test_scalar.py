@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import sympy
 
 from vpq import cli, scalar, suite
-from vpq.algebra import verify_algebra
+from vpq.algebra import hom_jacobi_residual, skew_residual, verify_algebra
 from vpq.modules import ExcBetaPrime, Mab, relation_residual, verify_module
 from vpq.scalar import (
     _EMAX,
@@ -515,12 +515,18 @@ def test_trivial_gcd_constant_branch(const, other):
 def test_prs_fallback_gives_the_same_reports(monkeypatch):
     """The formal sweeps come out the same with the heuristic gcd off, so
     _prs_gcd, _prem, _content_in and _coeffs_in are checked end to end.
-    verify_algebra sums cached structure constants and sends few gcds per
-    triple to the PRS, so its window is wide enough for over a hundred."""
+    The sweeps judge zero residuals by numerators and reduce only the
+    context's one-index values, so the single skew and twisted Jacobi
+    residuals, which reduce every sum, bring the PRS calls over a
+    hundred."""
     def reports():
         f = ScalarContext.symbolic()
+        w = range(-4, 5)
         return [verify_module(f, Mab(f.var("a"), f.var("b")), 2, 3).to_dict(),
-                verify_algebra(f, window=7).to_dict()]
+                verify_algebra(f, window=7).to_dict(),
+                [str(skew_residual(f, n, m)) for n in w for m in w],
+                [str(hom_jacobi_residual(f, k, l, m))
+                 for k in w for l in w for m in w if k <= l <= m]]
 
     heuristic = reports()
     prs_calls = []

@@ -7,6 +7,7 @@ import functools
 import hashlib
 import io
 import json
+from fractions import Fraction
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -14,8 +15,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpq import cli
-from vpq.suite import _CHECKS, SuiteConfig, run_suite
+from vpq import cli, scalar
+from vpq.algebra import hom_jacobi_residual, skew_residual, verify_algebra
+from vpq.modules import Mab, relation_residual, verify_module
+from vpq.scalar import ScalarContext, is_zero, pascal_residual, scalar_str
+from vpq.suite import _CHECKS, _HANDLERS, SuiteConfig, run_suite
 
 
 @functools.lru_cache(maxsize=None)
@@ -143,3 +147,138 @@ def test_every_config_keeps_the_exit_code_contract(doc):
         assert rc in (0, 1)
         failed = json.loads(report.read_text())["totals"]["failed"]
         assert (rc == 1) == (failed > 0)
+
+
+# -- numerator sweeps ------------------------------------------------------------
+#
+# qint-identities, verify-algebra and verify-module judge each residual by
+# its numerator over a common denominator, count the zeros in bulk and
+# reduce only a nonzero residual.  The references below reduce every
+# residual, one call per index, as the sweeps did before.
+
+def _context(point):
+    if point == "formal":
+        return ScalarContext.symbolic()
+    backend, p, q = point
+    make = (ScalarContext.symbolic if backend == "symbolic"
+            else ScalarContext.numeric)
+    return make(p, q)
+
+
+def _failures(rep):
+    return [(f["identity"], f["indices"], f["residual"])
+            for f in rep.to_dict()["failures"]]
+
+
+def _reduced_qint_failures(ctx, mmax):
+    out = []
+    for m in range(-mmax, mmax + 1):
+        r = ctx.qint(-m) + ctx.ppow(-m) * ctx.qpow(-m) * ctx.qint(m)
+        if not is_zero(r):
+            out.append(("reflection", [m], scalar_str(r)))
+        for n in range(-mmax, mmax + 1):
+            r = (ctx.qint(m + n) - ctx.ppow(n) * ctx.qint(m)
+                 - ctx.qpow(m) * ctx.qint(n))
+            assert scalar_str(pascal_residual(ctx, m, n)) == scalar_str(r)
+            if not is_zero(r):
+                out.append(("pascal", [m, n], scalar_str(r)))
+    return out
+
+
+def _reduced_algebra_failures(ctx, w):
+    out, cocycle = [], []
+    for n in range(-w, w + 1):
+        for m in range(n, w + 1):
+            r = skew_residual(ctx, n, m)
+            if not r.is_zero():
+                out.append(("skew", [n, m], str(r)))
+    for k in range(-w, w + 1):
+        for l in range(k, w + 1):
+            for m in range(l, w + 1):
+                r = hom_jacobi_residual(ctx, k, l, m)
+                if r.coeffs:
+                    out.append(("hom-jacobi", [k, l, m], str(r)))
+                if k + l + m == 0:
+                    text = scalar_str(r.central)
+                    cocycle.append({"indices": [k, l, m], "residual": text})
+                    if not is_zero(r.central):
+                        out.append(("central-cocycle", [k, l, m], text))
+    return out, cocycle
+
+
+def _reduced_module_failures(ctx, rule, nmax, kmax):
+    out = []
+    for n in range(-nmax, nmax + 1):
+        for m in range(-nmax, nmax + 1):
+            for k in range(-kmax, kmax + 1):
+                r = relation_residual(ctx, rule, n, m, k)
+                if not is_zero(r):
+                    out.append(("module-relation", [n, m, k], scalar_str(r)))
+    return out
+
+
+@pytest.mark.parametrize("point", [
+    ("numeric", "2", "3"), ("numeric", "5/2", "-3/4"),
+    ("symbolic", "2", "3"), "formal"], ids=str)
+def test_numerator_sweeps_report_what_reduction_reports(point):
+    """With one cached [3] off by one (and so h(3), read after it), the
+    numerator sweeps report the same failures, indices and residual
+    strings as reducing every residual does, and the same counts."""
+    ctx = _context(point)
+    ctx._qint_cache[3] = ctx.qint(3) + 1
+    mmax, w, nmax, kmax = (3, 3, 2, 3) if point == "formal" else (4, 4, 3, 5)
+
+    rep = _HANDLERS["qint-identities"](ctx, {"mmax": mmax}, None)
+    want = _reduced_qint_failures(ctx, mmax)
+    assert want and _failures(rep) == want
+    assert rep.checked == (2 * mmax + 1) * (2 * mmax + 2)
+
+    rep = verify_algebra(ctx, w)
+    want, cocycle = _reduced_algebra_failures(ctx, w)
+    assert {f[0] for f in want} == {"skew", "hom-jacobi", "central-cocycle"}
+    assert _failures(rep) == want
+    assert rep.to_dict()["sections"]["central_cocycle_residuals"] == cocycle
+    n = 2 * w + 1
+    assert rep.checked == (n * (n + 1) // 2 + n * (n + 1) * (n + 2) // 6
+                           + len(cocycle))
+
+    rule = Mab(ctx.scalar("1/3"), ctx.scalar(-2))
+    rep = verify_module(ctx, rule, nmax, kmax)
+    want = _reduced_module_failures(ctx, rule, nmax, kmax)
+    assert want and _failures(rep) == want
+    assert rep.checked == (2 * nmax + 1) ** 2 * (2 * kmax + 1)
+    assert rep.failed == len(want)
+
+
+_FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
+                        "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                        "__pow__", "__neg__")
+
+
+@pytest.mark.parametrize("point", [("numeric", "2", "3"), "formal"], ids=str)
+def test_passing_numerator_sweeps_reduce_nothing(monkeypatch, point):
+    """Once the context's one-index caches are warm, passing
+    qint-identities and verify-algebra sweeps take ring products only: no
+    poly_gcd at formal p, q and no Fraction arithmetic on the numeric
+    backend."""
+    ctx = _context(point)
+
+    def sweeps():
+        return [_HANDLERS["qint-identities"](ctx, {"mmax": 8}, None),
+                verify_algebra(ctx, 4)]
+
+    warm = [rep.to_dict() for rep in sweeps()]
+    assert all(d["counts"]["failed"] == 0 < d["counts"]["checked"]
+               for d in warm)
+
+    def reduced(*args):
+        raise AssertionError("a passing sweep reduced a residual")
+
+    if point == "formal":
+        monkeypatch.setattr(scalar, "poly_gcd", reduced)
+    else:
+        for name in _FRACTION_ARITHMETIC:
+            monkeypatch.setattr(Fraction, name, reduced)
+    reports = sweeps()
+    monkeypatch.undo()
+    assert [rep.to_dict() for rep in reports] == warm

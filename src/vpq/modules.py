@@ -10,10 +10,12 @@ and the central element acts as zero on every family.
 
 A rule gives single values through `coeff` and whole rows through
 `parts_row(ctx, n, ks)`: an unreduced (numerator, denominator) pair for each
-c(n, k), k in ks, ints on the numeric backend and Polys on the symbolic one,
-every denominator nonzero.  The module sweep, the submodule graph and the
-intertwiner validation read rows and test numerators, so a row of `Mab` takes
-ring products only; a value is reduced only where a report prints it.
+c(n, k), k in ks, every denominator nonzero.  Parts are ints on the numeric
+backend; on the symbolic one a constant part is an int too and only the rest
+are Polys, so at a rational point a row is int arithmetic even with formal
+a, b.  The module sweep, the submodule graph and the intertwiner validation
+read rows and test numerators, so a row of `Mab` takes ring products only; a
+value is reduced only where a report prints it.
 
 Families:
 
@@ -43,7 +45,9 @@ class CoefficientRule:
 
     def parts_row(self, ctx, n, ks):
         """[(numerator, denominator) of c(n, k) for k in ks], unreduced; the
-        numerator is zero exactly when c(n, k) is."""
+        numerator is zero exactly when c(n, k) is.  Each part is an int on
+        the numeric backend and, on the symbolic one, whenever it is
+        constant (see `exact_parts`); otherwise it is a Poly."""
         return [exact_parts(self.coeff(ctx, n, k)) for k in ks]
 
     def params(self):

@@ -85,6 +85,9 @@ class Poly:
     Terms map packed monomials (one int per monomial, one field per entry of
     VARS, see ``_BITS``) to nonzero int coefficients.  The zero polynomial is
     the empty dict.  An exponent above ``_EMAX`` raises ValueError.
+    ``+``, ``-`` and ``*`` also take an int operand on either side, a
+    ground scalar as in the fraction-free kernels' parts; any other operand
+    type is a TypeError.
     """
 
     __slots__ = ("terms", "_hash")
@@ -131,8 +134,14 @@ class Poly:
     # arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, Poly):
+            items = other.terms.items()
+        elif isinstance(other, int):
+            items = ((_ZEXP, other),) if other else ()
+        else:
+            return NotImplemented
         t = dict(self.terms)
-        for e, c in other.terms.items():
+        for e, c in items:
             s = t.get(e, 0) + c
             if s:
                 t[e] = s
@@ -143,6 +152,8 @@ class Poly:
         r._hash = None
         return r
 
+    __radd__ = __add__
+
     def __neg__(self):
         r = Poly.__new__(Poly)
         r.terms = {e: -c for e, c in self.terms.items()}
@@ -150,9 +161,39 @@ class Poly:
         return r
 
     def __sub__(self, other):
-        return self + (-other)
+        if isinstance(other, Poly):
+            items = other.terms.items()
+        elif isinstance(other, int):
+            items = ((_ZEXP, other),) if other else ()
+        else:
+            return NotImplemented
+        t = dict(self.terms)
+        for e, c in items:
+            s = t.get(e, 0) - c
+            if s:
+                t[e] = s
+            else:
+                t.pop(e, None)
+        r = Poly.__new__(Poly)
+        r.terms = t
+        r._hash = None
+        return r
+
+    def __rsub__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        return -(self - other)
 
     def __mul__(self, other):
+        if not isinstance(other, Poly):
+            if not isinstance(other, int):
+                return NotImplemented
+            # an int factor keeps every exponent, so no guard bit can be set
+            r = Poly.__new__(Poly)
+            r.terms = ({e: c * other for e, c in self.terms.items()}
+                       if other else {})
+            r._hash = None
+            return r
         if not self.terms or not other.terms:
             return Poly()
         if len(other.terms) == 1:
@@ -179,6 +220,8 @@ class Poly:
         r.terms = t
         r._hash = None
         return r
+
+    __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
@@ -733,15 +776,29 @@ def is_zero(x):
     return test()
 
 
+def _ground(f):
+    """The int value of the Poly f when it is constant (zero included),
+    else f itself."""
+    t = f.terms
+    if not t:
+        return 0
+    if len(t) == 1 and _ZEXP in t:
+        return t[_ZEXP]
+    return f
+
+
 def exact_parts(x):
-    """(numerator, denominator) of a scalar of either backend: ints for a
-    Fraction or an int, Polys for a RationalFunction.  The denominator is
-    never zero, so x is zero exactly when the numerator is.  Anything else
-    (a float) raises TypeError."""
+    """(numerator, denominator) of a scalar of either backend, each part an
+    int or a Poly.  Parts are ints for a Fraction or an int; a
+    RationalFunction gives each part as an int when that Poly is constant
+    and as the Poly otherwise, so at a rational point the ring products of
+    parts are int products even while a and b stay formal.  The denominator
+    is never zero, so x is zero exactly when the numerator is.  Anything
+    else (a float) raises TypeError."""
     if isinstance(x, (Fraction, int)):
         return x.numerator, x.denominator
     if isinstance(x, RationalFunction):
-        return x.num, x.den
+        return _ground(x.num), _ground(x.den)
     raise TypeError("not an exact scalar: %r" % (x,))
 
 

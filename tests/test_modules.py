@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vpq import modules, scalar
+from vpq.algebra import verify_algebra
 from vpq.caseaudit import case3_constants, case_constants_audit
 from vpq.classify import (identity_audit, l2_display_audit,
                           quadratic_roots_audit, second_solution)
@@ -34,8 +35,8 @@ from vpq.modules import (
     weight_injective,
 )
 from vpq.report import ResidualReport
-from vpq.scalar import (RationalFunction, ScalarContext, exact_parts, is_zero,
-                        scalar_str)
+from vpq.scalar import (Poly, RationalFunction, ScalarContext, exact_parts,
+                        is_zero, pascal_numerators, scalar_str)
 
 
 small_fracs = st.fractions(
@@ -706,6 +707,44 @@ def test_mab_rows_reduce_one_constant_per_row(backend, monkeypatch):
     monkeypatch.undo()
     assert counts[0] == counts[1] and counts[2] == counts[3]
     assert 0 < max(counts) <= 8
+
+
+def test_ground_rows_multiply_no_constant_polys(monkeypatch):
+    # at a rational point every h(k) and u^k is a constant, so their parts
+    # are ints and the row kernels multiply no two constant Polys on a warm
+    # context; a Mab row with formal a, b still reduces A_n = a + b h(n)
+    # once per row, so that count stays flat as the rows grow
+    real = Poly.__mul__
+    products = []
+
+    def counting(self, other):
+        if isinstance(other, Poly) and self.is_const() and other.is_const():
+            products.append(1)
+        return real(self, other)
+
+    def constant_products(run):
+        rep = run()    # warms the context caches
+        with monkeypatch.context() as patch:
+            patch.setattr(Poly, "__mul__", counting)
+            del products[:]
+            again = run()
+        for r in (rep, again):
+            if r is not None:
+                assert r.checked > 0 and r.failed == 0
+        return len(products)
+
+    ctx = ScalarContext.symbolic("2", "3")
+    assert constant_products(lambda: verify_algebra(ctx, 4)) == 0
+    nums = []
+    assert constant_products(
+        lambda: nums.append(pascal_numerators(ctx, 3, range(-6, 7)))) == 0
+    assert all(is_zero(x) for row in nums for x in row)
+    for p, q in (("2", "3"), ("-3/2", "1/4")):
+        ctx = ScalarContext.symbolic(p, q)
+        rule = Mab(ctx.var("a"), ctx.var("b"))
+        counts = [constant_products(lambda: verify_module(ctx, rule, 3, kmax))
+                  for kmax in (5, 10)]
+        assert counts[0] == counts[1], (p, q, counts)
 
 
 def _pair_scan_edges(ctx, rule, window):

@@ -17,7 +17,7 @@ the zeros in bulk and reduces only a nonzero residual, for its detail.
 from __future__ import annotations
 
 from .report import ResidualReport
-from .scalar import exact_parts, is_zero, scalar_str
+from .scalar import is_zero, scalar_str
 
 
 class AlgebraElement:
@@ -117,7 +117,7 @@ def hom_twist(ctx, x):
 class _StructureConstants:
     """Unreduced (numerator, denominator) parts of eta(n, m),
     central_coefficient(n) and the twist factor 1 + u^n under one context,
-    each built once from the `exact_parts` of the cached h and u values by
+    each built once from the `ScalarContext.parts` of the cached h and u values by
     ring products only: no gcd and no Fraction or RationalFunction.
 
     Every denominator is nonzero (the context guard keeps 1 + u^n away
@@ -130,7 +130,7 @@ class _StructureConstants:
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self._six = exact_parts(ctx.scalar(6))[0]
+        self._six = ctx.parts(ctx.scalar(6))[0]
         self._eta = {}
         self._central = {}
         self._twist = {}
@@ -139,8 +139,9 @@ class _StructureConstants:
         """h(n) - h(m)."""
         hit = self._eta.get((n, m))
         if hit is None:
-            an, bn = exact_parts(self.ctx.hq(n))
-            am, bm = exact_parts(self.ctx.hq(m))
+            ctx = self.ctx
+            an, bn = ctx.parts(ctx.hq(n))
+            am, bm = ctx.parts(ctx.hq(m))
             hit = self._eta[n, m] = (an * bm - am * bn, bn * bm)
         return hit
 
@@ -148,11 +149,12 @@ class _StructureConstants:
         """u^{-n} h(n-1) h(n) h(n+1) / (6 (1 + u^n))."""
         hit = self._central.get(n)
         if hit is None:
-            num, den = exact_parts(self.ctx.upow(-n))
+            ctx = self.ctx
+            num, den = ctx.parts(ctx.upow(-n))
             tn, td = self.twist(n)
             num, den = num * td, den * tn * self._six
             for j in (n - 1, n, n + 1):
-                hn, hd = exact_parts(self.ctx.hq(j))
+                hn, hd = ctx.parts(ctx.hq(j))
                 num, den = num * hn, den * hd
             hit = self._central[n] = (num, den)
         return hit
@@ -161,7 +163,8 @@ class _StructureConstants:
         """1 + u^n."""
         hit = self._twist.get(n)
         if hit is None:
-            un, ud = exact_parts(self.ctx.upow(n))
+            ctx = self.ctx
+            un, ud = ctx.parts(ctx.upow(n))
             hit = self._twist[n] = (ud + un, ud)
         return hit
 

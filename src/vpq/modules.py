@@ -10,12 +10,13 @@ and the central element acts as zero on every family.
 
 A rule gives single values through `coeff` and whole rows through
 `parts_row(ctx, n, ks)`: an unreduced (numerator, denominator) pair for each
-c(n, k), k in ks, every denominator nonzero.  Parts are ints on the numeric
-backend; on the symbolic one a constant part is an int too and only the rest
-are Polys, so at a rational point a row is int arithmetic even with formal
-a, b.  The module sweep, the submodule graph and the intertwiner validation
-read rows and test numerators, so a row of `Mab` takes ring products only; a
-value is reduced only where a report prints it.
+c(n, k), k in ks, every denominator nonzero.  Parts come from
+`ScalarContext.parts`: at a point, on either backend, a constant part is an
+int and only the rest are Polys, so a row is int arithmetic even with formal
+a, b; at formal p, q every part is a Poly.  The kernels put int factors to
+the left of Poly factors.  The module sweep, the submodule graph and the
+intertwiner validation read rows and test numerators, so a row of `Mab` takes
+ring products only; a value is reduced only where a report prints it.
 
 Families:
 
@@ -32,7 +33,7 @@ Families:
 from __future__ import annotations
 
 from .report import ResidualReport
-from .scalar import exact_parts, is_zero, parse_rational, scalar_str
+from .scalar import is_zero, parse_rational, scalar_str
 
 
 class CoefficientRule:
@@ -45,10 +46,10 @@ class CoefficientRule:
 
     def parts_row(self, ctx, n, ks):
         """[(numerator, denominator) of c(n, k) for k in ks], unreduced; the
-        numerator is zero exactly when c(n, k) is.  Each part is an int on
-        the numeric backend and, on the symbolic one, whenever it is
-        constant (see `exact_parts`); otherwise it is a Poly."""
-        return [exact_parts(self.coeff(ctx, n, k)) for k in ks]
+        numerator is zero exactly when c(n, k) is.  At a point each part
+        is an int whenever it is constant and a Poly otherwise; at formal
+        p, q each is a Poly (see `ScalarContext.parts`)."""
+        return [ctx.parts(self.coeff(ctx, n, k)) for k in ks]
 
     def params(self):
         return {}
@@ -101,11 +102,11 @@ class Mab(CoefficientRule):
         """c(n,k) = h(k) - u^k A_n with A_n = a + b h(n): one reduced
         constant per row, then ring products of its parts with the cached
         parts of h(k) and u^k."""
-        An, Ad = exact_parts(self.a + self.b * ctx.hq(n))
+        An, Ad = ctx.parts(self.a + self.b * ctx.hq(n))
         out = []
         for k in ks:
-            hn, hd = exact_parts(ctx.hq(k))
-            un, ud = exact_parts(ctx.upow(k))
+            hn, hd = ctx.parts(ctx.hq(k))
+            un, ud = ctx.parts(ctx.upow(k))
             x = ud * Ad
             out.append((hn * x - un * hd * An, hd * x))
         return out
@@ -358,10 +359,10 @@ def _pair_numerators(ctx, table, n, m, ks):
     exactly when N1·D2·D3 - N2·D1·D3 - N3·D1·D2 is.  That takes ring
     products only (ints or Polys): no gcd and no reduced quotient.
     """
-    a1, b1 = exact_parts(ctx.upow(n))
-    a2, b2 = exact_parts(ctx.upow(m))
-    hm, dhm = exact_parts(ctx.hq(m))
-    hn, dhn = exact_parts(ctx.hq(n))
+    a1, b1 = ctx.parts(ctx.upow(n))
+    a2, b2 = ctx.parts(ctx.upow(m))
+    hm, dhm = ctx.parts(ctx.hq(m))
+    hn, dhn = ctx.parts(ctx.hq(n))
     a3, b3 = hm * dhn - hn * dhm, dhm * dhn    # h(m) - h(n)
     row = table.row
     out = []
@@ -371,8 +372,8 @@ def _pair_numerators(ctx, table, n, m, ks):
             row(m, [n + k for k in ks]), row(n + m, ks)):
         d1 = b1 * dm * dnm
         d2 = b2 * dn * dmn
-        out.append((a1 * nm * nnm * d2 - a2 * nn * nmn * d1) * (b3 * ds)
-                   - a3 * ns * (d1 * d2))
+        out.append((b3 * ds) * (a1 * d2 * nm * nnm - a2 * d1 * nn * nmn)
+                   - a3 * (d1 * d2) * ns)
     return out
 
 
@@ -576,7 +577,7 @@ def find_intertwiner(ctx, ruleA, ruleB, m, window):
                 return None
             else:
                 h[k + step] = h[k] * (cb / ca if step > 0 else ca / cb)
-    hparts = {k: exact_parts(v) for k, v in h.items()}
+    hparts = {k: ctx.parts(v) for k, v in h.items()}
     for n in range(-2, 3):
         ks = _row_window(n, window)
         rowA = ruleA.parts_row(ctx, n, ks)

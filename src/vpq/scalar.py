@@ -87,7 +87,8 @@ class Poly:
     the empty dict.  An exponent above ``_EMAX`` raises ValueError.
     ``+``, ``-`` and ``*`` also take an int operand on either side, a
     ground scalar as in the fraction-free kernels' parts; any other operand
-    type is a TypeError.
+    type is a TypeError.  The kernels write an int factor to the left
+    (``n * p``, `__rmul__`), so ``__mul__`` sees Poly operands only there.
     """
 
     __slots__ = ("terms", "_hash")
@@ -133,7 +134,9 @@ class Poly:
 
     # arithmetic -----------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign·other for a Poly or an int other, in one copied dict
+        with zero sums dropped."""
         if isinstance(other, Poly):
             items = other.terms.items()
         elif isinstance(other, int):
@@ -142,7 +145,7 @@ class Poly:
             return NotImplemented
         t = dict(self.terms)
         for e, c in items:
-            s = t.get(e, 0) + c
+            s = t.get(e, 0) + sign * c
             if s:
                 t[e] = s
             else:
@@ -151,6 +154,9 @@ class Poly:
         r.terms = t
         r._hash = None
         return r
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -161,23 +167,7 @@ class Poly:
         return r
 
     def __sub__(self, other):
-        if isinstance(other, Poly):
-            items = other.terms.items()
-        elif isinstance(other, int):
-            items = ((_ZEXP, other),) if other else ()
-        else:
-            return NotImplemented
-        t = dict(self.terms)
-        for e, c in items:
-            s = t.get(e, 0) - c
-            if s:
-                t[e] = s
-            else:
-                t.pop(e, None)
-        r = Poly.__new__(Poly)
-        r.terms = t
-        r._hash = None
-        return r
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         if not isinstance(other, int):
@@ -186,14 +176,7 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            if not isinstance(other, int):
-                return NotImplemented
-            # an int factor keeps every exponent, so no guard bit can be set
-            r = Poly.__new__(Poly)
-            r.terms = ({e: c * other for e, c in self.terms.items()}
-                       if other else {})
-            r._hash = None
-            return r
+            return self.__rmul__(other)
         if not self.terms or not other.terms:
             return Poly()
         if len(other.terms) == 1:
@@ -221,7 +204,15 @@ class Poly:
         r._hash = None
         return r
 
-    __rmul__ = __mul__
+    def __rmul__(self, n):
+        """n·self for an int n: the coefficients scale and every exponent
+        stays, so no guard bit can be set."""
+        if not isinstance(n, int):
+            return NotImplemented
+        r = Poly.__new__(Poly)
+        r.terms = {e: c * n for e, c in self.terms.items()} if n else {}
+        r._hash = None
+        return r
 
     def __pow__(self, n):
         if n < 0:
@@ -792,9 +783,10 @@ def exact_parts(x):
     int or a Poly.  Parts are ints for a Fraction or an int; a
     RationalFunction gives each part as an int when that Poly is constant
     and as the Poly otherwise, so at a rational point the ring products of
-    parts are int products even while a and b stay formal.  The denominator
-    is never zero, so x is zero exactly when the numerator is.  Anything
-    else (a float) raises TypeError."""
+    parts are int products even while a and b stay formal (the kernels
+    read parts through `ScalarContext.parts`, which grounds only at a
+    point).  The denominator is never zero, so x is zero exactly when the
+    numerator is.  Anything else (a float) raises TypeError."""
     if isinstance(x, (Fraction, int)):
         return x.numerator, x.denominator
     if isinstance(x, RationalFunction):
@@ -900,6 +892,18 @@ class ScalarContext:
             "guard": {"mode": "formal" if self.formal else "rational-point"},
         }
 
+    def parts(self, x):
+        """(numerator, denominator) of a scalar of this context, as the
+        fraction-free kernels read it.  At a point (either backend) this is
+        `exact_parts`, so every part of an h(k), u^k, [n] or power is an
+        int.  At formal p, q both parts stay Polys: there p^n has
+        denominator 1 for n >= 0 and p^-n for n < 0, so grounding would mix
+        ints and Polys by the sign of an exponent, and a kernel could not
+        keep its int factors to the left of its Poly factors."""
+        if self.formal:
+            return x.num, x.den
+        return exact_parts(x)
+
     # memoised one-index quantities --------------------------------------------
 
     def ppow(self, n):
@@ -945,20 +949,20 @@ def pascal_numerators(ctx, m, ns):
     denominator.
 
     Write the three terms [m+n], p^n [m] and q^m [n] as t_i = N_i/D_i from
-    the `exact_parts` of the cached qint, ppow and qpow values.  Every D_i
+    the `ScalarContext.parts` of the cached qint, ppow and qpow values.  Every D_i
     is nonzero, so the residual t1 - t2 - t3 is zero exactly when
     N1·D2·D3 - N2·D1·D3 - N3·D1·D2 is: ring products only (ints or Polys),
     no gcd and no reduced quotient.  The denominators and the powers are
     monomials at formal p, q, so they are multiplied first and each q-integer
     numerator once.
     """
-    am, bm = exact_parts(ctx.qint(m))
-    qm, dqm = exact_parts(ctx.qpow(m))
+    am, bm = ctx.parts(ctx.qint(m))
+    qm, dqm = ctx.parts(ctx.qpow(m))
     out = []
     for n in ns:
-        n1, d1 = exact_parts(ctx.qint(m + n))
-        pn, dpn = exact_parts(ctx.ppow(n))
-        an, bn = exact_parts(ctx.qint(n))
+        n1, d1 = ctx.parts(ctx.qint(m + n))
+        pn, dpn = ctx.parts(ctx.ppow(n))
+        an, bn = ctx.parts(ctx.qint(n))
         d2 = dpn * bm
         d3 = dqm * bn
         out.append(n1 * (d2 * d3) - am * (pn * d1 * d3)
@@ -981,10 +985,10 @@ def pascal_residual(ctx, m, n):
 def reflection_residual(ctx, n):
     """[-n] + (pq)^(-n) [n]; identically zero.  Judged by its numerator
     N1·D2 + N2·D1 as `pascal_residual` is; only a nonzero one is reduced."""
-    n1, d1 = exact_parts(ctx.qint(-n))
-    pn, dpn = exact_parts(ctx.ppow(-n))
-    qn, dqn = exact_parts(ctx.qpow(-n))
-    an, bn = exact_parts(ctx.qint(n))
+    n1, d1 = ctx.parts(ctx.qint(-n))
+    pn, dpn = ctx.parts(ctx.ppow(-n))
+    qn, dqn = ctx.parts(ctx.qpow(-n))
+    an, bn = ctx.parts(ctx.qint(n))
     if is_zero(n1 * (dpn * dqn * bn) + an * (pn * qn * d1)):
         return ctx.zero
     return ctx.qint(-n) + ctx.ppow(-n) * ctx.qpow(-n) * ctx.qint(n)

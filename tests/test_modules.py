@@ -36,7 +36,8 @@ from vpq.modules import (
 )
 from vpq.report import ResidualReport
 from vpq.scalar import (Poly, RationalFunction, ScalarContext, exact_parts,
-                        is_zero, pascal_numerators, scalar_str)
+                        is_zero, pascal_numerators, reflection_residual,
+                        scalar_str)
 
 
 small_fracs = st.fractions(
@@ -745,6 +746,36 @@ def test_ground_rows_multiply_no_constant_polys(monkeypatch):
         counts = [constant_products(lambda: verify_module(ctx, rule, 3, kmax))
                   for kmax in (5, 10)]
         assert counts[0] == counts[1], (p, q, counts)
+
+
+def test_kernels_multiply_a_poly_by_no_int_on_its_right(monkeypatch):
+    # the kernels write an int factor to the left of a Poly (n * p goes to
+    # Poly.__rmul__), so Poly.__mul__ only ever sees two Polys; perfbench's
+    # scalar.poly.mul probe counts the terms of both of its operands.  The
+    # sweeps of the formal workload: formal a, b at two points, then
+    # formal p, q
+    real = Poly.__mul__
+    seen = []
+
+    def polys_only(self, other):
+        if not isinstance(other, Poly):
+            seen.append(type(other).__name__)
+        return real(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", polys_only)
+    for p, q in (("2", "3"), ("-3/2", "1/4")):
+        ctx = ScalarContext.symbolic(p, q)
+        rep = verify_module(ctx, Mab(ctx.var("a"), ctx.var("b")), 3, 5)
+        assert rep.checked > 0 and rep.failed == 0
+    f = ScalarContext.symbolic()
+    for rep in (verify_module(f, Mab(f.var("a"), f.var("b")), 2, 3),
+                verify_module(f, Mab(f.scalar(2), f.scalar(-1)), 2, 3),
+                verify_algebra(f, 3)):
+        assert rep.checked > 0 and rep.failed == 0
+    for m in range(-3, 4):
+        assert all(is_zero(x) for x in pascal_numerators(f, m, range(-4, 5)))
+        assert is_zero(reflection_residual(f, m))
+    assert seen == []
 
 
 def _pair_scan_edges(ctx, rule, window):

@@ -351,6 +351,21 @@ def test_exact_parts_split_a_scalar_of_either_backend(sym):
             exact_parts(bad)
 
 
+def test_context_parts_ground_only_at_a_point(sym):
+    # at a point the context's parts are exact_parts, ints where constant;
+    # at formal p, q both parts stay Polys whatever the exponent's sign
+    s23 = ScalarContext.symbolic("2", "3")
+    a = s23.var("a")
+    for v in (s23.hq(3), s23.upow(-2), s23.zero, a + s23.hq(2)):
+        assert s23.parts(v) == exact_parts(v)
+    num = ScalarContext.numeric("2", "3")
+    assert num.parts(num.hq(-2)) == exact_parts(num.hq(-2)) == (-5, 9)
+    for v in (sym.qint(2), sym.ppow(-1), sym.upow(0), sym.hq(0), sym.one):
+        got = sym.parts(v)
+        assert got == (v.num, v.den)
+        assert all(isinstance(x, Poly) for x in got)
+
+
 def test_quantum_integer_values(ctx):
     # [n] = (p^n - q^n)/(p - q) at p=2, q=3
     assert ctx.qint(0) == 0

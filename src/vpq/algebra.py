@@ -117,8 +117,9 @@ def hom_twist(ctx, x):
 class _StructureConstants:
     """Unreduced (numerator, denominator) parts of eta(n, m),
     central_coefficient(n) and the twist factor 1 + u^n under one context,
-    each built once from the `ScalarContext.parts` of the cached h and u values by
-    ring products only: no gcd and no Fraction or RationalFunction.
+    each built once from the `ScalarContext.parts` of the cached h and u
+    values by ring products only: no gcd and no Fraction or
+    RationalFunction.
 
     Every denominator is nonzero (the context guard keeps 1 + u^n away
     from zero), so a sum of products of these is zero exactly when its

@@ -88,7 +88,9 @@ class Poly:
     ``+``, ``-`` and ``*`` also take an int operand on either side, a
     ground scalar as in the fraction-free kernels' parts; any other operand
     type is a TypeError.  The kernels write an int factor to the left
-    (``n * p``, `__rmul__`), so ``__mul__`` sees Poly operands only there.
+    (``n * p``, `__rmul__`), so ``__mul__`` sees Poly operands only there,
+    as perfbench's ``scalar.poly.mul`` probe, which counts the terms of
+    both operands, expects.
     """
 
     __slots__ = ("terms", "_hash")
@@ -949,8 +951,8 @@ def pascal_numerators(ctx, m, ns):
     denominator.
 
     Write the three terms [m+n], p^n [m] and q^m [n] as t_i = N_i/D_i from
-    the `ScalarContext.parts` of the cached qint, ppow and qpow values.  Every D_i
-    is nonzero, so the residual t1 - t2 - t3 is zero exactly when
+    the `ScalarContext.parts` of the cached qint, ppow and qpow values.
+    Every D_i is nonzero, so the residual t1 - t2 - t3 is zero exactly when
     N1·D2·D3 - N2·D1·D3 - N3·D1·D2 is: ring products only (ints or Polys),
     no gcd and no reduced quotient.  The denominators and the powers are
     monomials at formal p, q, so they are multiplied first and each q-integer

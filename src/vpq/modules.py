@@ -61,7 +61,8 @@ class CoefficientRule:
 
 
 class MemoRule(CoefficientRule):
-    """One rule under one context, each coefficient computed once.
+    """One rule under one context, each coefficient's value and parts
+    computed once.
 
     A sweep wraps its rule for its own duration, so the memo dies with the
     sweep.  Under any other context it evaluates the rule afresh.
@@ -72,6 +73,7 @@ class MemoRule(CoefficientRule):
         self.rule = rule
         self.family = rule.family
         self._memo = {}
+        self._rows = {}     # n -> {k: parts of c(n, k)}
 
     def coeff(self, ctx, n, k):
         if ctx is not self.ctx:
@@ -80,6 +82,16 @@ class MemoRule(CoefficientRule):
         if hit is None:
             hit = self._memo[n, k] = self.rule.coeff(ctx, n, k)
         return hit
+
+    def parts_row(self, ctx, n, ks):
+        """The wrapped rule's row, its missing entries filled by one call."""
+        if ctx is not self.ctx:
+            return self.rule.parts_row(ctx, n, ks)
+        row = self._rows.setdefault(n, {})
+        missing = [k for k in ks if k not in row]
+        if missing:
+            row.update(zip(missing, self.rule.parts_row(ctx, n, missing)))
+        return [row[k] for k in ks]
 
     def params(self):
         return self.rule.params()
@@ -262,6 +274,8 @@ def parse_family(spec):
                 key = fields[0]
             if key not in fields:
                 raise ValueError("family %s has no parameter %r" % (name, key))
+            if key in given:
+                raise ValueError("family %s repeats parameter %r" % (name, key))
             given[key] = parse_rational(val)
     missing = [f for f in fields if f not in given]
     if missing:
@@ -330,26 +344,7 @@ def relation_residual(ctx, rule, n, m, k):
             - (ctx.hq(m) - ctx.hq(n)) * c(ctx, n + m, k))
 
 
-class _PartsTable:
-    """The parts of each coefficient c(n, k) one sweep reads, each computed
-    once.  A row holds one n; the table dies with the sweep."""
-
-    def __init__(self, ctx, rule):
-        self.ctx = ctx
-        self.rule = rule
-        self.rows = {}
-
-    def row(self, n, ks):
-        """[(numerator, denominator) of c(n, k) for k in ks]."""
-        row = self.rows.setdefault(n, {})
-        missing = [k for k in ks if k not in row]
-        if missing:
-            row.update(zip(missing,
-                           self.rule.parts_row(self.ctx, n, missing)))
-        return [row[k] for k in ks]
-
-
-def _pair_numerators(ctx, table, n, m, ks):
+def _pair_numerators(ctx, rule, n, m, ks):
     """Numerators of the `relation_residual`s on v_k, k in ks, for the
     generator pair (n, m), over a common denominator.
 
@@ -364,12 +359,13 @@ def _pair_numerators(ctx, table, n, m, ks):
     hm, dhm = ctx.parts(ctx.hq(m))
     hn, dhn = ctx.parts(ctx.hq(n))
     a3, b3 = hm * dhn - hn * dhm, dhm * dhn    # h(m) - h(n)
-    row = table.row
+    row = rule.parts_row
     out = []
     # parts of c(m,k), c(n,m+k), c(n,k), c(m,n+k) and c(n+m,k)
     for (nm, dm), (nnm, dnm), (nn, dn), (nmn, dmn), (ns, ds) in zip(
-            row(m, ks), row(n, [m + k for k in ks]), row(n, ks),
-            row(m, [n + k for k in ks]), row(n + m, ks)):
+            row(ctx, m, ks), row(ctx, n, [m + k for k in ks]),
+            row(ctx, n, ks), row(ctx, m, [n + k for k in ks]),
+            row(ctx, n + m, ks)):
         d1 = b1 * dm * dnm
         d2 = b2 * dn * dmn
         out.append((b3 * ds) * (a1 * d2 * nm * nnm - a2 * d1 * nn * nmn)
@@ -402,7 +398,7 @@ def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
     rep = ResidualReport("verify-module", {
         "family": rule.describe(), "nmax": int(nmax), "kmax": int(kmax),
         "pair_filter": pair_filter, **ctx.describe()})
-    table = _PartsTable(ctx, rule)
+    memo = MemoRule(ctx, rule)
     ks = range(-kmax, kmax + 1)
     pending = {}    # (n, m) with n < m -> its failures, until (m, n) is due
     for n in range(-nmax, nmax + 1):
@@ -413,8 +409,8 @@ def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
             if n > m:
                 failures = {k: -r for k, r in pending.pop((m, n)).items()}
             else:
-                nums = _pair_numerators(ctx, table, n, m, ks)
-                failures = {k: relation_residual(ctx, rule, n, m, k)
+                nums = _pair_numerators(ctx, memo, n, m, ks)
+                failures = {k: relation_residual(ctx, memo, n, m, k)
                             for k, x in zip(ks, nums) if not is_zero(x)}
                 if n < m:
                     pending[n, m] = failures

@@ -112,6 +112,14 @@ def test_unknown_family_is_a_usage_error(capsys):
     assert "unknown family" in err
 
 
+def test_repeated_family_parameter_is_a_usage_error(capsys):
+    # the last value used to win silently: mab:a=1,b=2,a=3 ran mab:a=3,b=2
+    rc, out, err = run(capsys, "submodules", "--family", "mab:a=1,b=2,a=3")
+    assert rc == 2 and out == ""
+    assert err.startswith("vpq: ") and "repeats parameter 'a'" in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
 def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify-algebra", "--frobnicate"])

@@ -135,7 +135,8 @@ def test_parse_family_accepts_aliases():
 
 
 def test_parse_family_rejects_bad_specs():
-    for bad in ("nope:x=1", "mab:a=1/3", "mab:c=1,a=0,b=0", "mab:a", ""):
+    for bad in ("nope:x=1", "mab:a=1/3", "mab:c=1,a=0,b=0", "mab:a", "",
+                "mab:a=1,b=2,a=3", "alphap:α'=1,alphap=2", "alpha:t=1,alpha=2"):
         with pytest.raises(ValueError):
             parse_family(bad)
 
@@ -437,10 +438,10 @@ def test_row_numerators_vanish_exactly_with_their_residuals(backend):
     ks = range(-3, 4)
     zeros = nonzeros = 0
     for rule in rules:
-        table = modules._PartsTable(ctx, rule)
+        memo = MemoRule(ctx, rule)
         for n in range(-2, 3):
             for m in range(-2, 3):
-                nums = modules._pair_numerators(ctx, table, n, m, ks)
+                nums = modules._pair_numerators(ctx, memo, n, m, ks)
                 assert len(nums) == len(ks)
                 for k, x in zip(ks, nums):
                     want = is_zero(relation_residual(ctx, rule, n, m, k))
@@ -488,11 +489,11 @@ def test_passing_rows_build_no_quotient(backend, monkeypatch):
     else:
         ctx = ScalarContext.symbolic()
         rule = Mab(ctx.var("a"), ctx.var("b"))
-    table = modules._PartsTable(ctx, rule)
+    memo = MemoRule(ctx, rule)
     pairs = [(n, m) for n in range(-2, 3) for m in range(n, 3)]
     ks = range(-3, 4)
     for n, m in pairs:
-        modules._pair_numerators(ctx, table, n, m, ks)
+        modules._pair_numerators(ctx, memo, n, m, ks)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("quotient arithmetic on a passing row")
@@ -500,7 +501,7 @@ def test_passing_rows_build_no_quotient(backend, monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", forbidden)
     monkeypatch.setattr(RationalFunction, "__init__", forbidden)
     monkeypatch.setattr(scalar, "poly_gcd", forbidden)
-    rows = [modules._pair_numerators(ctx, table, n, m, ks) for n, m in pairs]
+    rows = [modules._pair_numerators(ctx, memo, n, m, ks) for n, m in pairs]
     monkeypatch.undo()
     assert all(is_zero(x) for row in rows for x in row)
 
@@ -532,8 +533,8 @@ def test_verify_module_computes_each_pair_once(ctx, monkeypatch, pair_filter):
     calls = []
     pair_numerators = modules._pair_numerators
 
-    def counting(ctx, table, n, m, ks):
-        rows = pair_numerators(ctx, table, n, m, ks)
+    def counting(ctx, rule, n, m, ks):
+        rows = pair_numerators(ctx, rule, n, m, ks)
         calls.append(((n, m), len(rows)))
         return rows
 
@@ -583,6 +584,11 @@ def test_rule_under_two_contexts_keeps_them_apart():
         assert memo.coeff(c23, n, k) == want23
         assert memo.coeff(c57, n, k) == want57
         assert memo.coeff(c23, n, k) == want23
+    ks = [-2, 0, 3]
+    for n in (1, -2):
+        assert memo.parts_row(c23, n, ks) == rule.parts_row(c23, n, ks)
+        assert memo.parts_row(c57, n, ks) == rule.parts_row(c57, n, ks)
+        assert memo.parts_row(c57, n, ks) != memo.parts_row(c23, n, ks)
     assert verify_module(c23, rule, 2, 4).failed == 0
     assert verify_module(c57, rule, 2, 4).failed == 0
 
@@ -592,6 +598,28 @@ def test_memo_rule_describes_its_rule(ctx):
     memo = MemoRule(ctx, rule)
     assert memo.describe() == rule.describe() == "betap:betap=1/5,reading=given"
     assert memo.coeff(ctx, 2, -2) is memo.coeff(ctx, 2, -2)
+    assert memo.parts_row(ctx, 2, [-2])[0] is memo.parts_row(ctx, 2, [-2])[0]
+    # a row read at other ks, in another order, keeps each entry with its k
+    row = memo.parts_row(ctx, 2, [1, -2, 0, -3])
+    assert row == rule.parts_row(ctx, 2, [1, -2, 0, -3])
+    assert row[1] is memo.parts_row(ctx, 2, [-2])[0]
+
+
+def test_verify_module_asks_each_coefficient_once():
+    # the sweep reads every row through one MemoRule, so the rule is asked
+    # for the parts of each c(n, k) at most once
+    ctx = ScalarContext.numeric(2, 3)
+    rule = Mab(Fraction(1, 3), Fraction(-2))
+    asked = []
+    real = rule.parts_row
+
+    def counting(ctx, n, ks):
+        asked.extend((n, k) for k in ks)
+        return real(ctx, n, ks)
+
+    rule.parts_row = counting
+    assert verify_module(ctx, rule, 4, 8).failed == 0
+    assert asked and len(asked) == len(set(asked))
 
 
 @pytest.mark.parametrize("backend", ["numeric", "symbolic"])

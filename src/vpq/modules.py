@@ -17,6 +17,8 @@ a, b; at formal p, q every part is a Poly.  The kernels put int factors to
 the left of Poly factors.  The module sweep, the submodule graph and the
 intertwiner validation read rows and test numerators, so a row of `Mab` takes
 ring products only; a value is reduced only where a report prints it.
+A sweep that rereads coefficients reads them through one `MemoRule`, which
+caches values and rows.
 
 Families:
 
@@ -61,8 +63,7 @@ class CoefficientRule:
 
 
 class MemoRule(CoefficientRule):
-    """One rule under one context, each coefficient's value and parts
-    computed once.
+    """One rule under one context, each value and row entry computed once.
 
     A sweep wraps its rule for its own duration, so the memo dies with the
     sweep.  Under any other context it evaluates the rule afresh.
@@ -376,18 +377,18 @@ def _pair_numerators(ctx, rule, n, m, ks):
 def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
     """Sweep the defining axiom over the window; returns a ResidualReport.
 
-    The sweep reads the numerator and denominator of each coefficient
-    c(n,k) once, from one table that lives for the sweep and is filled by
-    the rule's `parts_row`, and evaluates each generator pair as one row of
-    residual numerators over all k (`_pair_numerators`).  A zero numerator
-    is a zero residual, and the row's zeros are counted with one
-    `record_zeros` call.  Only a nonzero one is reduced, by
-    `relation_residual` at that k, and recorded in k order, so a failure
-    reads as the exact reduced residual.  The axiom is antisymmetric in its
-    generator pair, so each unordered pair is computed once: (n, m) with
-    n < m is kept until the sweep reaches (m, n), which records the negated
-    residuals (the same exact values, so the same report bytes).  The
-    diagonal n = m is computed; it alone reads c(2n, k).
+    The sweep reads the rule through one `MemoRule`, so the numerator and
+    denominator of each coefficient c(n,k) are computed once, and
+    evaluates each generator pair as one row of residual numerators over
+    all k (`_pair_numerators`).  A zero numerator is a zero residual, and
+    the row's zeros are counted with one `record_zeros` call.  Only a
+    nonzero one is reduced, by `relation_residual` at that k, and recorded
+    in k order, so a failure reads as the exact reduced residual.  The
+    axiom is antisymmetric in its generator pair, so each unordered pair is
+    computed once: (n, m) with n < m is kept until the sweep reaches
+    (m, n), which records the negated residuals (the same exact values, so
+    the same report bytes).  The diagonal n = m is computed; it alone reads
+    c(2n, k).
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")

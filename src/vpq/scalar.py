@@ -824,9 +824,10 @@ class ScalarContext:
     run the same source.  ``scalar`` is the one conversion of an outside
     value (int, Fraction, rational string) into a scalar.
 
-    The context is the one cache layer: ``ppow``, ``qpow``, ``qint``,
+    The context caches one-index values: ``ppow``, ``qpow``, ``qint``,
     ``upow`` (u^n = p^{-n} q^n) and ``hq`` (h(n) = p^{-n}[n]) are computed
-    once per exponent.
+    once per exponent.  A sweep caches its rule's coefficients in one
+    ``modules.MemoRule``; ``verify_algebra`` has ``_StructureConstants``.
     """
 
     def __init__(self, backend, p, q, formal=False):

@@ -113,7 +113,7 @@ def test_unknown_family_is_a_usage_error(capsys):
 
 
 def test_repeated_family_parameter_is_a_usage_error(capsys):
-    # the last value used to win silently: mab:a=1,b=2,a=3 ran mab:a=3,b=2
+    # a repeated parameter must not let its last value win silently
     rc, out, err = run(capsys, "submodules", "--family", "mab:a=1,b=2,a=3")
     assert rc == 2 and out == ""
     assert err.startswith("vpq: ") and "repeats parameter 'a'" in err

@@ -481,7 +481,7 @@ def test_passing_sweep_reduces_no_residual(backend, monkeypatch):
 
 @pytest.mark.parametrize("backend", ["numeric", "formal-pq"])
 def test_passing_rows_build_no_quotient(backend, monkeypatch):
-    # once a sweep's coefficients are in its table, the rows of a passing
+    # once a sweep's coefficients are in its MemoRule, the rows of a passing
     # rule take ring products only: no gcd, no Fraction, no RationalFunction
     if backend == "numeric":
         ctx = ScalarContext.numeric("5/2", "-3/4")

@@ -1,0 +1,5 @@
+"""`python -m vpq`: the `vpq` command."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

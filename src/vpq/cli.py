@@ -10,6 +10,7 @@ adjudications of the source text) never affect the exit code.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .scalar import parse_rational
@@ -193,7 +194,7 @@ def _summarize(report, stream):
     tot = report.to_dict()["totals"]
     print("total checked=%d passed=%d failed=%d findings=%d"
           % (tot["checked"], tot["passed"], tot["failed"], tot["findings"]),
-          file=stream)
+          file=stream, flush=True)
 
 
 _RAT_FLAGS = ("--a", "--b", "--p", "--q")
@@ -234,7 +235,14 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         print("vpq: %s" % exc, file=sys.stderr)
         return 2
-    _summarize(report, sys.stdout)
+    try:
+        _summarize(report, sys.stdout)
+    except BrokenPipeError:
+        # the reader left (`| head -1`) and the verdict stands; point stdout
+        # at devnull so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0 if report.failed == 0 else 1
 
 

@@ -90,10 +90,11 @@ class Poly:
     type is a TypeError.  The kernels write an int factor to the left
     (``n * p``, `__rmul__`), so ``__mul__`` sees Poly operands only there,
     as perfbench's ``scalar.poly.mul`` probe, which counts the terms of
-    both operands, expects.
+    both operands, expects.  A Poly is a plain value: no operation changes
+    one, and equal polynomials hash equal however they were built.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         t = {}
@@ -102,7 +103,6 @@ class Poly:
                 if c:
                     t[e] = c
         self.terms = t
-        self._hash = None
 
     # construction ---------------------------------------------------------
 
@@ -154,7 +154,6 @@ class Poly:
                 t.pop(e, None)
         r = Poly.__new__(Poly)
         r.terms = t
-        r._hash = None
         return r
 
     def __add__(self, other):
@@ -165,7 +164,6 @@ class Poly:
     def __neg__(self):
         r = Poly.__new__(Poly)
         r.terms = {e: -c for e, c in self.terms.items()}
-        r._hash = None
         return r
 
     def __sub__(self, other):
@@ -203,7 +201,6 @@ class Poly:
             raise _overflow()
         r = Poly.__new__(Poly)
         r.terms = t
-        r._hash = None
         return r
 
     def __rmul__(self, n):
@@ -213,7 +210,6 @@ class Poly:
             return NotImplemented
         r = Poly.__new__(Poly)
         r.terms = {e: c * n for e, c in self.terms.items()} if n else {}
-        r._hash = None
         return r
 
     def __pow__(self, n):
@@ -239,9 +235,7 @@ class Poly:
         return isinstance(other, Poly) and self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+        return hash(frozenset(self.terms.items()))
 
     # ordering helpers (lex on exponents, int order on packed monomials) ---
 
@@ -780,22 +774,6 @@ def _ground(f):
     return f
 
 
-def exact_parts(x):
-    """(numerator, denominator) of a scalar of either backend, each part an
-    int or a Poly.  Parts are ints for a Fraction or an int; a
-    RationalFunction gives each part as an int when that Poly is constant
-    and as the Poly otherwise, so at a rational point the ring products of
-    parts are int products even while a and b stay formal (the kernels
-    read parts through `ScalarContext.parts`, which grounds only at a
-    point).  The denominator is never zero, so x is zero exactly when the
-    numerator is.  Anything else (a float) raises TypeError."""
-    if isinstance(x, (Fraction, int)):
-        return x.numerator, x.denominator
-    if isinstance(x, RationalFunction):
-        return _ground(x.num), _ground(x.den)
-    raise TypeError("not an exact scalar: %r" % (x,))
-
-
 def _guarded_point(p, q):
     """Parse a rational point (p, q) and reject the ones the theory excludes.
 
@@ -896,16 +874,24 @@ class ScalarContext:
         }
 
     def parts(self, x):
-        """(numerator, denominator) of a scalar of this context, as the
-        fraction-free kernels read it.  At a point (either backend) this is
-        `exact_parts`, so every part of an h(k), u^k, [n] or power is an
-        int.  At formal p, q both parts stay Polys: there p^n has
-        denominator 1 for n >= 0 and p^-n for n < 0, so grounding would mix
-        ints and Polys by the sign of an exponent, and a kernel could not
-        keep its int factors to the left of its Poly factors."""
-        if self.formal:
-            return x.num, x.den
-        return exact_parts(x)
+        """(numerator, denominator) of a scalar of this context: the one
+        split of a scalar into parts, as the fraction-free kernels read it.
+        The denominator is never zero, so x is zero exactly when the
+        numerator is.  A Fraction or an int gives ints.  At a point each
+        part of a RationalFunction is an int when that Poly is constant, so
+        every part of an h(k), u^k, [n] or power is an int even while a
+        and b stay formal.  At formal p, q both parts stay Polys: there p^n
+        has denominator 1 for n >= 0 and p^-n for n < 0, so grounding would
+        mix ints and Polys by the sign of an exponent, and a kernel could
+        not keep its int factors to the left of its Poly factors.  Anything
+        else (a float) raises TypeError under every context."""
+        if isinstance(x, RationalFunction):
+            if self.formal:
+                return x.num, x.den
+            return _ground(x.num), _ground(x.den)
+        if isinstance(x, (Fraction, int)):
+            return x.numerator, x.denominator
+        raise TypeError("not an exact scalar: %r" % (x,))
 
     # memoised one-index quantities --------------------------------------------
 

@@ -76,7 +76,7 @@ _CHECKS = {
                    "jmax": ("int", 6, 0)},
     "fg-recurrences": {"a": ("rat", None), "b": ("rat", None),
                        "jmax": ("int", 6, 0)},
-    "case-audit": {"a": ("rat", None), "window": ("int", 12, 0)},
+    "case-audit": {"a": ("rat", None), "window": ("int", 12, 3)},
     "family-consistency": {"window": ("int", 6, 2)},
     "annihilator": {"family": ("str", None), "n": ("int", -1),
                     "window": ("int", 8, 0)},

@@ -1,6 +1,9 @@
 """Command-line driver: exit codes, JSON reports, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +17,15 @@ def run(capsys, *argv):
     rc = cli.main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def run_module(*argv, stdout=subprocess.PIPE):
+    """`python -m *argv` in a child process that imports this vpq."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_verify_algebra_ok(capsys):
@@ -118,6 +130,24 @@ def test_repeated_family_parameter_is_a_usage_error(capsys):
     assert rc == 2 and out == ""
     assert err.startswith("vpq: ") and "repeats parameter 'a'" in err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_python_dash_m_vpq_runs_the_cli():
+    proc = run_module("vpq", "verify-algebra", "--window", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert "total checked=" in proc.stdout and "failed=0" in proc.stdout
+
+
+def test_closed_stdout_keeps_the_verdict():
+    # a reader that leaves early (`| head -1`) must not turn a clean run
+    # into exit 1 with a BrokenPipeError traceback
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = run_module("vpq.cli", "case-audit", "--a", "-1/5", stdout=w)
+    finally:
+        os.close(w)
+    assert proc.returncode == 0 and proc.stderr == ""
 
 
 def test_unknown_flag_exits_2():
@@ -258,13 +288,16 @@ def test_vacuous_check_sizes_are_rejected():
                  {"check": "l2-display", "a": "1", "b": "1", "jmax": -1},
                  {"check": "fg-recurrences", "a": "1", "b": "1", "jmax": -6},
                  {"check": "family-consistency", "window": 1},
-                 {"check": "quadratic-in-x", "a": "1/7", "window": 3}):
+                 {"check": "quadratic-in-x", "a": "1/7", "window": 3},
+                 {"check": "case-audit", "a": "-1/2", "window": 2}):
         with pytest.raises(SuiteConfigError, match="must be >="):
             SuiteConfig.from_dict({**base, "checks": [spec]})
     # the smallest accepted sizes still check something
     doc = {**base, "checks": [{"check": "verify-algebra", "window": 0},
                               {"check": "generation", "window": 3},
-                              {"check": "qint-identities", "mmax": 0}]}
+                              {"check": "qint-identities", "mmax": 0},
+                              {"check": "case-audit", "a": "-1/2",
+                               "window": 3}]}
     for rep in run_suite(SuiteConfig.from_dict(doc)).reports:
         assert rep.checked > 0 and rep.failed == 0
 

@@ -30,7 +30,6 @@ from vpq.scalar import (
     _interpolate,
     _prs_gcd,
     _unpack,
-    exact_parts,
     is_zero,
     parse_rational,
     pascal_residual,
@@ -65,6 +64,7 @@ polys = st.builds(_poly_from, poly_terms)
 @given(polys, polys)
 def test_poly_add_commutes(a, b):
     assert a + b == b + a
+    assert hash(a + b) == hash(b + a)
 
 
 @given(polys, polys, polys)
@@ -326,40 +326,45 @@ def test_is_zero_is_exact_on_both_backends(sym):
 
 
 def test_exact_parts_split_a_scalar_of_either_backend(sym):
-    assert exact_parts(Fraction(-6, 4)) == (-3, 2)
-    assert exact_parts(7) == (7, 1)
+    # ctx.parts is the one split; a Fraction or an int gives ints under
+    # every context, and anything else is no exact scalar
+    n23 = ScalarContext.numeric("2", "3")
+    s23 = ScalarContext.symbolic("2", "3")
+    for c in (n23, s23, sym):
+        assert c.parts(Fraction(-6, 4)) == (-3, 2)
+        assert c.parts(7) == (7, 1)
+        for bad in (0.5, "1/2", None):
+            with pytest.raises(TypeError, match="not an exact scalar"):
+                c.parts(bad)
     x = sym.qint(-2)
-    num, den = exact_parts(x)
+    num, den = sym.parts(x)
     assert (num, den) == (x.num, x.den)
     assert RationalFunction(num, den) == x
     # a constant part is an int on the symbolic backend too, each part on
     # its own
-    s23 = ScalarContext.symbolic("2", "3")
     for v, want in ((s23.hq(3), (19, 8)), (s23.zero, (0, 1)),
                     (s23.upow(-2), (4, 9))):
-        num, den = exact_parts(v)
+        num, den = s23.parts(v)
         assert (num, den) == want and type(num) is type(den) is int
-    num, den = exact_parts(sym.qint(2))
-    assert isinstance(num, Poly) and str(num) == "p + q"
-    assert den == 1 and type(den) is int
     a, b = s23.var("a"), s23.var("b")
-    num, den = exact_parts(a + b * s23.hq(3))
+    num, den = s23.parts(a + b * s23.hq(3))
     assert isinstance(num, Poly) and str(num) == "8*a + 19*b"
     assert den == 8 and type(den) is int
-    for bad in (0.5, "1/2", None):
-        with pytest.raises(TypeError, match="not an exact scalar"):
-            exact_parts(bad)
 
 
 def test_context_parts_ground_only_at_a_point(sym):
-    # at a point the context's parts are exact_parts, ints where constant;
-    # at formal p, q both parts stay Polys whatever the exponent's sign
+    # at a point both backends give the same int parts where constant; at
+    # formal p, q both parts stay Polys whatever the exponent's sign
     s23 = ScalarContext.symbolic("2", "3")
-    a = s23.var("a")
-    for v in (s23.hq(3), s23.upow(-2), s23.zero, a + s23.hq(2)):
-        assert s23.parts(v) == exact_parts(v)
-    num = ScalarContext.numeric("2", "3")
-    assert num.parts(num.hq(-2)) == exact_parts(num.hq(-2)) == (-5, 9)
+    n23 = ScalarContext.numeric("2", "3")
+    for k in (-2, 0, 3):
+        for sv, nv in ((s23.hq(k), n23.hq(k)), (s23.upow(k), n23.upow(k))):
+            got = s23.parts(sv)
+            assert got == n23.parts(nv) and type(got[0]) is int
+    assert n23.parts(n23.hq(-2)) == s23.parts(s23.hq(-2)) == (-5, 9)
+    num, den = s23.parts(s23.var("a") + s23.hq(2))
+    assert isinstance(num, Poly) and str(num) == "4*a + 5"
+    assert den == 4 and type(den) is int
     for v in (sym.qint(2), sym.ppow(-1), sym.upow(0), sym.hq(0), sym.one):
         got = sym.parts(v)
         assert got == (v.num, v.den)

@@ -238,8 +238,8 @@ def main(argv=None):
     try:
         _summarize(report, sys.stdout)
     except BrokenPipeError:
-        # the reader left (`| head -1`) and the verdict stands; point stdout
-        # at devnull so the flush at exit cannot raise again
+        # the reader left (`| head -1`; _summarize flushes, so it shows
+        # here): keep the verdict and send the flush at exit to devnull
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

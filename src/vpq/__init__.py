@@ -18,7 +18,7 @@ from .caseaudit import (CaseConstants, CaseTag, annihilator_spectrum,
 from .classify import (PAIR_ORDER, DegeneracyProfile, XPolynomial,
                        closed_form_f, closed_form_g, condition_scalar,
                        degeneracy_profile, degeneracy_table_audit,
-                       fg_recurrence_audit, fgi_polynomials, identity_audit,
+                       fg_recurrence_audit, identity_audit,
                        l2_coefficients, l2_display_audit, quadratic_roots,
                        quadratic_roots_audit, second_solution, x_factors)
 from .modules import (CoefficientRule, ExcAlpha, ExcAlphaPrime, ExcBeta,
@@ -52,7 +52,7 @@ __all__ = [
     "closed_form_g", "condition_scalar", "constraint_residuals",
     "degeneracy_profile", "degeneracy_table_audit", "ef_coefficient", "eta",
     "family_consistency", "fe_coefficient", "fg_recurrence_audit",
-    "fgi_polynomials", "find_intertwiner", "find_j0", "find_j0_all",
+    "find_intertwiner", "find_j0", "find_j0_all",
     "find_submodules", "find_submodules_ex", "generation_check",
     "hom_jacobi_residual", "hom_twist", "identity_audit",
     "is_reducible_closed_form", "is_zero", "k_eigenvalue", "l2_coefficients",

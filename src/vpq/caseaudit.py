@@ -217,14 +217,20 @@ def _apply_constraints(rep, ctx, a, cc, j0, label):
 
 def case_constants_audit(ctx, a, window=12):
     """Instantiate the case's constants and audit every applicable
-    constraint, recording the catalogued-value discrepancies as findings."""
+    constraint, recording the catalogued-value discrepancies as findings.
+
+    The window must reach the junction weight -3 (Case3 at a = -1/2, and
+    the gate Case1's j0 must avoid), so it is at least 3."""
+    window = int(window)
+    if window < 3:
+        raise ValueError("case_constants_audit needs window >= 3")
     p, q = ctx.p, ctx.q
     J = ctx.qint
     tag = case_tag(ctx, a)
     j0_hits = find_j0_all(ctx, a, window)
     j0 = j0_hits[0] if j0_hits else None
     rep = ResidualReport("case-constants", {
-        "a": scalar_str(a), "case": tag.tag, "window": int(window),
+        "a": scalar_str(a), "case": tag.tag, "window": window,
         **ctx.describe()})
     rep.section("tag", tag.to_dict())
     rep.section("j0", j0 if j0 is not None else "none")

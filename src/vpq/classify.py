@@ -33,10 +33,6 @@ class XPolynomial:
         self.coeffs = cs
 
     @staticmethod
-    def const(ctx, s):
-        return XPolynomial([s if s is not None else ctx.zero])
-
-    @staticmethod
     def through(points):
         """The Lagrange interpolant of degree < len(points) through the
         (x, y) pairs; the x values must be distinct."""
@@ -140,19 +136,6 @@ def x_factors(ctx, a, b):
     return {k: _linear(ctx, v) for k, v in out.items()}
 
 
-def fgi_polynomials(ctx, a, b, reading="adjusted"):
-    """The eight linear factors (f1..f4, g1..g4) as XPolynomials.
-
-    Only g2 differs between readings; "adjusted" (default) is the reading
-    under which the degeneracy table and the constant-difference claims all
-    close up.
-    """
-    fx = x_factors(ctx, a, b)
-    g2 = fx["g2"] if reading == "adjusted" else fx["g2_given"]
-    return (fx["f1"], fx["f2"], fx["f3"], fx["f4"],
-            fx["g1"], g2, fx["g3"], fx["g4"])
-
-
 # the sixteen table lines in display order
 PAIR_ORDER = (
     ("f1", "g1"), ("f2", "g1"), ("f1", "g2"), ("f2", "g2"),
@@ -243,7 +226,10 @@ def _case_from_pairs(pairs):
 
 def degeneracy_profile(ctx, a, b):
     """Evaluate all sixteen equalities literally and via the conditions."""
-    fx = x_factors(ctx, a, b)
+    return _profile(ctx, a, b, x_factors(ctx, a, b))
+
+
+def _profile(ctx, a, b, fx):
     pairs = {}
     conditions = {}
     for fi, gj in PAIR_ORDER:
@@ -262,21 +248,20 @@ def degeneracy_table_audit(ctx):
     """
     if ctx.backend != "symbolic":
         raise ValueError("degeneracy_table_audit needs the symbolic backend")
-    a = ctx.var("a")
-    b = ctx.var("b")
-    fx = x_factors(ctx, a, b)
-    # linear-form coefficients come from the values at three (a, b) corners
+    # linear-form coefficients come from the values at three (a, b) corners;
+    # x_factors is affine in (a, b), so a failing line's difference at formal
+    # a, b is dc[0]·a + dc[1]·b + dc[2]
     corners = ((ctx.zero, ctx.zero), (ctx.one, ctx.zero), (ctx.zero, ctx.one))
     fx_at = [x_factors(ctx, aa, bb) for aa, bb in corners]
     rep = ResidualReport("degeneracy-table", ctx.describe())
     for fi, gj in PAIR_ORDER:
         key = "%s=%s" % (fi, gj)
-        diff = (fx[fi] - fx[gj]).coeff(0)
         dc = _linear_form([(f[fi] - f[gj]).coeff(0) for f in fx_at])
         cc = _linear_form([condition_scalar(ctx, aa, bb, fi, gj)
                            for aa, bb in corners])
         ok = _proportional(dc, cc)
-        rep.expect("equivalence", (key,), ok, scalar_str(diff))
+        rep.expect("equivalence", (key,), ok, "" if ok else scalar_str(
+            dc[0] * ctx.var("a") + dc[1] * ctx.var("b") + dc[2]))
     for key in ADJUSTED_LINES:
         fi, gj = key.split("=")
         rep.finding(
@@ -284,8 +269,7 @@ def degeneracy_table_audit(ctx):
             "printed right-hand side of line %s deviates; adjudicated "
             "condition used" % key,
             {"pair": key,
-             "adjudicated_R": scalar_str(_condition_ratio(ctx, fi, gj))
-             if _condition_ratio(ctx, fi, gj) is not None else "b=0"})
+             "adjudicated_R": scalar_str(_condition_ratio(ctx, fi, gj))})
     return rep
 
 
@@ -377,21 +361,32 @@ def _prod(*polys):
     return out
 
 
+def _cubics(fx):
+    """The cubic products f1·f2·E1, f3·f4·E2, g1·g2·W+ and g3·g4·W- of the
+    two differences, adjusted reading."""
+    return (_prod(fx["f1"], fx["f2"], fx["E1"]),
+            _prod(fx["f3"], fx["f4"], fx["E2"]),
+            _prod(fx["g1"], fx["g2"], fx["W+"]),
+            _prod(fx["g3"], fx["g4"], fx["W-"]))
+
+
+def _constant(ctx, d):
+    """The value of d when it is constant in x, else None."""
+    if d.degree() is None:
+        return ctx.zero
+    return d.coeff(0) if d.degree() == 0 else None
+
+
 def fg_constants(ctx, fx):
     """The constants F and G of the two cubic differences.
 
     Returns (F, G, d_f, d_g): d_f is the first and d_g the adjusted second
     difference, expanded in x; F (G) is None when d_f (d_g) depends on x.
     """
-    d_f = _prod(fx["f1"], fx["f2"], fx["E1"]) - _prod(fx["f3"], fx["f4"], fx["E2"])
-    d_g = _prod(fx["g1"], fx["g2"], fx["W+"]) - _prod(fx["g3"], fx["g4"], fx["W-"])
-
-    def constant(d):
-        if d.degree() is None:
-            return ctx.zero
-        return d.coeff(0) if d.degree() == 0 else None
-
-    return constant(d_f), constant(d_g), d_f, d_g
+    f12e1, f34e2, g12wp, g34wm = _cubics(fx)
+    d_f = f12e1 - f34e2
+    d_g = g12wp - g34wm
+    return _constant(ctx, d_f), _constant(ctx, d_g), d_f, d_g
 
 
 def fg_failure(rep, d_f, d_g):
@@ -408,16 +403,22 @@ def identity_audit(ctx, a, b):
     outright; the second is constant only under the adjusted reading of its
     factors, and the scalar relation F = -p^{-6} q^6 G holds only there.
     The typeset variants are expanded too and reported as findings with
-    exact coefficients.
+    exact coefficients.  The x-factors are built once, and each cubic and
+    quartic product of them is expanded once and shared by the differences,
+    the quintic factors, the grand identity and the quintic product identity
+    under both readings.
     """
     p, q = ctx.p, ctx.q
     fx = x_factors(ctx, a, b)
     rep = ResidualReport("identity-audit", {
         "a": scalar_str(a), "b": scalar_str(b), **ctx.describe()})
 
-    F, G, d_f, d_g_adj = fg_constants(ctx, fx)
-    d_g_given = _prod(fx["g1"], fx["g2_given"], fx["W+_given"]) \
-        - _prod(fx["g4"], fx["g3"], fx["E2"])
+    f12e1, f34e2, g12wp, g34wm = _cubics(fx)
+    g12wp_giv = _prod(fx["g1"], fx["g2_given"], fx["W+_given"])
+    d_f = f12e1 - f34e2
+    d_g_adj = g12wp - g34wm
+    d_g_given = g12wp_giv - _prod(fx["g4"], fx["g3"], fx["E2"])
+    F, G = _constant(ctx, d_f), _constant(ctx, d_g_adj)
 
     rep.section("first_difference", {
         "degree": d_f.degree_str(), "coefficients": d_f.serialize()})
@@ -441,21 +442,20 @@ def identity_audit(ctx, a, b):
     if F is None or G is None:
         rep.expect("minus-p6q6-ratio", (), False, "difference not constant")
         return rep
-    rep.record("minus-p6q6-ratio", (), F + p ** -6 * q ** 6 * G)
+    r6 = p ** 6 * q ** -6
+    r6inv = p ** -6 * q ** 6
+    rep.record("minus-p6q6-ratio", (), F + r6inv * G)
     rep.section("F", scalar_str(F))
     rep.section("G", scalar_str(G))
 
     # residual quintic factors, typeset and adjusted
-    f5_adj = _prod(fx["g3"], fx["g4"], fx["W-"]) \
-        - _prod(fx["g1"], fx["g2"], fx["W+"]) \
-        - XPolynomial.const(ctx, p ** 6 * q ** -6 * F)
-    g5_adj = d_f - XPolynomial.const(ctx, F)
-    f5_typ = _prod(fx["f1"], fx["f2"], fx["W-"]) \
-        - _prod(fx["g1"], fx["g2_given"], fx["W+_given"]) \
-        - XPolynomial.const(ctx, p ** 6 * q ** -6 * F)
-    g5_typ = _prod(fx["g4"], fx["g3_apq"], fx["E1"]) \
-        - _prod(fx["f3"], fx["f4"], fx["E2"]) \
-        - XPolynomial.const(ctx, F)
+    r6F = r6 * F
+    f5_adj = g34wm - g12wp - XPolynomial([r6F])
+    g5_adj = d_f - XPolynomial([F])
+    f5_typ = _prod(fx["f1"], fx["f2"], fx["W-"]) - g12wp_giv \
+        - XPolynomial([r6F])
+    g5_typ = _prod(fx["g4"], fx["g3_apq"], fx["E1"]) - f34e2 \
+        - XPolynomial([F])
     rep.section("f5", {
         "adjusted_degree": f5_adj.degree_str(),
         "adjusted_coefficients": f5_adj.serialize(),
@@ -480,32 +480,27 @@ def identity_audit(ctx, a, b):
                 "vanishes identically" % (name, poly.degree_str()),
                 {"degree": poly.degree_str(), "coefficients": poly.serialize()})
 
-    # grand identity, adjusted reading: expected identically zero
+    # grand identity p^-4 q^4 f1f2f3f4 (p^6 q^-6 F g3g4W- + G g1g2W+
+    # + p^6 q^-6 FG) = g1g2g3g4 (F f1f2E1 + p^-6 q^6 G f3f4E2 + p^-6 q^6 FG):
+    # identically zero under the adjusted reading; the literal typeset
+    # reading, with the same scalar F, G, is a finding
     FG = F * G
-    lhs_adj = _prod(fx["f3"], fx["f4"], fx["f1"], fx["f2"],
-                    _prod(fx["g4"], fx["g3"], fx["W-"]).scale(p ** 6 * q ** -6 * F)
-                    + _prod(fx["g1"], fx["g2"], fx["W+"]).scale(G)
-                    + XPolynomial.const(ctx, p ** 6 * q ** -6 * FG)
-                    ).scale(p ** -4 * q ** 4)
-    rhs_adj = _prod(fx["g1"], fx["g2"], fx["g4"], fx["g3"],
-                    _prod(fx["f1"], fx["f2"], fx["E1"]).scale(F)
-                    + _prod(fx["f3"], fx["f4"], fx["E2"]).scale(p ** -6 * q ** 6 * G)
-                    + XPolynomial.const(ctx, p ** -6 * q ** 6 * FG))
-    grand_adj = lhs_adj - rhs_adj
+    f1234 = _prod(fx["f1"], fx["f2"], fx["f3"], fx["f4"])
+    g1234 = _prod(fx["g1"], fx["g2"], fx["g3"], fx["g4"])
+    g1234_giv = _prod(fx["g1"], fx["g2_given"], fx["g3"], fx["g4"])
+    lhs_const = XPolynomial([r6 * FG])
+    scale4 = p ** -4 * q ** 4
+    rhs = f12e1.scale(F) + f34e2.scale(r6inv * G) + XPolynomial([r6inv * FG])
+
+    def grand(g34w, g12w, gs):
+        lhs = f1234 * (g34w.scale(r6F) + g12w.scale(G) + lhs_const)
+        return lhs.scale(scale4) - gs * rhs
+
+    grand_adj = grand(g34wm, g12wp, g1234)
     rep.expect("grand-product", ("adjusted",), grand_adj.is_zero(),
                "degree %s" % grand_adj.degree_str())
-
-    # grand identity, literal typeset reading, same scalar F, G
-    lhs_giv = _prod(fx["f3"], fx["f4"], fx["f1"], fx["f2"],
-                    _prod(fx["g4"], fx["g3_apq"], fx["W-"]).scale(p ** 6 * q ** -6 * F)
-                    + _prod(fx["g1"], fx["g2_given"], fx["W+_given"]).scale(G)
-                    + XPolynomial.const(ctx, p ** 6 * q ** -6 * FG)
-                    ).scale(p ** -4 * q ** 4)
-    rhs_giv = _prod(fx["g1"], fx["g2_given"], fx["g4"], fx["g3"],
-                    _prod(fx["f1"], fx["f2"], fx["E1"]).scale(F)
-                    + _prod(fx["f3"], fx["f4"], fx["E2"]).scale(p ** -6 * q ** 6 * G)
-                    + XPolynomial.const(ctx, p ** -6 * q ** 6 * FG))
-    grand_giv = lhs_giv - rhs_giv
+    grand_giv = grand(_prod(fx["g4"], fx["g3_apq"], fx["W-"]), g12wp_giv,
+                      g1234_giv)
     if not grand_giv.is_zero():
         rep.finding(
             "grand-product-reading",
@@ -515,12 +510,10 @@ def identity_audit(ctx, a, b):
              "coefficients": grand_giv.serialize()})
 
     # quintic product identity under both readings
-    allf = _prod(fx["f1"], fx["f2"], fx["f3"], fx["f4"])
-    prod_adj = allf * f5_adj - _prod(fx["g1"], fx["g2"], fx["g3"], fx["g4"]) * g5_adj
+    prod_adj = f1234 * f5_adj - g1234 * g5_adj
     rep.expect("quintic-product", ("adjusted",), prod_adj.is_zero(),
                "degree %s" % prod_adj.degree_str())
-    prod_giv = allf * f5_typ \
-        - _prod(fx["g1"], fx["g2_given"], fx["g3"], fx["g4"]) * g5_typ
+    prod_giv = f1234 * f5_typ - g1234_giv * g5_typ
     if not prod_giv.is_zero():
         rep.finding(
             "quintic-product-reading",
@@ -529,8 +522,7 @@ def identity_audit(ctx, a, b):
             {"degree": prod_giv.degree_str(),
              "coefficients": prod_giv.serialize()})
 
-    profile = degeneracy_profile(ctx, a, b)
-    rep.section("degeneracy", profile.to_dict())
+    rep.section("degeneracy", _profile(ctx, a, b, fx).to_dict())
     return rep
 
 
@@ -561,23 +553,25 @@ def fg_recurrence_audit(ctx, a, b, F0, G0, jmax):
         "a": scalar_str(a), "b": scalar_str(b),
         "F0": scalar_str(F0), "G0": scalar_str(G0),
         "jmax": int(jmax), **ctx.describe()})
+    fs = {j: closed_form_f(ctx, rule, F0, j) for j in range(-jmax - 1, jmax + 1)}
+    gs = {j: closed_form_g(ctx, rule, G0, j) for j in range(-jmax, jmax + 2)}
+    p3, q3 = ctx.p ** 3, ctx.q ** 3
+    pm3, qm3 = ctx.p ** -3, ctx.q ** -3
     for j in range(-jmax, jmax + 1):
-        fj = closed_form_f(ctx, rule, F0, j)
-        fjm1 = closed_form_f(ctx, rule, F0, j - 1)
+        fj, fjm1 = fs[j], fs[j - 1]
         if fj is None or fjm1 is None:
             rep.note("f-recurrence skipped at j=%d (zero denominator)" % j)
         else:
             rep.record("f-step", (j,),
-                       ctx.q ** -3 * fj * rule.coeff(ctx, -1, j + 2)
-                       - ctx.p ** -3 * fjm1 * rule.coeff(ctx, -1, j))
-        gj = closed_form_g(ctx, rule, G0, j)
-        gjp1 = closed_form_g(ctx, rule, G0, j + 1)
+                       qm3 * fj * rule.coeff(ctx, -1, j + 2)
+                       - pm3 * fjm1 * rule.coeff(ctx, -1, j))
+        gj, gjp1 = gs[j], gs[j + 1]
         if gj is None or gjp1 is None:
             rep.note("g-recurrence skipped at j=%d (zero denominator)" % j)
         else:
             rep.record("g-step", (j,),
-                       ctx.p ** 3 * gjp1 * rule.coeff(ctx, 1, j)
-                       - ctx.q ** 3 * gj * rule.coeff(ctx, 1, j - 2))
+                       p3 * gjp1 * rule.coeff(ctx, 1, j)
+                       - q3 * gj * rule.coeff(ctx, 1, j - 2))
     return rep
 
 
@@ -627,7 +621,8 @@ def l2_display_audit(ctx, a, b, jmax):
     """Sweep of the displayed ±2 coefficients against rule values and the
     closed forms, plus the gauge-invariant product against the partner
     parameters.  The sweep reads the mab(a, b) coefficients through one
-    MemoRule."""
+    MemoRule, and computes the adjusted (c2, cm2) once for each j in
+    [-jmax, jmax + 2]: the gauge product at j reads cm2 at j + 2."""
     rep = ResidualReport("l2-display", {
         "a": scalar_str(a), "b": scalar_str(b), "jmax": int(jmax),
         **ctx.describe()})
@@ -639,12 +634,17 @@ def l2_display_audit(ctx, a, b, jmax):
     partner = Mab(a, bprime)
     variant = Mab(a, 1 - a * (ctx.p - ctx.q) - b)
     variant_hits = 0
-    for j in range(-jmax, jmax + 1):
+    l2 = {}
+    for j in range(-jmax, jmax + 3):
         try:
-            c2, cm2 = l2_coefficients(ctx, rule, j)
+            l2[j] = l2_coefficients(ctx, rule, j)
         except ValueError as exc:
-            rep.note("skipped j=%d: %s" % (j, exc))
+            if j <= jmax:
+                rep.note("skipped j=%d: %s" % (j, exc))
+    for j in range(-jmax, jmax + 1):
+        if j not in l2:
             continue
+        c2, cm2 = l2[j]
         fj = closed_form_f(ctx, rule, F, j)
         gj = closed_form_g(ctx, rule, G, j)
         if fj is not None:
@@ -662,15 +662,12 @@ def l2_display_audit(ctx, a, b, jmax):
                     "literal cm2 display fails at j=%d; adjusted reading "
                     "passes" % j,
                     {"j": j, "residual": scalar_str(cm2g - wm2 - gj)})
-        try:
-            c2s, cm2s = l2_coefficients(ctx, rule, j + 2)
-        except ValueError:
-            continue
-        del c2s
-        gauge = c2 * cm2s
-        rep.record("gauge-product", (j,),
-                   gauge - partner.coeff(ctx, 2, j) * partner.coeff(ctx, -2, j + 2))
-        if is_zero(gauge - variant.coeff(ctx, 2, j) * variant.coeff(ctx, -2, j + 2)):
-            variant_hits += 1
+        if j + 2 in l2:
+            gauge = c2 * l2[j + 2][1]
+            rep.record("gauge-product", (j,), gauge
+                       - partner.coeff(ctx, 2, j) * partner.coeff(ctx, -2, j + 2))
+            if is_zero(gauge - variant.coeff(ctx, 2, j)
+                       * variant.coeff(ctx, -2, j + 2)):
+                variant_hits += 1
     rep.section("variant_partner_matches", variant_hits)
     return rep

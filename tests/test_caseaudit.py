@@ -144,6 +144,15 @@ def test_case_audits_are_clean(ctx):
         assert case_constants_audit(ctx, a).failed == 0
 
 
+def test_case_audit_window_must_reach_minus_3(ctx):
+    # the Case3 junction weight at a = -1/2 is -3; a window of 2 misses it
+    # and would fail a correct case
+    with pytest.raises(ValueError, match="window >= 3"):
+        case_constants_audit(ctx, Fraction(-1, 2), window=2)
+    rep = case_constants_audit(ctx, Fraction(-1, 2), window=3)
+    assert rep.failed == 0 < rep.checked
+
+
 def test_case2_audit_findings(ctx):
     d = case_constants_audit(ctx, Fraction(-1, 5)).to_dict()
     ids = sorted(f["id"] for f in d["findings"])

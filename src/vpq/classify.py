@@ -389,7 +389,7 @@ def fg_constants(ctx, fx):
     return _constant(ctx, d_f), _constant(ctx, d_g), d_f, d_g
 
 
-def fg_failure(rep, d_f, d_g):
+def _fg_failure(rep, d_f, d_g):
     """Fail rep on the first cubic difference that is not constant in x."""
     name, d = ("first", d_f) if (d_f.degree() or 0) > 0 else ("second", d_g)
     rep.expect("%s-difference-constant" % name, (), False, d.degree_str())
@@ -544,10 +544,14 @@ def closed_form_g(ctx, rule, G0, j):
     return ctx.upow(3 * j) * G0 / den
 
 
-def fg_recurrence_audit(ctx, a, b, F0, G0, jmax):
+def fg_recurrence_audit(ctx, a, b, jmax):
     """The two step recurrences against the closed forms, swept over j.
 
+    F0 and G0 are the constants of the two cubic differences at (a, b).
     The sweep reads the mab(a, b) coefficients through one MemoRule."""
+    F0, G0, d_f, d_g = fg_constants(ctx, x_factors(ctx, a, b))
+    if F0 is None or G0 is None:
+        return _fg_failure(ResidualReport("fg-recurrences", {}), d_f, d_g)
     rule = MemoRule(ctx, Mab(a, b))
     rep = ResidualReport("fg-recurrences", {
         "a": scalar_str(a), "b": scalar_str(b),
@@ -575,18 +579,14 @@ def fg_recurrence_audit(ctx, a, b, F0, G0, jmax):
     return rep
 
 
-def l2_coefficients(ctx, rule, j, reading="adjusted"):
+def l2_coefficients(ctx, rule, j):
     """The displayed rational coefficients of the ±2 actions on v_j.
 
-    Returns (c2, cm2), built from the rule's c(±1,·) and c(±2,·).  c2 is
-    identical under both readings.  cm2's display admits two readings
-    differing in the first factor's exponent and one bracket sign;
-    "adjusted" (default) is the reading consistent with the recurrences,
-    "given" is the literal one, written in the rule's parameters a and b.
-    Vanishing denominators raise with the offending factor named.
+    Returns (c2, cm2), built from the rule's c(±1,·) and c(±2,·).  cm2 is
+    the adjusted reading of its display, the one consistent with the
+    recurrences; `_cm2_given` is the literal one.  Vanishing denominators
+    raise with the offending factor named.
     """
-    if reading not in ("adjusted", "given"):
-        raise ValueError("reading must be 'adjusted' or 'given'")
     j = int(j)
     c = lambda n, k: rule.coeff(ctx, n, k)
     den1 = c(-1, j + 2)
@@ -602,19 +602,23 @@ def l2_coefficients(ctx, rule, j, reading="adjusted"):
         raise ValueError("cm2 denominator up(j-2) vanishes at j=%d" % j)
     if is_zero(den4):
         raise ValueError("cm2 denominator up(j-1) vanishes at j=%d" % j)
-    if reading == "adjusted":
-        first = c(-1, j)
-        second = c(2, j - 2)
-    else:
-        p, q = ctx.p, ctx.q
-        params = rule.params()
-        a, b = params["a"], params["b"]
-        first = (p ** -j * ctx.qint(j) - a * p ** -j * q ** j
-                 - b * p ** (-j - 1) * q ** j * ctx.qint(-1))
-        second = (p ** (-j + 2) * ctx.qint(j - 2) - a * p ** (-j + 2) * q ** (j - 2)
-                  - b * p ** -j * q ** (j - 2) * ctx.qint(-2))
-    cm2 = first * c(-1, j - 1) * second / (den3 * den4)
+    cm2 = c(-1, j) * c(-1, j - 1) * c(2, j - 2) / (den3 * den4)
     return c2, cm2
+
+
+def _cm2_given(ctx, rule, j):
+    """The literal reading of cm2, in the rule's parameters a and b; it
+    differs in the first factor's exponent and one bracket sign.  Call it
+    only where `l2_coefficients` returns, so no denominator vanishes."""
+    p, q = ctx.p, ctx.q
+    params = rule.params()
+    a, b = params["a"], params["b"]
+    first = (p ** -j * ctx.qint(j) - a * p ** -j * q ** j
+             - b * p ** (-j - 1) * q ** j * ctx.qint(-1))
+    second = (p ** (-j + 2) * ctx.qint(j - 2) - a * p ** (-j + 2) * q ** (j - 2)
+              - b * p ** -j * q ** (j - 2) * ctx.qint(-2))
+    return (first * rule.coeff(ctx, -1, j - 1) * second
+            / (rule.coeff(ctx, 1, j - 2) * rule.coeff(ctx, 1, j - 1)))
 
 
 def l2_display_audit(ctx, a, b, jmax):
@@ -628,10 +632,9 @@ def l2_display_audit(ctx, a, b, jmax):
         **ctx.describe()})
     F, G, d_f, d_g = fg_constants(ctx, x_factors(ctx, a, b))
     if F is None or G is None:
-        return fg_failure(rep, d_f, d_g)
+        return _fg_failure(rep, d_f, d_g)
     rule = MemoRule(ctx, Mab(a, b))
-    bprime = second_solution(ctx, a, b)
-    partner = Mab(a, bprime)
+    partner = Mab(a, second_solution(ctx, a, b))
     variant = Mab(a, 1 - a * (ctx.p - ctx.q) - b)
     variant_hits = 0
     l2 = {}
@@ -641,27 +644,23 @@ def l2_display_audit(ctx, a, b, jmax):
         except ValueError as exc:
             if j <= jmax:
                 rep.note("skipped j=%d: %s" % (j, exc))
+    # where l2[j] exists, no denominator of the closed forms vanishes
     for j in range(-jmax, jmax + 1):
         if j not in l2:
             continue
         c2, cm2 = l2[j]
-        fj = closed_form_f(ctx, rule, F, j)
+        rep.record("c2-display", (j,), c2 - rule.coeff(ctx, 2, j)
+                   - closed_form_f(ctx, rule, F, j))
         gj = closed_form_g(ctx, rule, G, j)
-        if fj is not None:
-            rep.record("c2-display", (j,), c2 - rule.coeff(ctx, 2, j) - fj)
-        if gj is not None:
-            wm2 = rule.coeff(ctx, -2, j)
-            rep.record("cm2-display", (j,), cm2 - wm2 - gj)
-            try:
-                _, cm2g = l2_coefficients(ctx, rule, j, reading="given")
-            except ValueError:
-                cm2g = None
-            if cm2g is not None and not is_zero(cm2g - wm2 - gj):
-                rep.finding(
-                    "cm2-display-reading",
-                    "literal cm2 display fails at j=%d; adjusted reading "
-                    "passes" % j,
-                    {"j": j, "residual": scalar_str(cm2g - wm2 - gj)})
+        wm2 = rule.coeff(ctx, -2, j)
+        rep.record("cm2-display", (j,), cm2 - wm2 - gj)
+        given = _cm2_given(ctx, rule, j) - wm2 - gj
+        if not is_zero(given):
+            rep.finding(
+                "cm2-display-reading",
+                "literal cm2 display fails at j=%d; adjusted reading "
+                "passes" % j,
+                {"j": j, "residual": scalar_str(given)})
         if j + 2 in l2:
             gauge = c2 * l2[j + 2][1]
             rep.record("gauge-product", (j,), gauge

@@ -113,10 +113,6 @@ class ResidualReport:
     def failed(self):
         return self.checked - self.passed
 
-    @property
-    def ok(self):
-        return not self.failures
-
     def to_dict(self):
         out = {
             "check": self.name,

@@ -587,9 +587,6 @@ class RationalFunction:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_const(self):
-        return self.num.is_const() and self.den.is_const()
-
     # arithmetic -----------------------------------------------------------
 
     def _coerce(self, other):

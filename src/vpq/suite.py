@@ -52,7 +52,8 @@ def _want_int(spec, key, where, minimum=None):
 # per-check key tables: name -> {key: (kind, default[, minimum])}; a None
 # default means required.  Each minimum is the least value at which the
 # check still checks something (or at which its sweep is defined), so a
-# config can never pass vacuously.
+# config can never pass vacuously; sampled-iso's kmax must also make its
+# negative check sound (window 0 checks only n = 0, which pins a2 alone).
 _CHECKS = {
     "qint-identities": {"mmax": ("int", 20, 0)},
     "verify-algebra": {"window": ("int", 4, 0)},
@@ -67,7 +68,7 @@ _CHECKS = {
     "iso": {"a": ("rat", None), "b": ("rat", None), "m": ("int", None),
             "kmax": ("int", 8, 0)},
     "sampled-iso": {"count": ("int", 10, 1), "mmax": ("int", 4, 0),
-                    "kmax": ("int", 8, 0)},
+                    "kmax": ("int", 8, 1)},
     "classify": {"a": ("rat", None), "b": ("rat", None)},
     "audit-identities": {"a": ("rat", None), "b": ("rat", None)},
     "degeneracy-table": {},
@@ -352,11 +353,13 @@ def _check_sampled_iso(ctx, spec, rng):
         a = _rand_fraction(rng)
         b = _rand_fraction(rng)
         m = rng.randint(-spec["mmax"], spec["mmax"])
+        # the shift's partner b' has the same step products: not unrelated
+        sa, sb = modules.shift_params(ctx, a, b, m)
+        related = ((sa, sb), (sa, classify.second_solution(ctx, sa, sb)))
         while True:
             a2 = _rand_fraction(rng)
             b2 = _rand_fraction(rng)
-            sa, sb = modules.shift_params(ctx, a, b, m)
-            if not (sa == ctx.scalar(a2) and sb == ctx.scalar(b2)):
+            if (ctx.scalar(a2), ctx.scalar(b2)) not in related:
                 break
         plain.append({"a": str(a), "b": str(b),
                       "a2": str(a2), "b2": str(b2), "m": m})
@@ -405,11 +408,7 @@ def _check_l2_display(ctx, spec, rng):
 
 
 def _check_fg_recurrences(ctx, spec, rng):
-    a, b = _ab(ctx, spec)
-    F0, G0, d_f, d_g = classify.fg_constants(ctx, classify.x_factors(ctx, a, b))
-    if F0 is None or G0 is None:
-        return classify.fg_failure(ResidualReport("fg-recurrences", {}), d_f, d_g)
-    return classify.fg_recurrence_audit(ctx, a, b, F0, G0, spec["jmax"])
+    return classify.fg_recurrence_audit(ctx, *_ab(ctx, spec), spec["jmax"])
 
 
 def _check_case_audit(ctx, spec, rng):

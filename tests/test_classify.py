@@ -13,6 +13,7 @@ from vpq.classify import (
     ADJUSTED_LINES,
     PAIR_ORDER,
     XPolynomial,
+    _cm2_given,
     closed_form_f,
     closed_form_g,
     condition_scalar,
@@ -226,8 +227,9 @@ def test_identity_audit_formal_parameters_at_pinned_points():
 
 
 def test_closed_forms_match_recurrence(ctx):
-    rep = fg_recurrence_audit(ctx, Fraction(1), Fraction(1),
-                              Fraction(15, 16), Fraction(-20, 243), 4)
+    # the recurrences are homogeneous in F0 and G0; the audit derives them
+    rep = fg_recurrence_audit(ctx, Fraction(1), Fraction(1), 4)
+    assert (rep.params["F0"], rep.params["G0"]) == ("15/16", "-20/243")
     assert rep.failed == 0
     assert rep.to_dict()["counts"]["checked"] > 0
 
@@ -255,11 +257,9 @@ def test_cm2_readings_differ_only_in_the_b_terms(ctx):
     # the given reading reads a and b from the rule's parameters
     for j in (-3, 2, 4):
         rule = Mab(Fraction(5), Fraction(0))
-        assert l2_coefficients(ctx, rule, j, "given") == \
-            l2_coefficients(ctx, rule, j)
+        assert _cm2_given(ctx, rule, j) == l2_coefficients(ctx, rule, j)[1]
         rule = Mab(Fraction(5), Fraction(1))
-        assert l2_coefficients(ctx, rule, j, "given")[1] != \
-            l2_coefficients(ctx, rule, j)[1]
+        assert _cm2_given(ctx, rule, j) != l2_coefficients(ctx, rule, j)[1]
 
 
 def _outcome(fn, *args):
@@ -290,11 +290,14 @@ def test_rule_readers_agree_over_memo_and_bare_rule(point):
         for j in range(-4, 5):
             for fn, args in ((closed_form_f, (F0, j)),
                              (closed_form_g, (G0, j)),
-                             (l2_coefficients, (j, "adjusted")),
-                             (l2_coefficients, (j, "given"))):
+                             (l2_coefficients, (j,))):
                 got = _outcome(fn, c, memo, *args)
                 assert got == _outcome(fn, c, bare, *args)
                 values += isinstance(got, list)
+            if isinstance(got, list):    # the literal cm2 where l2 exists
+                got = _outcome(_cm2_given, c, memo, j)
+                assert got == _outcome(_cm2_given, c, bare, j)
+                values += 1
     assert values > 30
 
 
@@ -314,20 +317,15 @@ def test_condition_scalar_is_linear_in_parameters(ctx):
         assert got == c00 + 2 * (c10 - c00) + (-3) * (c01 - c00)
 
 
-def _fg_audit(c, a, b, jmax):
-    F0, G0 = classify.fg_constants(c, x_factors(c, a, b))[:2]
-    return fg_recurrence_audit(c, a, b, F0, G0, jmax)
-
-
 def _audit_reports(point):
     if point == "formal":
         c = ScalarContext.symbolic("2", "3")
         a, b = c.var("a"), c.var("b")
         return [identity_audit(c, a, b), l2_display_audit(c, a, b, 6),
-                degeneracy_table_audit(c), _fg_audit(c, a, b, 6)]
+                degeneracy_table_audit(c), fg_recurrence_audit(c, a, b, 6)]
     c = ScalarContext.numeric(2, 3)
     a, b = (Fraction(v) for v in point.split(","))
-    return [l2_display_audit(c, a, b, 6), _fg_audit(c, a, b, 6)]
+    return [l2_display_audit(c, a, b, 6), fg_recurrence_audit(c, a, b, 6)]
 
 
 # sha256 of the audits' serialized reports where the bundled suite does not
@@ -351,26 +349,25 @@ def test_audit_bytes_are_unchanged(point):
 def test_audits_compute_each_value_once(monkeypatch):
     """identity_audit builds the x-factors once and degeneracy_table_audit
     once per (a, b) corner; l2_display_audit computes the adjusted ±2
-    coefficients once for each j in [-jmax, jmax + 2], and
-    fg_recurrence_audit each closed form once for each index it reads."""
+    coefficients once for each j in [-jmax, jmax + 2] and the literal cm2
+    once for each j it records, and fg_recurrence_audit each closed form
+    once for each index it reads."""
     c = ScalarContext.symbolic("2", "3")
     a, b = c.var("a"), c.var("b")
     jmax = 6
-    F0, G0 = classify.fg_constants(c, x_factors(c, a, b))[:2]
     calls = []
 
-    def counted(name, key=None):
+    def counted(name):
         real = getattr(classify, name)
 
         def wrapped(*args, **kwargs):
-            calls.append(key(*args, **kwargs) if key else name)
+            calls.append(name)
             return real(*args, **kwargs)
         monkeypatch.setattr(classify, name, wrapped)
 
-    for name in ("x_factors", "closed_form_f", "closed_form_g"):
+    for name in ("x_factors", "closed_form_f", "closed_form_g",
+                 "l2_coefficients", "_cm2_given"):
         counted(name)
-    counted("l2_coefficients",
-            lambda ctx, rule, j, reading="adjusted": "l2 " + reading)
 
     def count(audit, *args):
         calls.clear()
@@ -379,10 +376,18 @@ def test_audits_compute_each_value_once(monkeypatch):
 
     assert count(identity_audit, c, a, b) == {"x_factors": 1}
     assert count(degeneracy_table_audit, c) == {"x_factors": 3}
-    got = count(l2_display_audit, c, a, b, jmax)
-    assert got["l2 adjusted"] == 2 * jmax + 3
-    got = count(fg_recurrence_audit, c, a, b, F0, G0, jmax)
-    assert got == {"closed_form_f": 2 * jmax + 2, "closed_form_g": 2 * jmax + 2}
+    got = count(fg_recurrence_audit, c, a, b, jmax)
+    assert got == {"x_factors": 1, "closed_form_f": 2 * jmax + 2,
+                   "closed_form_g": 2 * jmax + 2}
+    # formal a, b at three points: every j has its ±2 coefficients
+    l2_calls = {"l2_coefficients": 0, "_cm2_given": 0}
+    for pq in (("2", "3"), ("3", "5"), ("-2", "7")):
+        pc = ScalarContext.symbolic(*pq)
+        got = count(l2_display_audit, pc, pc.var("a"), pc.var("b"), jmax)
+        for name in l2_calls:
+            l2_calls[name] += got[name]
+    assert l2_calls == {"l2_coefficients": 3 * (2 * jmax + 3),
+                        "_cm2_given": 3 * (2 * jmax + 1)}
 
 
 @pytest.mark.parametrize("pq", [("2", "3"), ()], ids=["point", "formal"])

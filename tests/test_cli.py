@@ -302,6 +302,22 @@ def test_vacuous_check_sizes_are_rejected():
         assert rep.checked > 0 and rep.failed == 0
 
 
+@pytest.mark.parametrize("kmax,want", [(0, 2), (1, 0)])
+def test_sampled_iso_window_zero_is_a_usage_error(capsys, tmp_path, kmax,
+                                                  want):
+    # at kmax 0 an unrelated pair meets only the n = 0 constraint, which
+    # pins a2 alone; this seed used to exit 1 there on correct code
+    config = tmp_path / "suite.json"
+    config.write_text(json.dumps({
+        "context": {"p": "2", "q": "3"}, "seed": 9,
+        "checks": [{"check": "sampled-iso", "kmax": kmax}]}))
+    rc, out, err = run(capsys, "suite", "--config", str(config))
+    assert rc == want and "Traceback" not in err
+    if want == 2:
+        assert out == "" and err.startswith("vpq:")
+        assert "'kmax' must be >= 1" in err
+
+
 @pytest.mark.parametrize("mmax,window", [(4, 0), (4, 1), (4, 2), (4, 3),
                                           (0, 0)])
 def test_reducible_grid_window_below_mmax_is_a_usage_error(

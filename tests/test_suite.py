@@ -15,9 +15,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpq import cli, scalar
+from vpq import cli, scalar, suite
 from vpq.algebra import hom_jacobi_residual, skew_residual, verify_algebra
-from vpq.modules import Mab, relation_residual, verify_module
+from vpq.modules import (Mab, find_intertwiner, relation_residual,
+                         verify_module)
 from vpq.scalar import ScalarContext, is_zero, pascal_residual, scalar_str
 from vpq.suite import _CHECKS, _HANDLERS, SuiteConfig, run_suite
 
@@ -130,23 +131,53 @@ configs = st.fixed_dictionaries({
 
 
 @given(configs)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 def test_every_config_keeps_the_exit_code_contract(doc):
+    # the code is correct, so a config is clean (0) or a usage error (2)
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "suite.json"
         report = Path(tmp) / "report.json"
         config.write_text(json.dumps(doc))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = cli.main(["suite", "--config", str(config),
                            "--json", str(report)])
+        assert rc in (0, 2), err.getvalue()
         if rc == 2:
-            assert err.getvalue().startswith("vpq: ")
+            lines = err.getvalue().splitlines()
+            assert out.getvalue() == "" and "Traceback" not in err.getvalue()
+            assert len(lines) == 1 and lines[0].startswith("vpq: ")
             return
-        assert rc in (0, 1)
-        failed = json.loads(report.read_text())["totals"]["failed"]
-        assert (rc == 1) == (failed > 0)
+        assert json.loads(report.read_text())["totals"]["failed"] == 0
+
+
+@pytest.mark.parametrize("backend", ["numeric", "symbolic"])
+def test_sampled_iso_never_draws_the_shifted_partner_as_unrelated(
+        monkeypatch, backend):
+    # (2, 0) shifted by m = -2 is (13/4, 0); its partner b' = 9/4 has the
+    # same step products, and at b = 0 it admits an intertwiner too, so an
+    # unrelated draw equal to either is drawn again
+    ctx = (ScalarContext.numeric(2, 3) if backend == "numeric"
+           else ScalarContext.symbolic("2", "3"))
+    two, zero = ctx.scalar(Fraction(2)), ctx.zero
+    partner = Mab(ctx.scalar(Fraction(13, 4)), ctx.scalar(Fraction(9, 4)))
+    assert find_intertwiner(ctx, Mab(two, zero), partner, -2, 4) is not None
+    draws = iter(Fraction(v) for v in ("2", "0", "2", "0", "13/4", "9/4",
+                                       "13/4", "0", "1", "1"))
+    monkeypatch.setattr(suite, "_rand_fraction",
+                        lambda rng, nonzero=False: next(draws))
+
+    class Rng:
+        @staticmethod
+        def randint(lo, hi):
+            return -2
+
+    rep = suite._check_sampled_iso(
+        ctx, {"count": 1, "mmax": 2, "kmax": 4}, Rng())
+    assert next(draws, None) is None
+    assert rep.checked == 2 and rep.failed == 0
+    assert rep.sections["plain_samples"] == [
+        {"a": "2", "b": "0", "a2": "1", "b2": "1", "m": -2}]
 
 
 # -- numerator sweeps ------------------------------------------------------------

@@ -10,11 +10,18 @@ Several displayed formulas in the source material admit two candidate
 readings (a sign or exponent differs between occurrences).  Audits compute
 both: the reading with identically zero residual is labelled "adjusted", the
 other "given", and the choice is recorded as a finding, never silently.
+
+The weight-two audits (`l2_display_audit`, `fg_recurrence_audit`) read
+their rule in rows of parts and judge each residual by its fraction-free
+numerator, as `modules.verify_module` does: a passing residual takes ring
+products only, and only a failure or a finding is reduced, once.
+`l2_coefficients` and `closed_form_f`/`closed_form_g` compute the same
+quantities as values.
 """
 
 from __future__ import annotations
 
-from .modules import Mab, MemoRule
+from .modules import Mab
 from .report import ResidualReport
 from .scalar import is_zero, scalar_str
 
@@ -527,6 +534,13 @@ def identity_audit(ctx, a, b):
 
 
 # -- displayed action coefficients and the recurrences -----------------------
+#
+# A residual's numerator and denominator are built from the parts of the
+# rule's rows and of the cached u^{3j}, F and G.  A failure or a finding is
+# reduced by `ctx.join` from those same parts, so it prints as the value
+# arithmetic would.  At a point every denominator part below is an int and
+# a numerator part may be a Poly, so each product names its denominator
+# parts first (int factors to the left of a Poly).
 
 def closed_form_f(ctx, rule, F0, j):
     """f(j) = u^{3j} F0 / (c(-1,j+2) c(-1,j+1)); None on zero denominator."""
@@ -544,39 +558,95 @@ def closed_form_g(ctx, rule, G0, j):
     return ctx.upow(3 * j) * G0 / den
 
 
+def _residual(ctx, num, den):
+    """The residual num/den: the context's zero when num is zero, else
+    reduced once."""
+    return ctx.zero if is_zero(num) else ctx.join(num, den)
+
+
+def _rows(ctx, rule, ns, ks):
+    """{n: {k: parts of c(n, k)}} for n in ns and k in ks, one row each."""
+    return {n: dict(zip(ks, rule.parts_row(ctx, n, ks))) for n in ns}
+
+
+def _product(*xs):
+    """Parts of the product of scalars given by their parts."""
+    num, den = xs[0]
+    for n, d in xs[1:]:
+        num, den = num * n, den * d
+    return num, den
+
+
+def _closed(ctx, i, const, den):
+    """Parts of u^{3i}·K/D, K and D given by their parts; None when D is
+    zero.  f(j) has i = j, K = F0 and D = c(-1,j+2)·c(-1,j+1); g(j) has
+    K = G0 and D = c(1,j-2)·c(1,j-1)."""
+    (kn, kd), (dn, dd) = const, den
+    if is_zero(dn):
+        return None
+    un, ud = ctx.parts(ctx.upow(3 * i))
+    return (un * dd) * kn, (ud * kd) * dn
+
+
+def _step(s1, x1, c1, s2, x2, c2):
+    """Parts of s1·x1·c1 - s2·x2·c2, for constants s, closed forms x and
+    rule coefficients c given by their parts."""
+    (n1, d1), (n2, d2) = _product(s1, c1, x1), _product(s2, c2, x2)
+    return n1 * d2 - n2 * d1, d1 * d2
+
+
 def fg_recurrence_audit(ctx, a, b, jmax):
     """The two step recurrences against the closed forms, swept over j.
 
     F0 and G0 are the constants of the two cubic differences at (a, b).
-    The sweep reads the mab(a, b) coefficients through one MemoRule."""
+    The sweep reads the mab(a, b) rows c(1, ·) and c(-1, ·) once and judges
+    each step by its numerator; a failing one is reduced once."""
     F0, G0, d_f, d_g = fg_constants(ctx, x_factors(ctx, a, b))
     if F0 is None or G0 is None:
         return _fg_failure(ResidualReport("fg-recurrences", {}), d_f, d_g)
-    rule = MemoRule(ctx, Mab(a, b))
     rep = ResidualReport("fg-recurrences", {
         "a": scalar_str(a), "b": scalar_str(b),
         "F0": scalar_str(F0), "G0": scalar_str(G0),
         "jmax": int(jmax), **ctx.describe()})
-    fs = {j: closed_form_f(ctx, rule, F0, j) for j in range(-jmax - 1, jmax + 1)}
-    gs = {j: closed_form_g(ctx, rule, G0, j) for j in range(-jmax, jmax + 2)}
-    p3, q3 = ctx.p ** 3, ctx.q ** 3
-    pm3, qm3 = ctx.p ** -3, ctx.q ** -3
+    c = _rows(ctx, Mab(a, b), (1, -1), range(-jmax - 2, jmax + 3))
+    fp, gp = ctx.parts(F0), ctx.parts(G0)
+    fs = {j: _closed(ctx, j, fp, _product(c[-1][j + 2], c[-1][j + 1]))
+          for j in range(-jmax - 1, jmax + 1)}
+    gs = {j: _closed(ctx, j, gp, _product(c[1][j - 2], c[1][j - 1]))
+          for j in range(-jmax, jmax + 2)}
+    p3, q3 = ctx.parts(ctx.ppow(3)), ctx.parts(ctx.qpow(3))
+    pm3, qm3 = ctx.parts(ctx.ppow(-3)), ctx.parts(ctx.qpow(-3))
     for j in range(-jmax, jmax + 1):
         fj, fjm1 = fs[j], fs[j - 1]
         if fj is None or fjm1 is None:
             rep.note("f-recurrence skipped at j=%d (zero denominator)" % j)
         else:
-            rep.record("f-step", (j,),
-                       qm3 * fj * rule.coeff(ctx, -1, j + 2)
-                       - pm3 * fjm1 * rule.coeff(ctx, -1, j))
+            rep.record("f-step", (j,), _residual(ctx, *_step(
+                qm3, fj, c[-1][j + 2], pm3, fjm1, c[-1][j])))
         gj, gjp1 = gs[j], gs[j + 1]
         if gj is None or gjp1 is None:
             rep.note("g-recurrence skipped at j=%d (zero denominator)" % j)
         else:
-            rep.record("g-step", (j,),
-                       p3 * gjp1 * rule.coeff(ctx, 1, j)
-                       - q3 * gj * rule.coeff(ctx, 1, j - 2))
+            rep.record("g-step", (j,), _residual(ctx, *_step(
+                p3, gjp1, c[1][j], q3, gj, c[1][j - 2])))
     return rep
+
+
+# the denominators c(n, j + dk) of the ±2 coefficients at j, in the order
+# they are tested, each with the name a vanishing one is reported under
+_L2_DENOMINATORS = ((-1, 2, "c2 denominator dn(j+2)"),
+                    (-1, 1, "c2 denominator dn(j+1)"),
+                    (1, -2, "cm2 denominator up(j-2)"),
+                    (1, -1, "cm2 denominator up(j-1)"))
+
+
+def _vanishing_denominator(j, vanishes):
+    """The message for the first ±2 denominator c(n, k) at j for which
+    vanishes(n, k) holds, else None."""
+    for n, dk, name in _L2_DENOMINATORS:
+        if vanishes(n, j + dk):
+            return "%s vanishes at j=%d" % (name, j)
+    return None
 
 
 def l2_coefficients(ctx, rule, j):
@@ -584,89 +654,99 @@ def l2_coefficients(ctx, rule, j):
 
     Returns (c2, cm2), built from the rule's c(±1,·) and c(±2,·).  cm2 is
     the adjusted reading of its display, the one consistent with the
-    recurrences; `_cm2_given` is the literal one.  Vanishing denominators
-    raise with the offending factor named.
+    recurrences.  Vanishing denominators raise with the offending factor
+    named.
     """
     j = int(j)
     c = lambda n, k: rule.coeff(ctx, n, k)
-    den1 = c(-1, j + 2)
-    den2 = c(-1, j + 1)
-    if is_zero(den1):
-        raise ValueError("c2 denominator dn(j+2) vanishes at j=%d" % j)
-    if is_zero(den2):
-        raise ValueError("c2 denominator dn(j+1) vanishes at j=%d" % j)
-    c2 = c(1, j) * c(1, j + 1) * c(-2, j + 2) / (den1 * den2)
-    den3 = c(1, j - 2)
-    den4 = c(1, j - 1)
-    if is_zero(den3):
-        raise ValueError("cm2 denominator up(j-2) vanishes at j=%d" % j)
-    if is_zero(den4):
-        raise ValueError("cm2 denominator up(j-1) vanishes at j=%d" % j)
-    cm2 = c(-1, j) * c(-1, j - 1) * c(2, j - 2) / (den3 * den4)
+    bad = _vanishing_denominator(j, lambda n, k: is_zero(c(n, k)))
+    if bad is not None:
+        raise ValueError(bad)
+    c2 = c(1, j) * c(1, j + 1) * c(-2, j + 2) / (c(-1, j + 2) * c(-1, j + 1))
+    cm2 = c(-1, j) * c(-1, j - 1) * c(2, j - 2) / (c(1, j - 2) * c(1, j - 1))
     return c2, cm2
 
 
-def _cm2_given(ctx, rule, j):
-    """The literal reading of cm2, in the rule's parameters a and b; it
-    differs in the first factor's exponent and one bracket sign.  Call it
-    only where `l2_coefficients` returns, so no denominator vanishes."""
-    p, q = ctx.p, ctx.q
-    params = rule.params()
-    a, b = params["a"], params["b"]
-    first = (p ** -j * ctx.qint(j) - a * p ** -j * q ** j
-             - b * p ** (-j - 1) * q ** j * ctx.qint(-1))
-    second = (p ** (-j + 2) * ctx.qint(j - 2) - a * p ** (-j + 2) * q ** (j - 2)
-              - b * p ** -j * q ** (j - 2) * ctx.qint(-2))
-    return (first * rule.coeff(ctx, -1, j - 1) * second
-            / (rule.coeff(ctx, 1, j - 2) * rule.coeff(ctx, 1, j - 1)))
+def _display(coeff, u, const, w):
+    """Parts of (A - U·K)/D - W: a ±2 coefficient A/D less its closed form
+    U·K/D and its rule value W.  coeff = (D, A), the parts of the products
+    of its denominators and of its numerators; u, const and w are the parts
+    of u^{3j}, K and W.  The coefficient and its closed form share D, so D
+    enters the denominator once."""
+    ((dn, dd), (an, ad)), (un, ud), (kn, kd), (wn, wd) = coeff, u, const, w
+    x = ud * kd
+    return ((dd * wd * x) * an - (ad * x) * wn * dn - (dd * un * ad * wd) * kn,
+            (ad * wd * x) * dn)
 
 
 def l2_display_audit(ctx, a, b, jmax):
     """Sweep of the displayed ±2 coefficients against rule values and the
     closed forms, plus the gauge-invariant product against the partner
-    parameters.  The sweep reads the mab(a, b) coefficients through one
-    MemoRule, and computes the adjusted (c2, cm2) once for each j in
-    [-jmax, jmax + 2]: the gauge product at j reads cm2 at j + 2."""
+    parameters.
+
+    The sweep reads the rows c(±1, ·) and c(±2, ·) of mab(a, b) once, and
+    c(2, ·), c(-2, ·) of the partner and of the variant partner.  It builds
+    the parts of the adjusted (c2, cm2) once for each j in [-jmax, jmax + 2]
+    (the gauge product at j reads cm2 at j + 2) and judges every residual by
+    its numerator.  Each factor of the literal cm2 is a mab coefficient with
+    b rescaled: c(1, j) of mab(a, b[-1]) and c(2, j - 2) of
+    mab(a, b[-2]/[2]), so the literal reading is two more rows.  Only a
+    failing residual or a finding is reduced."""
     rep = ResidualReport("l2-display", {
         "a": scalar_str(a), "b": scalar_str(b), "jmax": int(jmax),
         **ctx.describe()})
     F, G, d_f, d_g = fg_constants(ctx, x_factors(ctx, a, b))
     if F is None or G is None:
         return _fg_failure(rep, d_f, d_g)
-    rule = MemoRule(ctx, Mab(a, b))
-    partner = Mab(a, second_solution(ctx, a, b))
-    variant = Mab(a, 1 - a * (ctx.p - ctx.q) - b)
-    variant_hits = 0
-    l2 = {}
+    c = _rows(ctx, Mab(a, b), (1, -1, 2, -2), range(-jmax - 2, jmax + 5))
+    partner, variant = (_rows(ctx, Mab(a, bb), (2, -2), range(-jmax, jmax + 3))
+                        for bb in (second_solution(ctx, a, b),
+                                   1 - a * (ctx.p - ctx.q) - b))
+    first = _rows(ctx, Mab(a, b * ctx.qint(-1)), (1,),
+                  range(-jmax, jmax + 1))[1]
+    second = _rows(ctx, Mab(a, b * ctx.qint(-2) / ctx.qint(2)), (2,),
+                   range(-jmax - 2, jmax - 1))[2]
+    fp, gp = ctx.parts(F), ctx.parts(G)
+    l2 = {}     # j -> c2 and cm2, each as (denominators, numerators)
     for j in range(-jmax, jmax + 3):
-        try:
-            l2[j] = l2_coefficients(ctx, rule, j)
-        except ValueError as exc:
+        bad = _vanishing_denominator(j, lambda n, k: is_zero(c[n][k][0]))
+        if bad is not None:
             if j <= jmax:
-                rep.note("skipped j=%d: %s" % (j, exc))
-    # where l2[j] exists, no denominator of the closed forms vanishes
+                rep.note("skipped j=%d: %s" % (j, bad))
+            continue
+        l2[j] = ((_product(c[-1][j + 2], c[-1][j + 1]),
+                  _product(c[1][j], c[1][j + 1], c[-2][j + 2])),
+                 (_product(c[1][j - 2], c[1][j - 1]),
+                  _product(c[-1][j], c[-1][j - 1], c[2][j - 2])))
+    variant_hits = 0
     for j in range(-jmax, jmax + 1):
         if j not in l2:
             continue
         c2, cm2 = l2[j]
-        rep.record("c2-display", (j,), c2 - rule.coeff(ctx, 2, j)
-                   - closed_form_f(ctx, rule, F, j))
-        gj = closed_form_g(ctx, rule, G, j)
-        wm2 = rule.coeff(ctx, -2, j)
-        rep.record("cm2-display", (j,), cm2 - wm2 - gj)
-        given = _cm2_given(ctx, rule, j) - wm2 - gj
-        if not is_zero(given):
+        u = ctx.parts(ctx.upow(3 * j))
+        rep.record("c2-display", (j,), _residual(
+            ctx, *_display(c2, u, fp, c[2][j])))
+        rep.record("cm2-display", (j,), _residual(
+            ctx, *_display(cm2, u, gp, c[-2][j])))
+        given = _display((cm2[0], _product(first[j], c[-1][j - 1],
+                                           second[j - 2])), u, gp, c[-2][j])
+        if not is_zero(given[0]):
             rep.finding(
                 "cm2-display-reading",
                 "literal cm2 display fails at j=%d; adjusted reading "
                 "passes" % j,
-                {"j": j, "residual": scalar_str(given)})
+                {"j": j, "residual": scalar_str(ctx.join(*given))})
         if j + 2 in l2:
-            gauge = c2 * l2[j + 2][1]
-            rep.record("gauge-product", (j,), gauge
-                       - partner.coeff(ctx, 2, j) * partner.coeff(ctx, -2, j + 2))
-            if is_zero(gauge - variant.coeff(ctx, 2, j)
-                       * variant.coeff(ctx, -2, j + 2)):
+            # c2(j)·cm2(j+2) = top/(bottom·dn) against c(2,j)·c(-2,j+2) of
+            # the partner, and of the variant partner
+            ((dn, dd), (an, ad)), ((dn2, dd2), (an2, ad2)) = c2, l2[j + 2][1]
+            top, bottom, dn = (dd * dd2) * an * an2, ad * ad2, dn * dn2
+            (pn, pd), (qn, qd) = partner[2][j], partner[-2][j + 2]
+            rep.record("gauge-product", (j,), _residual(
+                ctx, (pd * qd) * top - bottom * pn * qn * dn,
+                (bottom * pd * qd) * dn))
+            (pn, pd), (qn, qd) = variant[2][j], variant[-2][j + 2]
+            if is_zero((pd * qd) * top - bottom * pn * qn * dn):
                 variant_hits += 1
     rep.section("variant_partner_matches", variant_hits)
     return rep

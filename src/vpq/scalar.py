@@ -752,7 +752,9 @@ def is_zero(x):
     with an ``is_zero`` method); the only passing residual is this zero.
     Anything else, such as a float, is no exact scalar and raises
     TypeError."""
-    if isinstance(x, (Fraction, int)):
+    # int first: the kernels test int numerators, and an isinstance test
+    # of an int against Fraction goes through ABCMeta.__instancecheck__
+    if isinstance(x, (int, Fraction)):
         return x == 0
     test = getattr(x, "is_zero", None)
     if test is None:
@@ -886,9 +888,21 @@ class ScalarContext:
             if self.formal:
                 return x.num, x.den
             return _ground(x.num), _ground(x.den)
+        # Fraction first: the numeric backend's scalars are Fractions
         if isinstance(x, (Fraction, int)):
             return x.numerator, x.denominator
         raise TypeError("not an exact scalar: %r" % (x,))
+
+    def join(self, num, den):
+        """The scalar num/den of this context, reduced: the inverse of
+        `parts`.  num and den are ints or Polys, den nonzero.  A kernel
+        that judged a residual nonzero by its numerator reduces it here
+        once, and the result prints as the value arithmetic would."""
+        if self.backend == "numeric":
+            return Fraction(num, den)
+        num, den = (Poly.const(x) if isinstance(x, int) else x
+                    for x in (num, den))
+        return RationalFunction(num, den)
 
     # memoised one-index quantities --------------------------------------------
 

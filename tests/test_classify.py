@@ -13,7 +13,6 @@ from vpq.classify import (
     ADJUSTED_LINES,
     PAIR_ORDER,
     XPolynomial,
-    _cm2_given,
     closed_form_f,
     closed_form_g,
     condition_scalar,
@@ -253,6 +252,22 @@ def test_l2_coefficients_raise_on_vanishing_factor(ctx):
         l2_coefficients(ctx, Mab(Fraction(-1, 2), Fraction(-3, 2)), -2)
 
 
+def _cm2_given(ctx, rule, j):
+    """The literal typeset reading of cm2, in the rule's parameters a and b:
+    it differs from the adjusted one in the first factor's exponent and one
+    bracket sign.  Call it only where `l2_coefficients` returns, so no
+    denominator vanishes.  The oracle for the audit's literal reading."""
+    p, q = ctx.p, ctx.q
+    params = rule.params()
+    a, b = params["a"], params["b"]
+    first = (p ** -j * ctx.qint(j) - a * p ** -j * q ** j
+             - b * p ** (-j - 1) * q ** j * ctx.qint(-1))
+    second = (p ** (-j + 2) * ctx.qint(j - 2) - a * p ** (-j + 2) * q ** (j - 2)
+              - b * p ** -j * q ** (j - 2) * ctx.qint(-2))
+    return (first * rule.coeff(ctx, -1, j - 1) * second
+            / (rule.coeff(ctx, 1, j - 2) * rule.coeff(ctx, 1, j - 1)))
+
+
 def test_cm2_readings_differ_only_in_the_b_terms(ctx):
     # the given reading reads a and b from the rule's parameters
     for j in (-3, 2, 4):
@@ -318,8 +333,9 @@ def test_condition_scalar_is_linear_in_parameters(ctx):
 
 
 def _audit_reports(point):
-    if point == "formal":
-        c = ScalarContext.symbolic("2", "3")
+    if point.startswith("formal"):
+        pq = point.partition(":")[2] or "2,3"
+        c = ScalarContext.symbolic(*pq.split(","))
         a, b = c.var("a"), c.var("b")
         return [identity_audit(c, a, b), l2_display_audit(c, a, b, 6),
                 degeneracy_table_audit(c), fg_recurrence_audit(c, a, b, 6)]
@@ -329,10 +345,13 @@ def _audit_reports(point):
 
 
 # sha256 of the audits' serialized reports where the bundled suite does not
-# reach: formal a, b at (2,3), and numeric points whose sweeps skip j with
-# notes, which fixes the order of notes, records and findings
+# reach: formal a, b at each point of the formal workload ("formal" is
+# (2,3)), and numeric points whose sweeps skip j with notes, which fixes the
+# order of notes, records and findings
 _AUDIT_SHA256 = {
     "formal": "b5b79b1da180363127e81bc6f5b193c383a53ecc3845cba3e7a8f0832fcee129",
+    "formal:5,7": "b323d7180241aed55433182410dba047ddfd93d0bfc8d010f5770ed5f5b6c5f9",
+    "formal:-3/2,1/4": "3696864b98ca6612286d51fbf26cd7ea9410470bc82fc2e39ba4ad114e38a15e",
     "-1/2,-3/2": "2124b9ef96d22bddd43115e8ede79184eb735b02760e1db742d4b817f875bcb4",
     "0,0": "adefa04cfa30926d0e5ef3a90e83596d020c54603c8711830d115927ba498dab",
 }
@@ -348,46 +367,153 @@ def test_audit_bytes_are_unchanged(point):
 
 def test_audits_compute_each_value_once(monkeypatch):
     """identity_audit builds the x-factors once and degeneracy_table_audit
-    once per (a, b) corner; l2_display_audit computes the adjusted ±2
-    coefficients once for each j in [-jmax, jmax + 2] and the literal cm2
-    once for each j it records, and fg_recurrence_audit each closed form
-    once for each index it reads."""
+    once per (a, b) corner.  The weight-two audits build them once, call no
+    value helper (no ±2 coefficient, closed form or rule value) on a
+    passing sweep, and reduce exactly once per finding: their residuals are
+    judged by numerators."""
     c = ScalarContext.symbolic("2", "3")
     a, b = c.var("a"), c.var("b")
     jmax = 6
     calls = []
 
-    def counted(name):
-        real = getattr(classify, name)
+    def counted(owner, name, key):
+        real = getattr(owner, name)
 
         def wrapped(*args, **kwargs):
-            calls.append(name)
+            calls.append(key)
             return real(*args, **kwargs)
-        monkeypatch.setattr(classify, name, wrapped)
+        monkeypatch.setattr(owner, name, wrapped)
 
     for name in ("x_factors", "closed_form_f", "closed_form_g",
-                 "l2_coefficients", "_cm2_given"):
-        counted(name)
+                 "l2_coefficients"):
+        counted(classify, name, name)
+    counted(Mab, "coeff", "Mab.coeff")
+    counted(ScalarContext, "join", "join")
 
     def count(audit, *args):
         calls.clear()
-        assert audit(*args).failed == 0
-        return {k: calls.count(k) for k in calls}
+        rep = audit(*args)
+        assert rep.failed == 0
+        return {k: calls.count(k) for k in calls}, rep
 
-    assert count(identity_audit, c, a, b) == {"x_factors": 1}
-    assert count(degeneracy_table_audit, c) == {"x_factors": 3}
-    got = count(fg_recurrence_audit, c, a, b, jmax)
-    assert got == {"x_factors": 1, "closed_form_f": 2 * jmax + 2,
-                   "closed_form_g": 2 * jmax + 2}
-    # formal a, b at three points: every j has its ±2 coefficients
-    l2_calls = {"l2_coefficients": 0, "_cm2_given": 0}
-    for pq in (("2", "3"), ("3", "5"), ("-2", "7")):
+    assert count(identity_audit, c, a, b)[0] == {"x_factors": 1}
+    assert count(degeneracy_table_audit, c)[0] == {"x_factors": 3}
+    # formal a, b at the three points of the formal workload: every j has
+    # its ±2 coefficients and a literal-cm2 finding
+    for pq in (("2", "3"), ("5", "7"), ("-3/2", "1/4")):
         pc = ScalarContext.symbolic(*pq)
-        got = count(l2_display_audit, pc, pc.var("a"), pc.var("b"), jmax)
-        for name in l2_calls:
-            l2_calls[name] += got[name]
-    assert l2_calls == {"l2_coefficients": 3 * (2 * jmax + 3),
-                        "_cm2_given": 3 * (2 * jmax + 1)}
+        pa, pb = pc.var("a"), pc.var("b")
+        got, rep = count(fg_recurrence_audit, pc, pa, pb, jmax)
+        assert got == {"x_factors": 1} and rep.checked == 2 * (2 * jmax + 1)
+        got, rep = count(l2_display_audit, pc, pa, pb, jmax)
+        assert len(rep.findings) == 2 * jmax + 1
+        assert got == {"x_factors": 1, "join": len(rep.findings)}
+
+
+def _l2_oracle(ctx, a, b, jmax):
+    """Notes, failures and finding residuals of `l2_display_audit` by value
+    arithmetic: `l2_coefficients`, the closed forms, `rule.coeff` and the
+    typeset cm2 (`_cm2_given`), read through the module names the audit
+    uses for F, G and the partner."""
+    F, G = classify.fg_constants(ctx, x_factors(ctx, a, b))[:2]
+    rule = Mab(a, b)
+    partner = Mab(a, classify.second_solution(ctx, a, b))
+    l2, notes, failures, findings = {}, [], [], []
+    for j in range(-jmax, jmax + 3):
+        try:
+            l2[j] = l2_coefficients(ctx, rule, j)
+        except ValueError as exc:
+            if j <= jmax:
+                notes.append("skipped j=%d: %s" % (j, exc))
+    for j in range(-jmax, jmax + 1):
+        if j not in l2:
+            continue
+        c2, cm2 = l2[j]
+        gj = closed_form_g(ctx, rule, G, j)
+        wm2 = rule.coeff(ctx, -2, j)
+        found = [("c2-display", c2 - rule.coeff(ctx, 2, j)
+                  - closed_form_f(ctx, rule, F, j)),
+                 ("cm2-display", cm2 - wm2 - gj)]
+        given = _cm2_given(ctx, rule, j) - wm2 - gj
+        if given != 0:
+            findings.append(scalar_str(given))
+        if j + 2 in l2:
+            found.append(("gauge-product", c2 * l2[j + 2][1]
+                          - partner.coeff(ctx, 2, j)
+                          * partner.coeff(ctx, -2, j + 2)))
+        failures += [{"identity": name, "indices": [j],
+                      "residual": scalar_str(r)}
+                     for name, r in found if r != 0]
+    return notes, failures, findings
+
+
+def _fg_oracle(ctx, a, b, jmax):
+    """Notes and failures of `fg_recurrence_audit` by value arithmetic."""
+    F0, G0 = classify.fg_constants(ctx, x_factors(ctx, a, b))[:2]
+    rule = Mab(a, b)
+    c = lambda n, k: rule.coeff(ctx, n, k)
+    notes, failures = [], []
+    for j in range(-jmax, jmax + 1):
+        for name, xs, residual in (
+                ("f", (closed_form_f(ctx, rule, F0, j),
+                       closed_form_f(ctx, rule, F0, j - 1)),
+                 lambda fj, fjm1: (ctx.q ** -3 * fj * c(-1, j + 2)
+                                   - ctx.p ** -3 * fjm1 * c(-1, j))),
+                ("g", (closed_form_g(ctx, rule, G0, j),
+                       closed_form_g(ctx, rule, G0, j + 1)),
+                 lambda gj, gjp1: (ctx.p ** 3 * gjp1 * c(1, j)
+                                   - ctx.q ** 3 * gj * c(1, j - 2)))):
+            if None in xs:
+                notes.append("%s-recurrence skipped at j=%d (zero "
+                             "denominator)" % (name, j))
+                continue
+            r = residual(*xs)
+            if r != 0:
+                failures.append({"identity": "%s-step" % name,
+                                 "indices": [j], "residual": scalar_str(r)})
+    return notes, failures
+
+
+@pytest.mark.parametrize("point", ["formal", "numeric"])
+def test_weight_two_failures_read_as_the_value_path(monkeypatch, point):
+    """With F and G shifted by 1 and the partner by 1, every c2-display,
+    cm2-display and gauge-product residual fails; the f and g recurrences
+    are homogeneous in F and G, so for them u^{3j} is also made to step by
+    (2u)^3 instead of u^3.  Each failure, reduced once from its numerator,
+    reads as the value path's residual, and each literal-cm2 finding as the
+    typeset formula's."""
+    if point == "formal":
+        c = ScalarContext.symbolic("2", "3")
+        a, b = c.var("a"), c.var("b")
+    else:
+        c = ScalarContext.numeric(2, 3)
+        a = b = Fraction(1)
+    jmax = 4
+    real_fg, real_partner = classify.fg_constants, classify.second_solution
+
+    def shifted_fg(ctx, fx):
+        F, G, d_f, d_g = real_fg(ctx, fx)
+        return F + 1, G + 1, d_f, d_g
+
+    monkeypatch.setattr(classify, "fg_constants", shifted_fg)
+    monkeypatch.setattr(classify, "second_solution",
+                        lambda ctx, a, b: real_partner(ctx, a, b) + 1)
+    rep = l2_display_audit(c, a, b, jmax)
+    notes, failures, findings = _l2_oracle(c, a, b, jmax)
+    assert rep.failures == failures
+    assert rep.notes == notes
+    assert [f["data"]["residual"] for f in rep.findings] == findings
+    assert rep.checked == rep.failed == 3 * (2 * jmax + 1)
+    assert {f["identity"] for f in failures} == {
+        "c2-display", "cm2-display", "gauge-product"}
+
+    real_upow = c.upow
+    monkeypatch.setattr(c, "upow", lambda n: real_upow(n) * Fraction(2) ** n)
+    rep = fg_recurrence_audit(c, a, b, jmax)
+    notes, failures = _fg_oracle(c, a, b, jmax)
+    assert rep.failures == failures
+    assert rep.notes == notes
+    assert rep.checked == rep.failed == 2 * (2 * jmax + 1)
 
 
 @pytest.mark.parametrize("pq", [("2", "3"), ()], ids=["point", "formal"])

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from vpq import modules, scalar
 from vpq.algebra import verify_algebra
 from vpq.caseaudit import case3_constants, case_constants_audit
-from vpq.classify import (identity_audit, l2_display_audit,
-                          quadratic_roots_audit, second_solution)
+from vpq.classify import (fg_recurrence_audit, identity_audit,
+                          l2_display_audit, quadratic_roots_audit,
+                          second_solution)
 from vpq.modules import (
     SUBMODULE_CAP,
     ExcAlpha,
@@ -786,8 +787,8 @@ def test_kernels_multiply_a_poly_by_no_int_on_its_right(monkeypatch):
     # the kernels write an int factor to the left of a Poly (n * p goes to
     # Poly.__rmul__), so Poly.__mul__ only ever sees two Polys; perfbench's
     # scalar.poly.mul probe counts the terms of both of its operands.  The
-    # sweeps of the formal workload: formal a, b at two points, then
-    # formal p, q
+    # sweeps of the formal workload: formal a, b at two points (the module
+    # sweep and both weight-two audits), then formal p, q
     real = Poly.__mul__
     seen = []
 
@@ -799,8 +800,11 @@ def test_kernels_multiply_a_poly_by_no_int_on_its_right(monkeypatch):
     monkeypatch.setattr(Poly, "__mul__", polys_only)
     for p, q in (("2", "3"), ("-3/2", "1/4")):
         ctx = ScalarContext.symbolic(p, q)
-        rep = verify_module(ctx, Mab(ctx.var("a"), ctx.var("b")), 3, 5)
-        assert rep.checked > 0 and rep.failed == 0
+        a, b = ctx.var("a"), ctx.var("b")
+        for rep in (verify_module(ctx, Mab(a, b), 3, 5),
+                    l2_display_audit(ctx, a, b, 4),
+                    fg_recurrence_audit(ctx, a, b, 4)):
+            assert rep.checked > 0 and rep.failed == 0
     f = ScalarContext.symbolic()
     for rep in (verify_module(f, Mab(f.var("a"), f.var("b")), 2, 3),
                 verify_module(f, Mab(f.scalar(2), f.scalar(-1)), 2, 3),

@@ -350,6 +350,13 @@ def test_exact_parts_split_a_scalar_of_either_backend(sym):
     num, den = s23.parts(a + b * s23.hq(3))
     assert isinstance(num, Poly) and str(num) == "8*a + 19*b"
     assert den == 8 and type(den) is int
+    # ctx.join is its inverse, and reduces unreduced parts
+    for c, v in ((n23, n23.hq(-2)), (s23, s23.hq(3)),
+                 (s23, a + b * s23.hq(3)), (sym, sym.qint(-2)),
+                 (sym, sym.var("a") / sym.hq(2))):
+        num, den = c.parts(v)
+        assert type(c.join(num, den)) is type(v) and c.join(num, den) == v
+        assert str(c.join(-6 * num, -6 * den)) == str(v)
 
 
 def test_context_parts_ground_only_at_a_point(sym):

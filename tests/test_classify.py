@@ -452,26 +452,23 @@ def _fg_oracle(ctx, a, b, jmax):
     F0, G0 = classify.fg_constants(ctx, x_factors(ctx, a, b))[:2]
     rule = Mab(a, b)
     c = lambda n, k: rule.coeff(ctx, n, k)
-    notes, failures = [], []
+    p, q = ctx.p, ctx.q
+    notes, steps = [], []
     for j in range(-jmax, jmax + 1):
-        for name, xs, residual in (
-                ("f", (closed_form_f(ctx, rule, F0, j),
-                       closed_form_f(ctx, rule, F0, j - 1)),
-                 lambda fj, fjm1: (ctx.q ** -3 * fj * c(-1, j + 2)
-                                   - ctx.p ** -3 * fjm1 * c(-1, j))),
-                ("g", (closed_form_g(ctx, rule, G0, j),
-                       closed_form_g(ctx, rule, G0, j + 1)),
-                 lambda gj, gjp1: (ctx.p ** 3 * gjp1 * c(1, j)
-                                   - ctx.q ** 3 * gj * c(1, j - 2)))):
-            if None in xs:
-                notes.append("%s-recurrence skipped at j=%d (zero "
-                             "denominator)" % (name, j))
-                continue
-            r = residual(*xs)
-            if r != 0:
-                failures.append({"identity": "%s-step" % name,
-                                 "indices": [j], "residual": scalar_str(r)})
-    return notes, failures
+        fj, fjm1 = (closed_form_f(ctx, rule, F0, i) for i in (j, j - 1))
+        if fj is None or fjm1 is None:
+            notes.append("f-recurrence skipped at j=%d (zero denominator)" % j)
+        else:
+            steps.append(("f-step", j, q ** -3 * fj * c(-1, j + 2)
+                          - p ** -3 * fjm1 * c(-1, j)))
+        gj, gjp1 = (closed_form_g(ctx, rule, G0, i) for i in (j, j + 1))
+        if gj is None or gjp1 is None:
+            notes.append("g-recurrence skipped at j=%d (zero denominator)" % j)
+        else:
+            steps.append(("g-step", j, p ** 3 * gjp1 * c(1, j)
+                          - q ** 3 * gj * c(1, j - 2)))
+    return notes, [{"identity": name, "indices": [j],
+                    "residual": scalar_str(r)} for name, j, r in steps if r != 0]
 
 
 @pytest.mark.parametrize("point", ["formal", "numeric"])

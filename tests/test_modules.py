@@ -787,8 +787,8 @@ def test_kernels_multiply_a_poly_by_no_int_on_its_right(monkeypatch):
     # the kernels write an int factor to the left of a Poly (n * p goes to
     # Poly.__rmul__), so Poly.__mul__ only ever sees two Polys; perfbench's
     # scalar.poly.mul probe counts the terms of both of its operands.  The
-    # sweeps of the formal workload: formal a, b at two points (the module
-    # sweep and both weight-two audits), then formal p, q
+    # sweeps of the formal workload, with fg_recurrence_audit beside its
+    # l2_display_audit: formal a, b at two points, then formal p, q
     real = Poly.__mul__
     seen = []
 

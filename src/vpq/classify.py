@@ -11,6 +11,10 @@ readings (a sign or exponent differs between occurrences).  Audits compute
 both: the reading with identically zero residual is labelled "adjusted", the
 other "given", and the choice is recorded as a finding, never silently.
 
+`fg_constants` alone derives the constants F and G of the two cubic
+differences, as their values at x = 0.  `degeneracy_table_audit` reads the
+factors once, at formal a and b.
+
 The weight-two audits (`l2_display_audit`, `fg_recurrence_audit`) read
 their rule in rows of parts and judge each residual by its fraction-free
 numerator, as `modules.verify_module` does: a passing residual takes ring
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from .modules import Mab
 from .report import ResidualReport
-from .scalar import is_zero, scalar_str
+from .scalar import VARS, is_zero, scalar_str
 
 DEGREE_NEG_INF = "-inf"
 
@@ -249,26 +253,23 @@ def _profile(ctx, a, b, fx):
 def degeneracy_table_audit(ctx):
     """Bidirectional equivalence of all sixteen table lines, symbolically.
 
-    With free (a, b) the difference fi - gj is a linear form; the line holds
-    bidirectionally iff that form is a nonzero scalar multiple of the
-    condition form.  Requires the symbolic backend.
+    With formal a, b the difference fi - gj is a linear form in them; the
+    line holds bidirectionally iff that form is a nonzero scalar multiple of
+    the condition form: both are nonzero and their quotient involves
+    neither a nor b.  A failing line reports the difference.  Requires the
+    symbolic backend.
     """
     if ctx.backend != "symbolic":
         raise ValueError("degeneracy_table_audit needs the symbolic backend")
-    # linear-form coefficients come from the values at three (a, b) corners;
-    # x_factors is affine in (a, b), so a failing line's difference at formal
-    # a, b is dc[0]·a + dc[1]·b + dc[2]
-    corners = ((ctx.zero, ctx.zero), (ctx.one, ctx.zero), (ctx.zero, ctx.one))
-    fx_at = [x_factors(ctx, aa, bb) for aa, bb in corners]
+    a, b = ctx.var("a"), ctx.var("b")
+    fx = x_factors(ctx, a, b)
     rep = ResidualReport("degeneracy-table", ctx.describe())
     for fi, gj in PAIR_ORDER:
         key = "%s=%s" % (fi, gj)
-        dc = _linear_form([(f[fi] - f[gj]).coeff(0) for f in fx_at])
-        cc = _linear_form([condition_scalar(ctx, aa, bb, fi, gj)
-                           for aa, bb in corners])
-        ok = _proportional(dc, cc)
-        rep.expect("equivalence", (key,), ok, "" if ok else scalar_str(
-            dc[0] * ctx.var("a") + dc[1] * ctx.var("b") + dc[2]))
+        d = (fx[fi] - fx[gj]).coeff(0)
+        c = condition_scalar(ctx, a, b, fi, gj)
+        ok = not is_zero(d) and not is_zero(c) and _free_of_ab(d / c)
+        rep.expect("equivalence", (key,), ok, "" if ok else scalar_str(d))
     for key in ADJUSTED_LINES:
         fi, gj = key.split("=")
         rep.finding(
@@ -280,22 +281,12 @@ def degeneracy_table_audit(ctx):
     return rep
 
 
-def _linear_form(values):
-    """Coefficients (alpha, beta, gamma) of a form alpha·a + beta·b + gamma
-    from its values at (a, b) = (0, 0), (1, 0), (0, 1)."""
-    g, at_a, at_b = values
-    return at_a - g, at_b - g, g
+_AB = {VARS.index("a"), VARS.index("b")}
 
 
-def _proportional(u, v):
-    """Whether two coefficient triples are nonzero scalar multiples."""
-    if all(is_zero(x) for x in u) or all(is_zero(x) for x in v):
-        return False
-    for i in range(3):
-        for j in range(3):
-            if not is_zero(u[i] * v[j] - u[j] * v[i]):
-                return False
-    return True
+def _free_of_ab(x):
+    """Whether the reduced RationalFunction x involves neither a nor b."""
+    return _AB.isdisjoint(x.num.variables() + x.den.variables())
 
 
 def second_solution(ctx, a, b):
@@ -306,6 +297,12 @@ def second_solution(ctx, a, b):
     -1 - a(p-q) - b (an involution in b).
     """
     return -1 - a * (ctx.p - ctx.q) - b
+
+
+def _variant_partner(ctx, a, b):
+    """The catalogued partner form 1 - a(p-q) - b, which fails the defining
+    quadratic; audits compare it with `second_solution`."""
+    return 1 - a * (ctx.p - ctx.q) - b
 
 
 def _step_product(ctx, a, bb):
@@ -339,8 +336,7 @@ def quadratic_roots_audit(ctx, a, b):
     good = second_solution(ctx, a, b)
     rep.record("partner-root-constraint", ("adjusted",),
                _step_product(ctx, a, good) - target)
-    variant = 1 - a * (ctx.p - ctx.q) - b
-    vres = _step_product(ctx, a, variant) - target
+    vres = _step_product(ctx, a, _variant_partner(ctx, a, b)) - target
     if not is_zero(vres):
         rep.finding(
             "second-solution-sign",
@@ -377,30 +373,17 @@ def _cubics(fx):
             _prod(fx["g3"], fx["g4"], fx["W-"]))
 
 
-def _constant(ctx, d):
-    """The value of d when it is constant in x, else None."""
-    if d.degree() is None:
-        return ctx.zero
-    return d.coeff(0) if d.degree() == 0 else None
+def fg_constants(fx):
+    """The constants F and G of the two cubic differences
+    f1·f2·E1 - f3·f4·E2 and g1·g2·W+ - g3·g4·W- (adjusted reading).
 
-
-def fg_constants(ctx, fx):
-    """The constants F and G of the two cubic differences.
-
-    Returns (F, G, d_f, d_g): d_f is the first and d_g the adjusted second
-    difference, expanded in x; F (G) is None when d_f (d_g) depends on x.
+    Both differences are constant in x at every p, q, a, b (expanded at
+    formal ones they have degree 0), so F and G are their values at x = 0:
+    products of the factors' constant terms, with no expansion in x.
     """
-    f12e1, f34e2, g12wp, g34wm = _cubics(fx)
-    d_f = f12e1 - f34e2
-    d_g = g12wp - g34wm
-    return _constant(ctx, d_f), _constant(ctx, d_g), d_f, d_g
-
-
-def _fg_failure(rep, d_f, d_g):
-    """Fail rep on the first cubic difference that is not constant in x."""
-    name, d = ("first", d_f) if (d_f.degree() or 0) > 0 else ("second", d_g)
-    rep.expect("%s-difference-constant" % name, (), False, d.degree_str())
-    return rep
+    at0 = lambda *keys: _prod(*(fx[k].coeff(0) for k in keys))
+    return (at0("f1", "f2", "E1") - at0("f3", "f4", "E2"),
+            at0("g1", "g2", "W+") - at0("g3", "g4", "W-"))
 
 
 def identity_audit(ctx, a, b):
@@ -425,7 +408,7 @@ def identity_audit(ctx, a, b):
     d_f = f12e1 - f34e2
     d_g_adj = g12wp - g34wm
     d_g_given = g12wp_giv - _prod(fx["g4"], fx["g3"], fx["E2"])
-    F, G = _constant(ctx, d_f), _constant(ctx, d_g_adj)
+    F, G = fg_constants(fx)
 
     rep.section("first_difference", {
         "degree": d_f.degree_str(), "coefficients": d_f.serialize()})
@@ -446,9 +429,6 @@ def identity_audit(ctx, a, b):
             {"given_degree": d_g_given.degree_str(),
              "given_coefficients": d_g_given.serialize()})
 
-    if F is None or G is None:
-        rep.expect("minus-p6q6-ratio", (), False, "difference not constant")
-        return rep
     r6 = p ** 6 * q ** -6
     r6inv = p ** -6 * q ** 6
     rep.record("minus-p6q6-ratio", (), F + r6inv * G)
@@ -601,9 +581,7 @@ def fg_recurrence_audit(ctx, a, b, jmax):
     F0 and G0 are the constants of the two cubic differences at (a, b).
     The sweep reads the mab(a, b) rows c(1, ·) and c(-1, ·) once and judges
     each step by its numerator; a failing one is reduced once."""
-    F0, G0, d_f, d_g = fg_constants(ctx, x_factors(ctx, a, b))
-    if F0 is None or G0 is None:
-        return _fg_failure(ResidualReport("fg-recurrences", {}), d_f, d_g)
+    F0, G0 = fg_constants(x_factors(ctx, a, b))
     rep = ResidualReport("fg-recurrences", {
         "a": scalar_str(a), "b": scalar_str(b),
         "F0": scalar_str(F0), "G0": scalar_str(G0),
@@ -695,13 +673,11 @@ def l2_display_audit(ctx, a, b, jmax):
     rep = ResidualReport("l2-display", {
         "a": scalar_str(a), "b": scalar_str(b), "jmax": int(jmax),
         **ctx.describe()})
-    F, G, d_f, d_g = fg_constants(ctx, x_factors(ctx, a, b))
-    if F is None or G is None:
-        return _fg_failure(rep, d_f, d_g)
+    F, G = fg_constants(x_factors(ctx, a, b))
     c = _rows(ctx, Mab(a, b), (1, -1, 2, -2), range(-jmax - 2, jmax + 5))
     partner, variant = (_rows(ctx, Mab(a, bb), (2, -2), range(-jmax, jmax + 3))
                         for bb in (second_solution(ctx, a, b),
-                                   1 - a * (ctx.p - ctx.q) - b))
+                                   _variant_partner(ctx, a, b)))
     first = _rows(ctx, Mab(a, b * ctx.qint(-1)), (1,),
                   range(-jmax, jmax + 1))[1]
     second = _rows(ctx, Mab(a, b * ctx.qint(-2) / ctx.qint(2)), (2,),

@@ -333,6 +333,8 @@ def test_condition_scalar_is_linear_in_parameters(ctx):
 
 
 def _audit_reports(point):
+    if point == "formal:p,q":
+        return [degeneracy_table_audit(ScalarContext.symbolic())]
     if point.startswith("formal"):
         pq = point.partition(":")[2] or "2,3"
         c = ScalarContext.symbolic(*pq.split(","))
@@ -346,12 +348,14 @@ def _audit_reports(point):
 
 # sha256 of the audits' serialized reports where the bundled suite does not
 # reach: formal a, b at each point of the formal workload ("formal" is
-# (2,3)), and numeric points whose sweeps skip j with notes, which fixes the
-# order of notes, records and findings
+# (2,3)), the degeneracy table at formal p, q ("formal:p,q"), and numeric
+# points whose sweeps skip j with notes, which fixes the order of notes,
+# records and findings
 _AUDIT_SHA256 = {
     "formal": "b5b79b1da180363127e81bc6f5b193c383a53ecc3845cba3e7a8f0832fcee129",
     "formal:5,7": "b323d7180241aed55433182410dba047ddfd93d0bfc8d010f5770ed5f5b6c5f9",
     "formal:-3/2,1/4": "3696864b98ca6612286d51fbf26cd7ea9410470bc82fc2e39ba4ad114e38a15e",
+    "formal:p,q": "145240ef1088d8e8a592cff6e96f57bd74fb7abd10c712c41d903dfe76964a1e",
     "-1/2,-3/2": "2124b9ef96d22bddd43115e8ede79184eb735b02760e1db742d4b817f875bcb4",
     "0,0": "adefa04cfa30926d0e5ef3a90e83596d020c54603c8711830d115927ba498dab",
 }
@@ -366,8 +370,8 @@ def test_audit_bytes_are_unchanged(point):
 
 
 def test_audits_compute_each_value_once(monkeypatch):
-    """identity_audit builds the x-factors once and degeneracy_table_audit
-    once per (a, b) corner.  The weight-two audits build them once, call no
+    """identity_audit and degeneracy_table_audit build the x-factors once.
+    The weight-two audits build them once too, call no
     value helper (no ±2 coefficient, closed form or rule value) on a
     passing sweep, and reduce exactly once per finding: their residuals are
     judged by numerators."""
@@ -397,7 +401,7 @@ def test_audits_compute_each_value_once(monkeypatch):
         return {k: calls.count(k) for k in calls}, rep
 
     assert count(identity_audit, c, a, b)[0] == {"x_factors": 1}
-    assert count(degeneracy_table_audit, c)[0] == {"x_factors": 3}
+    assert count(degeneracy_table_audit, c)[0] == {"x_factors": 1}
     # formal a, b at the three points of the formal workload: every j has
     # its ±2 coefficients and a literal-cm2 finding
     for pq in (("2", "3"), ("5", "7"), ("-3/2", "1/4")):
@@ -415,7 +419,7 @@ def _l2_oracle(ctx, a, b, jmax):
     arithmetic: `l2_coefficients`, the closed forms, `rule.coeff` and the
     typeset cm2 (`_cm2_given`), read through the module names the audit
     uses for F, G and the partner."""
-    F, G = classify.fg_constants(ctx, x_factors(ctx, a, b))[:2]
+    F, G = classify.fg_constants(x_factors(ctx, a, b))
     rule = Mab(a, b)
     partner = Mab(a, classify.second_solution(ctx, a, b))
     l2, notes, failures, findings = {}, [], [], []
@@ -449,7 +453,7 @@ def _l2_oracle(ctx, a, b, jmax):
 
 def _fg_oracle(ctx, a, b, jmax):
     """Notes and failures of `fg_recurrence_audit` by value arithmetic."""
-    F0, G0 = classify.fg_constants(ctx, x_factors(ctx, a, b))[:2]
+    F0, G0 = classify.fg_constants(x_factors(ctx, a, b))
     rule = Mab(a, b)
     c = lambda n, k: rule.coeff(ctx, n, k)
     p, q = ctx.p, ctx.q
@@ -488,9 +492,9 @@ def test_weight_two_failures_read_as_the_value_path(monkeypatch, point):
     jmax = 4
     real_fg, real_partner = classify.fg_constants, classify.second_solution
 
-    def shifted_fg(ctx, fx):
-        F, G, d_f, d_g = real_fg(ctx, fx)
-        return F + 1, G + 1, d_f, d_g
+    def shifted_fg(fx):
+        F, G = real_fg(fx)
+        return F + 1, G + 1
 
     monkeypatch.setattr(classify, "fg_constants", shifted_fg)
     monkeypatch.setattr(classify, "second_solution",
@@ -529,3 +533,46 @@ def test_degeneracy_table_failure_shows_the_formal_difference(monkeypatch, pq):
     assert rep.failures == [{
         "identity": "equivalence", "indices": ["f3=g3"],
         "residual": str((fx["f3"] - fx["g3"]).coeff(0))}]
+
+
+@pytest.mark.parametrize("pq", [("2", "3"), ()], ids=["point", "formal"])
+def test_degeneracy_table_line_fails_on_a_vanishing_form(monkeypatch, pq):
+    """A line fails when its condition form, or its difference, vanishes
+    identically: zero is no nonzero multiple of anything.  It reports the
+    difference at formal a, b, which is 0 in the second case."""
+    c = ScalarContext.symbolic(*pq)
+    fx = x_factors(c, c.var("a"), c.var("b"))
+    real_condition, real_factors = classify.condition_scalar, x_factors
+
+    def no_condition(ctx, a, b, fi, gj):
+        if (fi, gj) == ("f3", "g3"):
+            return ctx.zero
+        return real_condition(ctx, a, b, fi, gj)
+
+    monkeypatch.setattr(classify, "condition_scalar", no_condition)
+    assert degeneracy_table_audit(c).failures == [{
+        "identity": "equivalence", "indices": ["f3=g3"],
+        "residual": str((fx["f3"] - fx["g3"]).coeff(0))}]
+    monkeypatch.setattr(classify, "condition_scalar", real_condition)
+
+    def g3_is_f3(ctx, a, b):
+        out = real_factors(ctx, a, b)
+        out["g3"] = out["f3"]
+        return out
+
+    monkeypatch.setattr(classify, "x_factors", g3_is_f3)
+    failures = degeneracy_table_audit(c).failures
+    assert {"identity": "equivalence", "indices": ["f3=g3"],
+            "residual": "0"} in failures
+    assert {f["indices"][0] for f in failures} <= {
+        "f1=g3", "f2=g3", "f3=g3", "f4=g3"}
+
+
+def test_cubic_differences_are_constant_at_formal_parameters(sym):
+    """Both cubic differences have degree 0 at formal p, q, a, b, so F and
+    G are their values at x = 0 everywhere, as `fg_constants` reads them."""
+    fx = x_factors(sym, sym.var("a"), sym.var("b"))
+    f12e1, f34e2, g12wp, g34wm = classify._cubics(fx)
+    d_f, d_g = f12e1 - f34e2, g12wp - g34wm
+    assert d_f.degree() == d_g.degree() == 0
+    assert (d_f.coeff(0), d_g.coeff(0)) == classify.fg_constants(fx)

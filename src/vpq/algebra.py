@@ -17,7 +17,7 @@ the zeros in bulk and reduces only a nonzero residual, for its detail.
 from __future__ import annotations
 
 from .report import ResidualReport
-from .scalar import is_zero, scalar_str
+from .scalar import is_zero, ring_sum, scalar_str
 
 
 class AlgebraElement:
@@ -179,13 +179,34 @@ def _sum_numerator(terms):
     return num
 
 
+def _ring_numerator(terms):
+    """The numerator `_sum_numerator` gives, by one `ring_sum`: a term is a
+    pair (numerator factors, denominator factors), and the products are
+    N_i·prod_{j != i} D_j.  The sweep takes it at formal p, q, where the
+    parts are Polys; at a point they are ints and int expressions are
+    faster."""
+    products = []
+    for i, (num, _) in enumerate(terms):
+        for j, (_, den) in enumerate(terms):
+            if j != i:
+                num += den
+        products.append(num)
+    return ring_sum(*products)
+
+
 def _skew_numerators(sc, n, m):
     """Numerators of the (L_{n+m}, C) coefficients of `skew_residual`; the
     central one is None unless n + m = 0."""
-    gen = _sum_numerator([sc.eta(n, m), sc.eta(m, n)])
+    def total(x, y):
+        (a, ad), (b, bd) = x, y
+        if sc.ctx.formal:
+            return ring_sum((a, bd), (b, ad))
+        return a * bd + b * ad
+
+    gen = total(sc.eta(n, m), sc.eta(m, n))
     if n + m:
         return gen, None
-    return gen, _sum_numerator([sc.central(n), sc.central(m)])
+    return gen, total(sc.central(n), sc.central(m))
 
 
 def _hom_jacobi_numerators(sc, k, l, m):
@@ -193,17 +214,22 @@ def _hom_jacobi_numerators(sc, k, l, m):
     `hom_jacobi_residual`; the central one is None unless k + l + m = 0."""
     gen, central = [], []
     zero_sum = k + l + m == 0
+    ring = sc.ctx.formal
     for x, y, z in ((k, l, m), (l, m, k), (m, k, l)):
         tn, td = sc.twist(x)
         en, ed = sc.eta(y, z)
-        sn, sd = tn * en, td * ed
         an, ad = sc.eta(x, y + z)
-        gen.append((sn * an, sd * ad))
+        if ring:
+            gen.append(((tn, en, an), (td, ed, ad)))
+        else:
+            sn, sd = tn * en, td * ed
+            gen.append((sn * an, sd * ad))
         if zero_sum:
             cn, cd = sc.central(x)
-            central.append((sn * cn, sd * cd))
-    return (_sum_numerator(gen),
-            _sum_numerator(central) if zero_sum else None)
+            central.append(((tn, en, cn), (td, ed, cd)) if ring
+                           else (sn * cn, sd * cd))
+    add = _ring_numerator if ring else _sum_numerator
+    return add(gen), add(central) if zero_sum else None
 
 
 def skew_residual(ctx, n, m):

@@ -13,10 +13,11 @@ A rule gives single values through `coeff` and whole rows through
 c(n, k), k in ks, every denominator nonzero.  Parts come from
 `ScalarContext.parts`: at a point, on either backend, a constant part is an
 int and only the rest are Polys, so a row is int arithmetic even with formal
-a, b; at formal p, q every part is a Poly.  The kernels put int factors to
-the left of Poly factors.  The module sweep, the submodule graph and the
-intertwiner validation read rows and test numerators, so a row of `Mab` takes
-ring products only; a value is reduced only where a report prints it.
+a, b; at formal p, q every part is a Poly.  Where Poly parts meet, the
+kernels sum their products with `scalar.ring_sum`; all-int parts keep int
+expressions.  The module sweep, the submodule graph and the intertwiner
+validation read rows and test numerators, so a row of `Mab` takes ring
+products only; a value is reduced only where a report prints it.
 A sweep that rereads coefficients reads them through one `MemoRule`, which
 caches values and rows.
 
@@ -35,7 +36,7 @@ Families:
 from __future__ import annotations
 
 from .report import ResidualReport
-from .scalar import is_zero, parse_rational, scalar_str
+from .scalar import Poly, is_zero, parse_rational, ring_sum, scalar_str
 
 
 class CoefficientRule:
@@ -66,7 +67,9 @@ class MemoRule(CoefficientRule):
     """One rule under one context, each value and row entry computed once.
 
     A sweep wraps its rule for its own duration, so the memo dies with the
-    sweep.  Under any other context it evaluates the rule afresh.
+    sweep.  Under any other context it evaluates the rule afresh.  As it
+    fills a row it notes whether any part it has handed out is a Poly, so
+    `_pair_numerators` knows whether its sums need `ring_sum`.
     """
 
     def __init__(self, ctx, rule):
@@ -75,6 +78,7 @@ class MemoRule(CoefficientRule):
         self.family = rule.family
         self._memo = {}
         self._rows = {}     # n -> {k: parts of c(n, k)}
+        self._ring = False
 
     def coeff(self, ctx, n, k):
         if ctx is not self.ctx:
@@ -91,7 +95,13 @@ class MemoRule(CoefficientRule):
         row = self._rows.setdefault(n, {})
         missing = [k for k in ks if k not in row]
         if missing:
-            row.update(zip(missing, self.rule.parts_row(ctx, n, missing)))
+            got = self.rule.parts_row(ctx, n, missing)
+            row.update(zip(missing, got))
+            if not self._ring:
+                for num, den in got:
+                    if type(num) is Poly or type(den) is Poly:
+                        self._ring = True
+                        break
         return [row[k] for k in ks]
 
     def params(self):
@@ -114,12 +124,17 @@ class Mab(CoefficientRule):
     def parts_row(self, ctx, n, ks):
         """c(n,k) = h(k) - u^k A_n with A_n = a + b h(n): one reduced
         constant per row, then ring products of its parts with the cached
-        parts of h(k) and u^k."""
+        parts of h(k) and u^k, by `ring_sum` when A_n is a Poly."""
         An, Ad = ctx.parts(self.a + self.b * ctx.hq(n))
+        ring = isinstance(An, Poly)
         out = []
         for k in ks:
             hn, hd = ctx.parts(ctx.hq(k))
             un, ud = ctx.parts(ctx.upow(k))
+            if ring:
+                out.append((ring_sum((hn, ud, Ad), (-1, un, hd, An)),
+                            ring_sum((hd, ud, Ad))))
+                continue
             x = ud * Ad
             out.append((hn * x - un * hd * An, hd * x))
         return out
@@ -353,20 +368,33 @@ def _pair_numerators(ctx, rule, n, m, ks):
     D_i the products of the numerators and of the denominators of t_i's
     factors.  Every D_i is nonzero, so the residual t1 - t2 - t3 is zero
     exactly when N1·D2·D3 - N2·D1·D3 - N3·D1·D2 is.  That takes ring
-    products only (ints or Polys): no gcd and no reduced quotient.
+    products only (ints or Polys): no gcd and no reduced quotient.  Once
+    the memo has handed out a Poly part, `ring_sum` takes the three
+    products; an all-int sweep keeps int expressions, which Python
+    evaluates faster than any loop over factors.
     """
     a1, b1 = ctx.parts(ctx.upow(n))
     a2, b2 = ctx.parts(ctx.upow(m))
     hm, dhm = ctx.parts(ctx.hq(m))
     hn, dhn = ctx.parts(ctx.hq(n))
-    a3, b3 = hm * dhn - hn * dhm, dhm * dhn    # h(m) - h(n)
     row = rule.parts_row
-    out = []
     # parts of c(m,k), c(n,m+k), c(n,k), c(m,n+k) and c(n+m,k)
-    for (nm, dm), (nnm, dnm), (nn, dn), (nmn, dmn), (ns, ds) in zip(
-            row(ctx, m, ks), row(ctx, n, [m + k for k in ks]),
-            row(ctx, n, ks), row(ctx, m, [n + k for k in ks]),
-            row(ctx, n + m, ks)):
+    rows = zip(row(ctx, m, ks), row(ctx, n, [m + k for k in ks]),
+               row(ctx, n, ks), row(ctx, m, [n + k for k in ks]),
+               row(ctx, n + m, ks))
+    if rule._ring:
+        # the factors that do not depend on k, folded once per pair
+        k1 = ring_sum((a1, b2, dhm, dhn))
+        k2 = ring_sum((-1, a2, b1, dhm, dhn))
+        k3 = ring_sum((hn, dhm, b1, b2), (-1, hm, dhn, b1, b2))
+        return [ring_sum((k1, nm, nnm, dn, dmn, ds),
+                         (k2, nn, nmn, dm, dnm, ds),
+                         (k3, ns, dm, dnm, dn, dmn))
+                for (nm, dm), (nnm, dnm), (nn, dn), (nmn, dmn), (ns, ds)
+                in rows]
+    a3, b3 = hm * dhn - hn * dhm, dhm * dhn    # h(m) - h(n)
+    out = []
+    for (nm, dm), (nnm, dnm), (nn, dn), (nmn, dmn), (ns, ds) in rows:
         d1 = b1 * dm * dnm
         d2 = b2 * dn * dmn
         out.append((b3 * ds) * (a1 * d2 * nm * nnm - a2 * d1 * nn * nmn)

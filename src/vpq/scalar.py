@@ -87,11 +87,13 @@ class Poly:
     the empty dict.  An exponent above ``_EMAX`` raises ValueError.
     ``+``, ``-`` and ``*`` also take an int operand on either side, a
     ground scalar as in the fraction-free kernels' parts; any other operand
-    type is a TypeError.  The kernels write an int factor to the left
-    (``n * p``, `__rmul__`), so ``__mul__`` sees Poly operands only there,
-    as perfbench's ``scalar.poly.mul`` probe, which counts the terms of
-    both operands, expects.  A Poly is a plain value: no operation changes
-    one, and equal polynomials hash equal however they were built.
+    type is a TypeError.  The module, algebra and q-integer kernels sum
+    their products with `ring_sum`, which calls no operator here; the
+    classify audits write an int factor to the left (``n * p``,
+    `__rmul__`).  So ``__mul__`` sees Poly operands only, as perfbench's
+    ``scalar.poly.mul`` probe, which counts the terms of both operands,
+    expects.  A Poly is a plain value: no operation changes one, and equal
+    polynomials hash equal however they were built.
     """
 
     __slots__ = ("terms",)
@@ -301,6 +303,73 @@ class Poly:
         return out
 
     __repr__ = __str__
+
+
+def ring_sum(*products):
+    """The sum of products of ints and Polys, each product a tuple of its
+    factors: the kernel of the fraction-free numerators whose parts are
+    Polys.
+
+    In each product the int factors and one-term Polys fold into one
+    coefficient and one monomial shift.  The other factors are multiplied
+    term by term, the last one straight into one accumulating dict, so no
+    intermediate Poly is built, and zero sums are dropped once, at the end.
+    The sum is an int when no factor is a Poly and a Poly otherwise.  A
+    product with a zero factor adds nothing; every term of any other is
+    checked against ``_EMAX`` before zeros are dropped, so a product whose
+    degree in a variable passes it raises ValueError even where its terms
+    cancel in the sum.  No Poly operator is called.
+    """
+    acc = {}
+    ring = False
+    for factors in products:
+        c, shift, multi = 1, _ZEXP, []
+        for f in factors:
+            if type(f) is int:
+                c *= f
+                continue
+            ring = True
+            t = f.terms
+            if len(t) == 1:
+                (e, x), = t.items()
+                c *= x
+                shift += e
+                # a third field summed onto one past the guard can carry
+                if shift & _GUARD:
+                    raise _overflow()
+            elif t:
+                multi.append(t)
+            else:
+                c = 0
+        if not c:
+            continue
+        if not multi:
+            acc[shift] = acc.get(shift, 0) + c
+            continue
+        terms = {shift: c}
+        last = multi.pop()
+        for t in multi:
+            out = {}
+            for e1, c1 in terms.items():
+                for e2, c2 in t.items():
+                    e = e1 + e2
+                    out[e] = out.get(e, 0) + c1 * c2
+            if reduce(or_, out, 0) & _GUARD:
+                raise _overflow()
+            terms = out
+        for e1, c1 in terms.items():
+            for e2, c2 in last.items():
+                e = e1 + e2
+                acc[e] = acc.get(e, 0) + c1 * c2
+    # fields below the guard bit sum without a carry, so a guard bit left
+    # set in a key is the only sign of an overflow
+    if reduce(or_, acc, 0) & _GUARD:
+        raise _overflow()
+    if not ring:
+        return acc.get(_ZEXP, 0)
+    r = Poly.__new__(Poly)
+    r.terms = {e: x for e, x in acc.items() if x}
+    return r
 
 
 # -- exact division and multivariate gcd ------------------------------------
@@ -881,9 +950,10 @@ class ScalarContext:
         every part of an h(k), u^k, [n] or power is an int even while a
         and b stay formal.  At formal p, q both parts stay Polys: there p^n
         has denominator 1 for n >= 0 and p^-n for n < 0, so grounding would
-        mix ints and Polys by the sign of an exponent, and a kernel could
-        not keep its int factors to the left of its Poly factors.  Anything
-        else (a float) raises TypeError under every context."""
+        mix ints and Polys by the sign of an exponent.  `ring_sum` takes
+        any mix, but the classify audits keep their int factors to the
+        left of their Poly factors, which a mix by sign would break.
+        Anything else (a float) raises TypeError under every context."""
         if isinstance(x, RationalFunction):
             if self.formal:
                 return x.num, x.den
@@ -952,9 +1022,8 @@ def pascal_numerators(ctx, m, ns):
     the `ScalarContext.parts` of the cached qint, ppow and qpow values.
     Every D_i is nonzero, so the residual t1 - t2 - t3 is zero exactly when
     N1·D2·D3 - N2·D1·D3 - N3·D1·D2 is: ring products only (ints or Polys),
-    no gcd and no reduced quotient.  The denominators and the powers are
-    monomials at formal p, q, so they are multiplied first and each q-integer
-    numerator once.
+    no gcd and no reduced quotient.  At formal p, q the parts are Polys and
+    `ring_sum` takes the three products; at a point they are ints.
     """
     am, bm = ctx.parts(ctx.qint(m))
     qm, dqm = ctx.parts(ctx.qpow(m))
@@ -963,6 +1032,11 @@ def pascal_numerators(ctx, m, ns):
         n1, d1 = ctx.parts(ctx.qint(m + n))
         pn, dpn = ctx.parts(ctx.ppow(n))
         an, bn = ctx.parts(ctx.qint(n))
+        if ctx.formal:
+            out.append(ring_sum((n1, dpn, bm, dqm, bn),
+                                (-1, am, pn, d1, dqm, bn),
+                                (-1, an, qm, d1, dpn, bm)))
+            continue
         d2 = dpn * bm
         d3 = dqm * bn
         out.append(n1 * (d2 * d3) - am * (pn * d1 * d3)
@@ -989,6 +1063,10 @@ def reflection_residual(ctx, n):
     pn, dpn = ctx.parts(ctx.ppow(-n))
     qn, dqn = ctx.parts(ctx.qpow(-n))
     an, bn = ctx.parts(ctx.qint(n))
-    if is_zero(n1 * (dpn * dqn * bn) + an * (pn * qn * d1)):
+    if ctx.formal:
+        num = ring_sum((n1, dpn, dqn, bn), (an, pn, qn, d1))
+    else:
+        num = n1 * (dpn * dqn * bn) + an * (pn * qn * d1)
+    if is_zero(num):
         return ctx.zero
     return ctx.qint(-n) + ctx.ppow(-n) * ctx.qpow(-n) * ctx.qint(n)

@@ -784,11 +784,14 @@ def test_ground_rows_multiply_no_constant_polys(monkeypatch):
 
 
 def test_kernels_multiply_a_poly_by_no_int_on_its_right(monkeypatch):
-    # the kernels write an int factor to the left of a Poly (n * p goes to
+    # the module, algebra and q-integer kernels sum their Poly products
+    # with ring_sum, which calls no Poly operator, and the classify audits
+    # write an int factor to the left of a Poly (n * p goes to
     # Poly.__rmul__), so Poly.__mul__ only ever sees two Polys; perfbench's
     # scalar.poly.mul probe counts the terms of both of its operands.  The
     # sweeps of the formal workload, with fg_recurrence_audit beside its
-    # l2_display_audit: formal a, b at two points, then formal p, q
+    # l2_display_audit, and two rules whose rows mix int and Poly parts:
+    # formal a, b at two points, then formal p, q
     real = Poly.__mul__
     seen = []
 
@@ -802,6 +805,8 @@ def test_kernels_multiply_a_poly_by_no_int_on_its_right(monkeypatch):
         ctx = ScalarContext.symbolic(p, q)
         a, b = ctx.var("a"), ctx.var("b")
         for rep in (verify_module(ctx, Mab(a, b), 3, 5),
+                    verify_module(ctx, Mab(ctx.scalar(2), b), 3, 5),
+                    verify_module(ctx, ExcBetaPrime(a), 3, 5),
                     l2_display_audit(ctx, a, b, 4),
                     fg_recurrence_audit(ctx, a, b, 4)):
             assert rep.checked > 0 and rep.failed == 0
@@ -814,6 +819,53 @@ def test_kernels_multiply_a_poly_by_no_int_on_its_right(monkeypatch):
         assert all(is_zero(x) for x in pascal_numerators(f, m, range(-4, 5)))
         assert is_zero(reflection_residual(f, m))
     assert seen == []
+
+
+def test_mixed_rows_take_ring_sum(monkeypatch):
+    # at (2,3), Mab(2, b) has int parts on its row n = 0 (A_0 = 2) and
+    # Polys elsewhere, and ExcBetaPrime(a) has Poly parts on its line
+    # k = -n only; once its memo has handed out a Poly, every row of
+    # numerators is summed by ring_sum, and each agrees with the reduced
+    # relation_residual, zero or not
+    ctx = ScalarContext.symbolic("2", "3")
+    a, b = ctx.var("a"), ctx.var("b")
+    summed = []
+    real = modules.ring_sum
+
+    def counting(*products):
+        summed.append(len(products))
+        return real(*products)
+
+    ks = range(-4, 5)
+    zeros = nonzeros = 0
+    for rule in (Mab(ctx.scalar(2), b), ExcBetaPrime(a),
+                 ExcBetaPrime(a, reading="given")):
+        memo = MemoRule(ctx, rule)
+        kinds = set()
+        for n in range(-3, 4):
+            for m in range(-3, 4):
+                modules._pair_numerators(ctx, memo, n, m, ks)
+                with monkeypatch.context() as patch:
+                    patch.setattr(modules, "ring_sum", counting)
+                    del summed[:]
+                    nums = modules._pair_numerators(ctx, memo, n, m, ks)
+                assert summed.count(3) == len(ks), (rule.describe(), n, m)
+                for k, x in zip(ks, nums):
+                    want = is_zero(relation_residual(ctx, rule, n, m, k))
+                    assert is_zero(x) == want, (rule.describe(), n, m, k)
+                    zeros += want
+                    nonzeros += not want
+        for row in memo._rows.values():
+            kinds |= {type(x) for parts in row.values() for x in parts}
+        assert kinds == {int, Poly}, rule.describe()
+    assert zeros > 1000 and nonzeros > 10
+    # a rule with int parts only keeps the int expressions
+    memo = MemoRule(ctx, Mab(ctx.scalar(2), ctx.scalar(3)))
+    with monkeypatch.context() as patch:
+        patch.setattr(modules, "ring_sum", counting)
+        del summed[:]
+        nums = modules._pair_numerators(ctx, memo, 1, 2, ks)
+    assert summed == [] and all(type(x) is int and x == 0 for x in nums)
 
 
 def _pair_scan_edges(ctx, rule, window):

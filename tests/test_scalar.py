@@ -496,6 +496,101 @@ def test_exponent_past_the_field_raises_instead_of_carrying():
         _interpolate(Poly.const(2 ** (_EMAX + 1)), VARS.index("q"), 2)
 
 
+# -- ring_sum, the fused kernel of the fraction-free numerators ---------------
+
+def _term_poly(terms):
+    """sum c·prod VARS[i]^exps[i] over (c, exps) in terms, by Poly operators."""
+    total = Poly()
+    for c, exps in terms:
+        m = Poly.const(c)
+        for name, d in zip(VARS, exps):
+            m = m * Poly.var(name) ** d
+        total = total + m
+    return total
+
+
+def _terms(exps, size):
+    return st.lists(st.tuples(st.integers(-9, 9).filter(bool), exps),
+                    min_size=size[0], max_size=size[1])
+
+
+small_exps = st.tuples(*[st.integers(0, 3)] * len(VARS))
+# exponents near the limit, so that a product of two or three passes it
+large_exps = st.tuples(*[st.sampled_from((0, 1, 16383, 16384, _EMAX - 1,
+                                          _EMAX))] * len(VARS))
+
+ring_factors = st.one_of(
+    ground_ints, st.just(Poly()),
+    _terms(small_exps, (1, 1)).map(_term_poly),     # monomials
+    _terms(small_exps, (2, 5)).map(_term_poly))
+nonzero_large_factors = st.one_of(
+    st.integers(-5, 5).filter(bool),
+    _terms(large_exps, (1, 3)).map(_term_poly).filter(bool))
+
+
+def _by_operators(products):
+    """The sum of the products, each multiplied out left to right by the
+    int and Poly operators."""
+    total = 0
+    for factors in products:
+        acc = 1
+        for f in factors:
+            acc = acc * f
+        total = total + acc
+    return total
+
+
+def _passes_emax(factors):
+    """Whether the product of these nonzero factors has a degree above
+    _EMAX in some variable."""
+    return any(sum(f.degree_in(i) for f in factors if isinstance(f, Poly))
+               > _EMAX for i in range(len(VARS)))
+
+
+@given(st.lists(st.lists(ring_factors, max_size=5).map(tuple), max_size=4))
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_ring_sum_matches_the_poly_operators(products):
+    got = scalar.ring_sum(*products)
+    want = _by_operators(products)
+    assert got == want
+    # an int exactly when no factor is a Poly
+    assert type(got) is type(want)
+    assert (type(got) is int) == all(type(f) is int
+                                      for factors in products
+                                      for f in factors)
+
+
+@given(st.lists(st.lists(nonzero_large_factors, min_size=1, max_size=4)
+                .map(tuple), min_size=1, max_size=3))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_ring_sum_raises_past_emax_as_the_operators_do(products):
+    if any(map(_passes_emax, products)):
+        with pytest.raises(ValueError, match="exponent above 32767"):
+            scalar.ring_sum(*products)
+        with pytest.raises(ValueError, match="exponent above 32767"):
+            _by_operators(products)
+    else:
+        assert scalar.ring_sum(*products) == _by_operators(products)
+
+
+def test_ring_sum_raises_on_a_term_that_cancels_and_on_a_carry():
+    p, q, b = Poly.var("p"), Poly.var("q"), Poly.var("b")
+    top, half = b ** _EMAX, b ** 16384
+    assert scalar.ring_sum((top, -1, p), (p, top)) == Poly()
+    for products in (
+            # b^32768 cancels between the two products
+            ((top, b), (-1, b, top)),
+            ((half + q, 2, half), (-2, half, half + q)),
+            # b^32767·b^32767·b^2 would carry into a's field as a·b^0
+            ((top, top, b ** 2),),
+            ((3, top, q, top, b),),
+            ((top, top, top),),
+            # and so would every term of the two multi-term factors
+            ((top, top + top * q, b ** 2 + b ** 2 * q),)):
+        with pytest.raises(ValueError, match="exponent above 32767"):
+            scalar.ring_sum(*products)
+
+
 def test_exponent_overflow_is_a_usage_error_in_the_cli(capsys, monkeypatch):
     def overflowing(ctx, spec, rng):
         p = Poly.var("p")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from .modules import Mab
 from .report import ResidualReport
-from .scalar import VARS, is_zero, scalar_str
+from .scalar import VARS, is_zero, ring_sum, scalar_str
 
 DEGREE_NEG_INF = "-inf"
 
@@ -518,9 +518,8 @@ def identity_audit(ctx, a, b):
 # A residual's numerator and denominator are built from the parts of the
 # rule's rows and of the cached u^{3j}, F and G.  A failure or a finding is
 # reduced by `ctx.join` from those same parts, so it prints as the value
-# arithmetic would.  At a point every denominator part below is an int and
-# a numerator part may be a Poly, so each product names its denominator
-# parts first (int factors to the left of a Poly).
+# arithmetic would.  A part is an int or a Poly, so every numerator and
+# denominator is one `ring_sum`, written as its list of factors.
 
 def closed_form_f(ctx, rule, F0, j):
     """f(j) = u^{3j} F0 / (c(-1,j+2) c(-1,j+1)); None on zero denominator."""
@@ -551,10 +550,8 @@ def _rows(ctx, rule, ns, ks):
 
 def _product(*xs):
     """Parts of the product of scalars given by their parts."""
-    num, den = xs[0]
-    for n, d in xs[1:]:
-        num, den = num * n, den * d
-    return num, den
+    nums, dens = zip(*xs)
+    return ring_sum(nums), ring_sum(dens)
 
 
 def _closed(ctx, i, const, den):
@@ -565,14 +562,15 @@ def _closed(ctx, i, const, den):
     if is_zero(dn):
         return None
     un, ud = ctx.parts(ctx.upow(3 * i))
-    return (un * dd) * kn, (ud * kd) * dn
+    return ring_sum((un, dd, kn)), ring_sum((ud, kd, dn))
 
 
 def _step(s1, x1, c1, s2, x2, c2):
     """Parts of s1·x1·c1 - s2·x2·c2, for constants s, closed forms x and
     rule coefficients c given by their parts."""
-    (n1, d1), (n2, d2) = _product(s1, c1, x1), _product(s2, c2, x2)
-    return n1 * d2 - n2 * d1, d1 * d2
+    n1, d1 = zip(s1, c1, x1)
+    n2, d2 = zip(s2, c2, x2)
+    return ring_sum(n1 + d2, (-1,) + n2 + d1), ring_sum(d1 + d2)
 
 
 def fg_recurrence_audit(ctx, a, b, jmax):
@@ -652,9 +650,16 @@ def _display(coeff, u, const, w):
     of u^{3j}, K and W.  The coefficient and its closed form share D, so D
     enters the denominator once."""
     ((dn, dd), (an, ad)), (un, ud), (kn, kd), (wn, wd) = coeff, u, const, w
-    x = ud * kd
-    return ((dd * wd * x) * an - (ad * x) * wn * dn - (dd * un * ad * wd) * kn,
-            (ad * wd * x) * dn)
+    return (ring_sum((dd, wd, ud, kd, an), (-1, ad, ud, kd, wn, dn),
+                     (-1, dd, un, ad, wd, kn)),
+            ring_sum((ad, wd, ud, kd, dn)))
+
+
+def _gauge(top, bottom, x, y):
+    """Parts of top/bottom - X·Y, for X and Y given by their parts."""
+    (xn, xd), (yn, yd) = x, y
+    return (ring_sum((xd, yd, top), (-1, xn, yn, bottom)),
+            ring_sum((xd, yd, bottom)))
 
 
 def l2_display_audit(ctx, a, b, jmax):
@@ -713,16 +718,14 @@ def l2_display_audit(ctx, a, b, jmax):
                 "passes" % j,
                 {"j": j, "residual": scalar_str(ctx.join(*given))})
         if j + 2 in l2:
-            # c2(j)·cm2(j+2) = top/(bottom·dn) against c(2,j)·c(-2,j+2) of
+            # c2(j)·cm2(j+2) = top/bottom against c(2,j)·c(-2,j+2) of
             # the partner, and of the variant partner
             ((dn, dd), (an, ad)), ((dn2, dd2), (an2, ad2)) = c2, l2[j + 2][1]
-            top, bottom, dn = (dd * dd2) * an * an2, ad * ad2, dn * dn2
-            (pn, pd), (qn, qd) = partner[2][j], partner[-2][j + 2]
-            rep.record("gauge-product", (j,), _residual(
-                ctx, (pd * qd) * top - bottom * pn * qn * dn,
-                (bottom * pd * qd) * dn))
-            (pn, pd), (qn, qd) = variant[2][j], variant[-2][j + 2]
-            if is_zero((pd * qd) * top - bottom * pn * qn * dn):
+            top, bottom = _product((an, ad), (dd, dn), (an2, ad2), (dd2, dn2))
+            rep.record("gauge-product", (j,), _residual(ctx, *_gauge(
+                top, bottom, partner[2][j], partner[-2][j + 2])))
+            if is_zero(_gauge(top, bottom, variant[2][j],
+                              variant[-2][j + 2])[0]):
                 variant_hits += 1
     rep.section("variant_partner_matches", variant_hits)
     return rep

@@ -13,9 +13,10 @@ A rule gives single values through `coeff` and whole rows through
 c(n, k), k in ks, every denominator nonzero.  Parts come from
 `ScalarContext.parts`: at a point, on either backend, a constant part is an
 int and only the rest are Polys, so a row is int arithmetic even with formal
-a, b; at formal p, q every part is a Poly.  Where Poly parts meet, the
-kernels sum their products with `scalar.ring_sum`; all-int parts keep int
-expressions.  The module sweep, the submodule graph and the intertwiner
+a, b; at formal p, q every part is a Poly.  Where a part is a Poly, the
+kernels sum their products with `scalar.ring_sum`, the one place where
+ints and Polys meet (Poly operators take Polys only); all-int parts keep
+int expressions.  The module sweep, the submodule graph and the intertwiner
 validation read rows and test numerators, so a row of `Mab` takes ring
 products only; a value is reduced only where a report prints it.
 A sweep that rereads coefficients reads them through one `MemoRule`, which
@@ -124,9 +125,10 @@ class Mab(CoefficientRule):
     def parts_row(self, ctx, n, ks):
         """c(n,k) = h(k) - u^k A_n with A_n = a + b h(n): one reduced
         constant per row, then ring products of its parts with the cached
-        parts of h(k) and u^k, by `ring_sum` when A_n is a Poly."""
+        parts of h(k) and u^k, by `ring_sum` when a part of A_n is a
+        Poly."""
         An, Ad = ctx.parts(self.a + self.b * ctx.hq(n))
-        ring = isinstance(An, Poly)
+        ring = type(An) is Poly or type(Ad) is Poly
         out = []
         for k in ks:
             hn, hd = ctx.parts(ctx.hq(k))
@@ -587,7 +589,8 @@ def find_intertwiner(ctx, ruleA, ruleB, m, window):
     fresh unit scale when a chain decouples (both adjacent coefficients
     zero), then validates every constraint with |n| <= 2 inside the window.
     The propagation divides values, so h stays exact and reduced; the
-    validation compares cross-multiplied parts, rows of both rules.
+    validation compares cross-multiplied parts, rows of both rules, by
+    `ring_sum`.
     """
     window = int(window)
     h = {0: ctx.one}
@@ -610,6 +613,7 @@ def find_intertwiner(ctx, ruleA, ruleB, m, window):
         for k, (an, ad), (bn, bd) in zip(ks, rowA, rowB):
             hn0, hd0 = hparts[k]
             hn1, hd1 = hparts[k + n]
-            if not is_zero(hn1 * an * hd0 * bd - hn0 * bn * hd1 * ad):
+            if not is_zero(ring_sum((hn1, an, hd0, bd),
+                                    (-1, hn0, bn, hd1, ad))):
                 return None
     return h

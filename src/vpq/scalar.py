@@ -85,14 +85,9 @@ class Poly:
     Terms map packed monomials (one int per monomial, one field per entry of
     VARS, see ``_BITS``) to nonzero int coefficients.  The zero polynomial is
     the empty dict.  An exponent above ``_EMAX`` raises ValueError.
-    ``+``, ``-`` and ``*`` also take an int operand on either side, a
-    ground scalar as in the fraction-free kernels' parts; any other operand
-    type is a TypeError.  The module, algebra and q-integer kernels sum
-    their products with `ring_sum`, which calls no operator here; the
-    classify audits write an int factor to the left (``n * p``,
-    `__rmul__`).  So ``__mul__`` sees Poly operands only, as perfbench's
-    ``scalar.poly.mul`` probe, which counts the terms of both operands,
-    expects.  A Poly is a plain value: no operation changes one, and equal
+    ``+``, ``-`` and ``*`` take Poly operands only; any other operand, an
+    int included, is a TypeError.  `ring_sum` is where ints and Polys
+    meet.  A Poly is a plain value: no operation changes one, and equal
     polynomials hash equal however they were built.
     """
 
@@ -139,16 +134,12 @@ class Poly:
     # arithmetic -----------------------------------------------------------
 
     def _combine(self, other, sign):
-        """self + sign·other for a Poly or an int other, in one copied dict
-        with zero sums dropped."""
-        if isinstance(other, Poly):
-            items = other.terms.items()
-        elif isinstance(other, int):
-            items = ((_ZEXP, other),) if other else ()
-        else:
+        """self + sign·other for a Poly other, in one copied dict with zero
+        sums dropped."""
+        if not isinstance(other, Poly):
             return NotImplemented
         t = dict(self.terms)
-        for e, c in items:
+        for e, c in other.terms.items():
             s = t.get(e, 0) + sign * c
             if s:
                 t[e] = s
@@ -161,8 +152,6 @@ class Poly:
     def __add__(self, other):
         return self._combine(other, 1)
 
-    __radd__ = __add__
-
     def __neg__(self):
         r = Poly.__new__(Poly)
         r.terms = {e: -c for e, c in self.terms.items()}
@@ -171,14 +160,9 @@ class Poly:
     def __sub__(self, other):
         return self._combine(other, -1)
 
-    def __rsub__(self, other):
-        if not isinstance(other, int):
-            return NotImplemented
-        return -(self - other)
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            return self.__rmul__(other)
+            return NotImplemented
         if not self.terms or not other.terms:
             return Poly()
         if len(other.terms) == 1:
@@ -203,15 +187,6 @@ class Poly:
             raise _overflow()
         r = Poly.__new__(Poly)
         r.terms = t
-        return r
-
-    def __rmul__(self, n):
-        """n·self for an int n: the coefficients scale and every exponent
-        stays, so no guard bit can be set."""
-        if not isinstance(n, int):
-            return NotImplemented
-        r = Poly.__new__(Poly)
-        r.terms = {e: c * n for e, c in self.terms.items()} if n else {}
         return r
 
     def __pow__(self, n):
@@ -308,7 +283,8 @@ class Poly:
 def ring_sum(*products):
     """The sum of products of ints and Polys, each product a tuple of its
     factors: the kernel of the fraction-free numerators whose parts are
-    Polys.
+    Polys, and the one place where ints and Polys meet (Poly operators
+    take Polys only).
 
     In each product the int factors and one-term Polys fold into one
     coefficient and one monomial shift.  The other factors are multiplied
@@ -361,12 +337,12 @@ def ring_sum(*products):
             for e2, c2 in last.items():
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
+    if not ring:
+        return acc.get(_ZEXP, 0)
     # fields below the guard bit sum without a carry, so a guard bit left
     # set in a key is the only sign of an overflow
     if reduce(or_, acc, 0) & _GUARD:
         raise _overflow()
-    if not ring:
-        return acc.get(_ZEXP, 0)
     r = Poly.__new__(Poly)
     r.terms = {e: x for e, x in acc.items() if x}
     return r
@@ -950,10 +926,12 @@ class ScalarContext:
         every part of an h(k), u^k, [n] or power is an int even while a
         and b stay formal.  At formal p, q both parts stay Polys: there p^n
         has denominator 1 for n >= 0 and p^-n for n < 0, so grounding would
-        mix ints and Polys by the sign of an exponent.  `ring_sum` takes
-        any mix, but the classify audits keep their int factors to the
-        left of their Poly factors, which a mix by sign would break.
-        Anything else (a float) raises TypeError under every context."""
+        mix ints and Polys by the sign of an exponent.  `ring_sum`, where
+        ints and Polys meet, takes any mix, but `algebra`'s
+        `_StructureConstants` multiplies its parts with Poly operators,
+        and each kernel that selects its evaluation by ``ctx.formal``
+        expects Poly parts there, so both must see Polys only.  Anything
+        else (a float) raises TypeError under every context."""
         if isinstance(x, RationalFunction):
             if self.formal:
                 return x.num, x.den

@@ -16,8 +16,8 @@ from .caseaudit import (CaseConstants, CaseTag, annihilator_spectrum,
                         constraint_residuals, family_consistency, find_j0,
                         find_j0_all, quadratic_in_x_check)
 from .classify import (PAIR_ORDER, DegeneracyProfile, XPolynomial,
-                       closed_form_f, closed_form_g, condition_scalar,
-                       degeneracy_profile, degeneracy_table_audit,
+                       condition_scalar, degeneracy_profile,
+                       degeneracy_table_audit,
                        fg_recurrence_audit, identity_audit,
                        l2_coefficients, l2_display_audit, quadratic_roots,
                        quadratic_roots_audit, second_solution, x_factors)
@@ -48,8 +48,8 @@ __all__ = [
     "XPolynomial", "act", "annihilator_spectrum", "bracket",
     "case1_constants", "case2_constants", "case3_constants",
     "case4_constants", "case_constants_audit", "case_tag",
-    "central_cocycle_residual", "central_coefficient", "closed_form_f",
-    "closed_form_g", "condition_scalar", "constraint_residuals",
+    "central_cocycle_residual", "central_coefficient", "condition_scalar",
+    "constraint_residuals",
     "degeneracy_profile", "degeneracy_table_audit", "ef_coefficient", "eta",
     "family_consistency", "fe_coefficient", "fg_recurrence_audit",
     "find_intertwiner", "find_j0", "find_j0_all",

@@ -19,13 +19,13 @@ The weight-two audits (`l2_display_audit`, `fg_recurrence_audit`) read
 their rule in rows of parts and judge each residual by its fraction-free
 numerator, as `modules.verify_module` does: a passing residual takes ring
 products only, and only a failure or a finding is reduced, once.
-`l2_coefficients` and `closed_form_f`/`closed_form_g` compute the same
-quantities as values.
+`l2_coefficients` computes the ±2 displays as values.  The deformation
+of mab by the closed forms at F and G is checked as a module.
 """
 
 from __future__ import annotations
 
-from .modules import Mab
+from .modules import Mab, MemoRule, _sweep_pairs
 from .report import ResidualReport
 from .scalar import VARS, is_zero, ring_sum, scalar_str
 
@@ -513,29 +513,13 @@ def identity_audit(ctx, a, b):
     return rep
 
 
-# -- displayed action coefficients and the recurrences -----------------------
+# -- displayed action coefficients and the weight-two deformation -----------
 #
 # A residual's numerator and denominator are built from the parts of the
 # rule's rows and of the cached u^{3j}, F and G.  A failure or a finding is
 # reduced by `ctx.join` from those same parts, so it prints as the value
 # arithmetic would.  A part is an int or a Poly, so every numerator and
 # denominator is one `ring_sum`, written as its list of factors.
-
-def closed_form_f(ctx, rule, F0, j):
-    """f(j) = u^{3j} F0 / (c(-1,j+2) c(-1,j+1)); None on zero denominator."""
-    den = rule.coeff(ctx, -1, j + 2) * rule.coeff(ctx, -1, j + 1)
-    if is_zero(den):
-        return None
-    return ctx.upow(3 * j) * F0 / den
-
-
-def closed_form_g(ctx, rule, G0, j):
-    """g(j) = u^{3j} G0 / (c(1,j-2) c(1,j-1)); None on zero denominator."""
-    den = rule.coeff(ctx, 1, j - 2) * rule.coeff(ctx, 1, j - 1)
-    if is_zero(den):
-        return None
-    return ctx.upow(3 * j) * G0 / den
-
 
 def _residual(ctx, num, den):
     """The residual num/den: the context's zero when num is zero, else
@@ -554,62 +538,74 @@ def _product(*xs):
     return ring_sum(nums), ring_sum(dens)
 
 
-def _closed(ctx, i, const, den):
-    """Parts of u^{3i}·K/D, K and D given by their parts; None when D is
-    zero.  f(j) has i = j, K = F0 and D = c(-1,j+2)·c(-1,j+1); g(j) has
-    K = G0 and D = c(1,j-2)·c(1,j-1)."""
-    (kn, kd), (dn, dd) = const, den
-    if is_zero(dn):
-        return None
-    un, ud = ctx.parts(ctx.upow(3 * i))
-    return ring_sum((un, dd, kn)), ring_sum((ud, kd, dn))
+class _Deformed(Mab):
+    """mab(a, b) with the closed forms f(k) = u^{3k} F0/(c(-1,k+2) c(-1,k+1))
+    and g(k) = u^{3k} G0/(c(1,k-2) c(1,k-1)) added to its rows c(2, k) and
+    c(-2, k), by one `ring_sum` on their parts; `coeff` is the reduced
+    value of the parts, so `relation_residual` reads the same numbers."""
 
+    def __init__(self, a, b, F0, G0):
+        super().__init__(a, b)
+        self.const = {2: F0, -2: G0}
 
-def _step(s1, x1, c1, s2, x2, c2):
-    """Parts of s1·x1·c1 - s2·x2·c2, for constants s, closed forms x and
-    rule coefficients c given by their parts."""
-    n1, d1 = zip(s1, c1, x1)
-    n2, d2 = zip(s2, c2, x2)
-    return ring_sum(n1 + d2, (-1,) + n2 + d1), ring_sum(d1 + d2)
+    def coeff(self, ctx, n, k):
+        return ctx.join(*self.parts_row(ctx, n, [k])[0])
+
+    def parts_row(self, ctx, n, ks):
+        row = super().parts_row(ctx, n, ks)
+        if n not in self.const:
+            return row
+        s = -n // 2     # the closed form at k divides by c(s,k-2s) c(s,k-s)
+        far = super().parts_row(ctx, s, [k - 2 * s for k in ks])
+        near = super().parts_row(ctx, s, [k - s for k in ks])
+        kn, kd = ctx.parts(self.const[n])
+        out = []
+        for k, (bn, bd), x, y in zip(ks, row, far, near):
+            dn, dd = _product(x, y)
+            if is_zero(dn):
+                raise ValueError("the closed form in row %d has a zero "
+                                 "denominator at k=%d" % (n, k))
+            un, ud = ctx.parts(ctx.upow(3 * k))
+            out.append((ring_sum((bn, ud, kd, dn), (un, kn, dd, bd)),
+                        ring_sum((bd, ud, kd, dn))))
+        return out
 
 
 def fg_recurrence_audit(ctx, a, b, jmax):
-    """The two step recurrences against the closed forms, swept over j.
-
-    F0 and G0 are the constants of the two cubic differences at (a, b).
-    The sweep reads the mab(a, b) rows c(1, ·) and c(-1, ·) once and judges
-    each step by its numerator; a failing one is reduced once."""
+    """`_Deformed` at the constants F0, G0 of the two cubic differences at
+    (a, b) as a module, on the `verify_module` kernel: the pairs (-1, 2)
+    and (1, -2), which step f and g, and (2, -2), which ties F0 to G0, on
+    v_j, j in [-jmax, jmax].  A j whose reads meet a vanishing closed-form
+    denominator is skipped with a note naming the pair and the denominator.
+    (1, 2) and (-1, -2) read c(±3, ·), which the deformation leaves alone."""
     F0, G0 = fg_constants(x_factors(ctx, a, b))
     rep = ResidualReport("fg-recurrences", {
         "a": scalar_str(a), "b": scalar_str(b),
         "F0": scalar_str(F0), "G0": scalar_str(G0),
         "jmax": int(jmax), **ctx.describe()})
-    c = _rows(ctx, Mab(a, b), (1, -1), range(-jmax - 2, jmax + 3))
-    fp, gp = ctx.parts(F0), ctx.parts(G0)
-    fs = {j: _closed(ctx, j, fp, _product(c[-1][j + 2], c[-1][j + 1]))
-          for j in range(-jmax - 1, jmax + 1)}
-    gs = {j: _closed(ctx, j, gp, _product(c[1][j - 2], c[1][j - 1]))
-          for j in range(-jmax, jmax + 2)}
-    p3, q3 = ctx.parts(ctx.ppow(3)), ctx.parts(ctx.qpow(3))
-    pm3, qm3 = ctx.parts(ctx.ppow(-3)), ctx.parts(ctx.qpow(-3))
-    for j in range(-jmax, jmax + 1):
-        fj, fjm1 = fs[j], fs[j - 1]
-        if fj is None or fjm1 is None:
-            rep.note("f-recurrence skipped at j=%d (zero denominator)" % j)
-        else:
-            rep.record("f-step", (j,), _residual(ctx, *_step(
-                qm3, fj, c[-1][j + 2], pm3, fjm1, c[-1][j])))
-        gj, gjp1 = gs[j], gs[j + 1]
-        if gj is None or gjp1 is None:
-            rep.note("g-recurrence skipped at j=%d (zero denominator)" % j)
-        else:
-            rep.record("g-step", (j,), _residual(ctx, *_step(
-                p3, gjp1, c[1][j], q3, gj, c[1][j - 2])))
+    rule = MemoRule(ctx, _Deformed(a, b, F0, G0))
+    c = _rows(ctx, rule, (1, -1), range(-jmax - 4, jmax + 5))
+    why = {(n, i): _vanishing_denominator(      # why c(n, i) is undefined
+        i, lambda r, k: r == -n // 2 and is_zero(c[r][k][0]))
+        for n in (2, -2) for i in range(-jmax - 2, jmax + 3)}
+    pairs = []
+    for n, m in ((-1, 2), (1, -2), (2, -2)):
+        ks = []
+        for j in range(-jmax, jmax + 1):
+            reads = ((m, j), (n, m + j), (n, j), (m, n + j), (n + m, j))
+            bad = next(filter(None, map(why.get, reads)), None)
+            if bad is None:
+                ks.append(j)
+            else:
+                rep.note("pair (%d,%d) skipped at j=%d: %s" % (n, m, j, bad))
+        pairs.append((n, m, ks))
+    _sweep_pairs(ctx, rule, rep, pairs)
     return rep
 
 
 # the denominators c(n, j + dk) of the ±2 coefficients at j, in the order
-# they are tested, each with the name a vanishing one is reported under
+# they are tested, each with the name a vanishing one is reported under;
+# the c2 ones are those of f(j), the cm2 ones those of g(j)
 _L2_DENOMINATORS = ((-1, 2, "c2 denominator dn(j+2)"),
                     (-1, 1, "c2 denominator dn(j+1)"),
                     (1, -2, "cm2 denominator up(j-2)"),

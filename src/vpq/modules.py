@@ -404,21 +404,37 @@ def _pair_numerators(ctx, rule, n, m, ks):
     return out
 
 
+def _sweep_pairs(ctx, memo, rep, pairs):
+    """Record the defining axiom on v_k for each (n, m, ks) in pairs.
+
+    Each pair is one row of numerators (`_pair_numerators`, through the
+    `MemoRule` memo).  Its zeros are counted with one `record_zeros` call;
+    only a nonzero one is reduced, by `relation_residual`, and recorded in
+    k order as `module-relation` (n, m, k).  The axiom is antisymmetric,
+    so a later (m, n) with the same ks records the negated residuals of
+    (n, m) (the same exact values, so the same bytes) without a sweep.
+    """
+    pending = {}    # (n, m) -> its failures, until (m, n) is due
+    for n, m, ks in pairs:
+        if (m, n) in pending:
+            failures = {k: -r for k, r in pending.pop((m, n)).items()}
+        else:
+            nums = _pair_numerators(ctx, memo, n, m, ks)
+            failures = pending[n, m] = {
+                k: relation_residual(ctx, memo, n, m, k)
+                for k, x in zip(ks, nums) if not is_zero(x)}
+        rep.record_zeros(len(ks) - len(failures))
+        for k, r in failures.items():
+            rep.record("module-relation", (n, m, k), r)
+
+
 def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
     """Sweep the defining axiom over the window; returns a ResidualReport.
 
-    The sweep reads the rule through one `MemoRule`, so the numerator and
-    denominator of each coefficient c(n,k) are computed once, and
-    evaluates each generator pair as one row of residual numerators over
-    all k (`_pair_numerators`).  A zero numerator is a zero residual, and
-    the row's zeros are counted with one `record_zeros` call.  Only a
-    nonzero one is reduced, by `relation_residual` at that k, and recorded
-    in k order, so a failure reads as the exact reduced residual.  The
-    axiom is antisymmetric in its generator pair, so each unordered pair is
-    computed once: (n, m) with n < m is kept until the sweep reaches
-    (m, n), which records the negated residuals (the same exact values, so
-    the same report bytes).  The diagonal n = m is computed; it alone reads
-    c(2n, k).
+    The sweep reads the rule through one `MemoRule`, so the parts of each
+    c(n,k) are computed once, and judges each pair by numerators
+    (`_sweep_pairs`), each unordered pair once.  The diagonal n = m is
+    computed; it alone reads c(2n, k).
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -429,25 +445,10 @@ def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
     rep = ResidualReport("verify-module", {
         "family": rule.describe(), "nmax": int(nmax), "kmax": int(kmax),
         "pair_filter": pair_filter, **ctx.describe()})
-    memo = MemoRule(ctx, rule)
-    ks = range(-kmax, kmax + 1)
-    pending = {}    # (n, m) with n < m -> its failures, until (m, n) is due
-    for n in range(-nmax, nmax + 1):
-        for m in range(-nmax, nmax + 1):
-            if pair_filter == "generators":
-                if not (-2 <= n <= 2 and -2 <= m <= 2 and -2 <= n + m <= 2):
-                    continue
-            if n > m:
-                failures = {k: -r for k, r in pending.pop((m, n)).items()}
-            else:
-                nums = _pair_numerators(ctx, memo, n, m, ks)
-                failures = {k: relation_residual(ctx, memo, n, m, k)
-                            for k, x in zip(ks, nums) if not is_zero(x)}
-                if n < m:
-                    pending[n, m] = failures
-            rep.record_zeros(len(ks) - len(failures))
-            for k, r in failures.items():
-                rep.record("module-relation", (n, m, k), r)
+    ks, ns = range(-kmax, kmax + 1), range(-nmax, nmax + 1)
+    _sweep_pairs(ctx, MemoRule(ctx, rule), rep, [
+        (n, m, ks) for n in ns for m in ns
+        if pair_filter == "all" or max(abs(n), abs(m), abs(n + m)) <= 2])
     return rep
 
 

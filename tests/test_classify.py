@@ -13,8 +13,6 @@ from vpq.classify import (
     ADJUSTED_LINES,
     PAIR_ORDER,
     XPolynomial,
-    closed_form_f,
-    closed_form_g,
     condition_scalar,
     degeneracy_profile,
     degeneracy_table_audit,
@@ -27,7 +25,8 @@ from vpq.classify import (
     second_solution,
     x_factors,
 )
-from vpq.modules import Mab, MemoRule
+from vpq import modules
+from vpq.modules import CoefficientRule, Mab, MemoRule, relation_residual
 from vpq.scalar import ScalarContext, scalar_str
 
 
@@ -225,20 +224,82 @@ def test_identity_audit_formal_parameters_at_pinned_points():
         assert rep.failed == 0
 
 
-def test_closed_forms_match_recurrence(ctx):
-    # the recurrences are homogeneous in F0 and G0; the audit derives them
+def _closed_form_f(ctx, rule, F0, j):
+    """f(j) = u^{3j} F0 / (c(-1,j+2) c(-1,j+1)); None on zero denominator.
+    The oracle of what the deformed rule adds to c(2, j)."""
+    den = rule.coeff(ctx, -1, j + 2) * rule.coeff(ctx, -1, j + 1)
+    if den == 0:
+        return None
+    return ctx.upow(3 * j) * F0 / den
+
+
+def _closed_form_g(ctx, rule, G0, j):
+    """g(j) = u^{3j} G0 / (c(1,j-2) c(1,j-1)); None on zero denominator.
+    The oracle of what the deformed rule adds to c(-2, j)."""
+    den = rule.coeff(ctx, 1, j - 2) * rule.coeff(ctx, 1, j - 1)
+    if den == 0:
+        return None
+    return ctx.upow(3 * j) * G0 / den
+
+
+class _ValueDeformed(CoefficientRule):
+    """The deformed rule by value arithmetic: mab(a, b) plus the oracle
+    closed forms on its ±2 rows; c(±2, k) raises where the closed form has
+    no value."""
+
+    def __init__(self, a, b, F0, G0):
+        self.mab = Mab(a, b)
+        self.closed = {2: (_closed_form_f, F0), -2: (_closed_form_g, G0)}
+
+    def coeff(self, ctx, n, k):
+        value = self.mab.coeff(ctx, n, k)
+        if n not in self.closed:
+            return value
+        form, const = self.closed[n]
+        closed = form(ctx, self.mab, const, k)
+        if closed is None:
+            raise ValueError("no closed form at k=%d" % k)
+        return value + closed
+
+
+_FG_PAIRS = ((-1, 2), (1, -2), (2, -2))
+
+
+def test_closed_forms_match_recurrence(ctx, sym):
+    # the deformed rule passes the three pairs, at a point and at formal
+    # p, q; the audit derives F0 and G0 itself
     rep = fg_recurrence_audit(ctx, Fraction(1), Fraction(1), 4)
     assert (rep.params["F0"], rep.params["G0"]) == ("15/16", "-20/243")
-    assert rep.failed == 0
-    assert rep.to_dict()["counts"]["checked"] > 0
+    assert rep.failed == 0 and rep.checked == 3 * 9 and not rep.notes
+    rep = fg_recurrence_audit(sym, sym.var("a"), sym.var("b"), 1)
+    assert rep.failed == 0 and rep.checked == 3 * 3
 
 
 def test_closed_form_returns_none_on_vanishing_denominator(ctx):
     # (a,b) = (-1/2,-3/2) kills the k=0 step coefficient
-    assert closed_form_f(ctx, Mab(Fraction(-1, 2), Fraction(-3, 2)),
-                         Fraction(1), -2) is None
-    assert closed_form_g(ctx, Mab(Fraction(-1, 2), Fraction(0)),
-                         Fraction(1), 3) is not None
+    a, b = Fraction(-1, 2), Fraction(-3, 2)
+    assert _closed_form_f(ctx, Mab(a, b), Fraction(1), -2) is None
+    assert _closed_form_g(ctx, Mab(a, Fraction(0)), Fraction(1), 3) \
+        is not None
+    # the deformed rule has no c(2, -2) there, and the audit names it
+    with pytest.raises(ValueError, match="zero denominator at k=-2"):
+        classify._Deformed(a, b, Fraction(1), Fraction(1)).coeff(ctx, 2, -2)
+    assert fg_recurrence_audit(ctx, a, b, 6).notes[0] == (
+        "pair (-1,2) skipped at j=-2: c2 denominator dn(j+2) vanishes at "
+        "j=-2")
+
+
+@pytest.mark.parametrize("ab", [("-1/2", "-3/2"), ("0", "0")],
+                         ids=["-1/2,-3/2", "0,0"])
+def test_fg_audit_skips_where_the_value_path_is_undefined(ctx, ab):
+    """The audit skips exactly the (pair, j) whose value-path relation
+    reads a closed form with no value, and passes the rest."""
+    a, b = (Fraction(v) for v in ab)
+    rep = fg_recurrence_audit(ctx, a, b, 6)
+    notes, failures = _fg_oracle(ctx, a, b, 6)
+    assert [n.partition(":")[0] for n in rep.notes] == notes
+    assert rep.failures == failures == [] and rep.failed == 0
+    assert rep.checked == 3 * 13 - len(notes) > 0
 
 
 def test_l2_coefficient_values(ctx):
@@ -303,8 +364,8 @@ def test_rule_readers_agree_over_memo_and_bare_rule(point):
         bare = Mab(a, b)
         memo = MemoRule(c, bare)
         for j in range(-4, 5):
-            for fn, args in ((closed_form_f, (F0, j)),
-                             (closed_form_g, (G0, j)),
+            for fn, args in ((_closed_form_f, (F0, j)),
+                             (_closed_form_g, (G0, j)),
                              (l2_coefficients, (j,))):
                 got = _outcome(fn, c, memo, *args)
                 assert got == _outcome(fn, c, bare, *args)
@@ -346,33 +407,57 @@ def _audit_reports(point):
     return [l2_display_audit(c, a, b, 6), fg_recurrence_audit(c, a, b, 6)]
 
 
-# sha256 of the audits' serialized reports where the bundled suite does not
+# sha256 of each audit's serialized report where the bundled suite does not
 # reach: formal a, b at each point of the formal workload ("formal" is
 # (2,3)), the degeneracy table at formal p, q ("formal:p,q"), and numeric
 # points whose sweeps skip j with notes, which fixes the order of notes,
 # records and findings
 _AUDIT_SHA256 = {
-    "formal": "b5b79b1da180363127e81bc6f5b193c383a53ecc3845cba3e7a8f0832fcee129",
-    "formal:5,7": "b323d7180241aed55433182410dba047ddfd93d0bfc8d010f5770ed5f5b6c5f9",
-    "formal:-3/2,1/4": "3696864b98ca6612286d51fbf26cd7ea9410470bc82fc2e39ba4ad114e38a15e",
-    "formal:p,q": "145240ef1088d8e8a592cff6e96f57bd74fb7abd10c712c41d903dfe76964a1e",
-    "-1/2,-3/2": "2124b9ef96d22bddd43115e8ede79184eb735b02760e1db742d4b817f875bcb4",
-    "0,0": "adefa04cfa30926d0e5ef3a90e83596d020c54603c8711830d115927ba498dab",
+    "formal": {
+        "identity-audit": "3c3baf079fb550942a989076268dc94f6d33a3c65b2d4df52ced86cbdb018772",
+        "l2-display": "2d0d7f90df610afc3aafb5048dbb8ec5a3dfdfa60372de2c609c28e58a685ad0",
+        "degeneracy-table": "f9b3fe912688a62787f18c98c742b677684fa5e7b9a02c0c790ed6c65641cec5",
+        "fg-recurrences": "ac179e93e97d301d8a3f55fe3f7b41fa1bac4936ca63e51ffca61b3abc97759c",
+    },
+    "formal:5,7": {
+        "identity-audit": "793f091145860507ca0d25ec9fa1959408760d6ab94b068667af55096f9b965b",
+        "l2-display": "77c07cf3abbefd14e2bca6a122117b12ba158c672444423a85f9783b3ed97438",
+        "degeneracy-table": "a81cc2441e1c6dc3edd9e398ad4ae6dd850b271b3252ca7a4580b8d583177c90",
+        "fg-recurrences": "16ee586258774ac12d3dde491914d2daad04084a7a4bbe79cddec608807f1f4f",
+    },
+    "formal:-3/2,1/4": {
+        "identity-audit": "258665fc3c1ad6ccd6fd0b8811bf4301395ee68023988abc16ae1d3812d45ab9",
+        "l2-display": "a2cb3d1d504afecda3e034d57e0435bcc4028360c61c8306578d8fdb97d564ea",
+        "degeneracy-table": "c4bac7a20d543adfc1ef32543a43105e9a2ccc6aa38196a64899b5f903f4f1f1",
+        "fg-recurrences": "12f7d6577e338ebb5ff0e6eae334ef430b6361439271dae45c3b35df9b5a26d8",
+    },
+    "formal:p,q": {
+        "degeneracy-table": "b007aa305040495a1ae413f6dc562505d89fcd88a7ab624b8f87a933b8ef8aaf",
+    },
+    "-1/2,-3/2": {
+        "l2-display": "0017421cc288b9794254c214b647904ccce8fcef5da84a4235da068f9c88bc07",
+        "fg-recurrences": "ba41a0c9d021cebf3396bec30db09adbd2590af742a12325b48561759bc70d38",
+    },
+    "0,0": {
+        "l2-display": "0dc9381607914401b583abeee8409e3848ecc360612be7bbcf378fcc32b9a3e0",
+        "fg-recurrences": "38863992fac7372f2b8e5b6a9d75e7707bb3a793fc78a69304b2eb2f794b62aa",
+    },
 }
 
 
 @pytest.mark.parametrize("point", sorted(_AUDIT_SHA256))
 def test_audit_bytes_are_unchanged(point):
-    data = json.dumps([rep.to_dict() for rep in _audit_reports(point)],
-                      sort_keys=True, indent=2)
-    assert hashlib.sha256(data.encode("utf-8")).hexdigest() == \
-        _AUDIT_SHA256[point]
+    got = {}
+    for rep in _audit_reports(point):
+        data = json.dumps(rep.to_dict(), sort_keys=True, indent=2)
+        got[rep.name] = hashlib.sha256(data.encode("utf-8")).hexdigest()
+    assert got == _AUDIT_SHA256[point]
 
 
 def test_audits_compute_each_value_once(monkeypatch):
     """identity_audit and degeneracy_table_audit build the x-factors once.
     The weight-two audits build them once too, call no
-    value helper (no ±2 coefficient, closed form or rule value) on a
+    value helper (no ±2 coefficient, rule value or relation residual) on a
     passing sweep, and reduce exactly once per finding: their residuals are
     judged by numerators."""
     c = ScalarContext.symbolic("2", "3")
@@ -388,9 +473,9 @@ def test_audits_compute_each_value_once(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapped)
 
-    for name in ("x_factors", "closed_form_f", "closed_form_g",
-                 "l2_coefficients"):
+    for name in ("x_factors", "l2_coefficients"):
         counted(classify, name, name)
+    counted(modules, "relation_residual", "relation_residual")
     counted(Mab, "coeff", "Mab.coeff")
     counted(ScalarContext, "join", "join")
 
@@ -408,7 +493,7 @@ def test_audits_compute_each_value_once(monkeypatch):
         pc = ScalarContext.symbolic(*pq)
         pa, pb = pc.var("a"), pc.var("b")
         got, rep = count(fg_recurrence_audit, pc, pa, pb, jmax)
-        assert got == {"x_factors": 1} and rep.checked == 2 * (2 * jmax + 1)
+        assert got == {"x_factors": 1} and rep.checked == 3 * (2 * jmax + 1)
         got, rep = count(l2_display_audit, pc, pa, pb, jmax)
         assert len(rep.findings) == 2 * jmax + 1
         assert got == {"x_factors": 1, "join": len(rep.findings)}
@@ -433,10 +518,10 @@ def _l2_oracle(ctx, a, b, jmax):
         if j not in l2:
             continue
         c2, cm2 = l2[j]
-        gj = closed_form_g(ctx, rule, G, j)
+        gj = _closed_form_g(ctx, rule, G, j)
         wm2 = rule.coeff(ctx, -2, j)
         found = [("c2-display", c2 - rule.coeff(ctx, 2, j)
-                  - closed_form_f(ctx, rule, F, j)),
+                  - _closed_form_f(ctx, rule, F, j)),
                  ("cm2-display", cm2 - wm2 - gj)]
         given = _cm2_given(ctx, rule, j) - wm2 - gj
         if given != 0:
@@ -452,37 +537,35 @@ def _l2_oracle(ctx, a, b, jmax):
 
 
 def _fg_oracle(ctx, a, b, jmax):
-    """Notes and failures of `fg_recurrence_audit` by value arithmetic."""
+    """The skipped (pair, j) and the failures of `fg_recurrence_audit` by
+    value arithmetic: `relation_residual` on `_ValueDeformed`, built from
+    the constants `classify.fg_constants` gives, which is undefined where
+    a closed form it reads has no value."""
     F0, G0 = classify.fg_constants(x_factors(ctx, a, b))
-    rule = Mab(a, b)
-    c = lambda n, k: rule.coeff(ctx, n, k)
-    p, q = ctx.p, ctx.q
-    notes, steps = [], []
-    for j in range(-jmax, jmax + 1):
-        fj, fjm1 = (closed_form_f(ctx, rule, F0, i) for i in (j, j - 1))
-        if fj is None or fjm1 is None:
-            notes.append("f-recurrence skipped at j=%d (zero denominator)" % j)
-        else:
-            steps.append(("f-step", j, q ** -3 * fj * c(-1, j + 2)
-                          - p ** -3 * fjm1 * c(-1, j)))
-        gj, gjp1 = (closed_form_g(ctx, rule, G0, i) for i in (j, j + 1))
-        if gj is None or gjp1 is None:
-            notes.append("g-recurrence skipped at j=%d (zero denominator)" % j)
-        else:
-            steps.append(("g-step", j, p ** 3 * gjp1 * c(1, j)
-                          - q ** 3 * gj * c(1, j - 2)))
-    return notes, [{"identity": name, "indices": [j],
-                    "residual": scalar_str(r)} for name, j, r in steps if r != 0]
+    rule = _ValueDeformed(a, b, F0, G0)
+    notes, failures = [], []
+    for n, m in _FG_PAIRS:
+        for j in range(-jmax, jmax + 1):
+            try:
+                r = relation_residual(ctx, rule, n, m, j)
+            except ValueError:
+                notes.append("pair (%d,%d) skipped at j=%d" % (n, m, j))
+                continue
+            if r != 0:
+                failures.append({"identity": "module-relation",
+                                 "indices": [n, m, j],
+                                 "residual": scalar_str(r)})
+    return notes, failures
 
 
 @pytest.mark.parametrize("point", ["formal", "numeric"])
 def test_weight_two_failures_read_as_the_value_path(monkeypatch, point):
     """With F and G shifted by 1 and the partner by 1, every c2-display,
-    cm2-display and gauge-product residual fails; the f and g recurrences
-    are homogeneous in F and G, so for them u^{3j} is also made to step by
-    (2u)^3 instead of u^3.  Each failure, reduced once from its numerator,
-    reads as the value path's residual, and each literal-cm2 finding as the
-    typeset formula's."""
+    cm2-display and gauge-product residual fails, and so does every (2,-2)
+    relation of the deformed rule; its (-1,2) and (1,-2) relations hold for
+    any F and G.  Each failure, reduced once from its numerator, reads as
+    the value path's residual, and each literal-cm2 finding as the typeset
+    formula's."""
     if point == "formal":
         c = ScalarContext.symbolic("2", "3")
         a, b = c.var("a"), c.var("b")
@@ -508,13 +591,62 @@ def test_weight_two_failures_read_as_the_value_path(monkeypatch, point):
     assert {f["identity"] for f in failures} == {
         "c2-display", "cm2-display", "gauge-product"}
 
-    real_upow = c.upow
-    monkeypatch.setattr(c, "upow", lambda n: real_upow(n) * Fraction(2) ** n)
     rep = fg_recurrence_audit(c, a, b, jmax)
     notes, failures = _fg_oracle(c, a, b, jmax)
     assert rep.failures == failures
-    assert rep.notes == notes
-    assert rep.checked == rep.failed == 2 * (2 * jmax + 1)
+    assert rep.notes == notes == []
+    assert rep.checked == 3 * (2 * jmax + 1)
+    assert rep.failed == 2 * jmax + 1
+    assert {tuple(f["indices"][:2]) for f in failures} == {(2, -2)}
+
+
+_BREAKS = {
+    "F0+1": lambda F, G: (F + 1, G),
+    "G0+1": lambda F, G: (F, G + 1),
+    "-F0": lambda F, G: (-F, G),
+}
+
+
+@pytest.mark.parametrize("point", ["numeric", "formal"])
+@pytest.mark.parametrize("brk", sorted(_BREAKS))
+def test_deformation_breaks_fail_the_pair_that_ties_f_to_g(
+        monkeypatch, brk, point):
+    """F0 + 1, G0 + 1 and -F0 each fail the (2,-2) relation at every j,
+    at (2,3) with a = b = 1 and with formal a, b, while (-1,2) and (1,-2)
+    still hold; each failure reads as the value path's residual."""
+    if point == "formal":
+        c = ScalarContext.symbolic("2", "3")
+        a, b = c.var("a"), c.var("b")
+    else:
+        c = ScalarContext.numeric(2, 3)
+        a = b = Fraction(1)
+    jmax = 3
+    real = classify.fg_constants
+    monkeypatch.setattr(classify, "fg_constants",
+                        lambda fx: _BREAKS[brk](*real(fx)))
+    rep = fg_recurrence_audit(c, a, b, jmax)
+    assert rep.failures == _fg_oracle(c, a, b, jmax)[1]
+    assert [f["indices"] for f in rep.failures] == [
+        [2, -2, j] for j in range(-jmax, jmax + 1)]
+
+
+@pytest.mark.parametrize("point", ["numeric", "formal"])
+def test_fg_audit_fails_when_u_steps_by_2u(monkeypatch, point):
+    """A context whose u^n reads as (2u)^n breaks the deformed rule and mab
+    under it; the audit fails, and each failure reads as the value path's
+    residual."""
+    if point == "formal":
+        c = ScalarContext.symbolic("2", "3")
+        a, b = c.var("a"), c.var("b")
+    else:
+        c = ScalarContext.numeric(2, 3)
+        a = b = Fraction(1)
+    real_upow = c.upow
+    monkeypatch.setattr(c, "upow", lambda n: real_upow(n) * Fraction(2) ** n)
+    rep = fg_recurrence_audit(c, a, b, 3)
+    notes, failures = _fg_oracle(c, a, b, 3)
+    assert rep.failed > 0 and rep.failures == failures
+    assert rep.notes == notes == []
 
 
 @pytest.mark.parametrize("pq", [("2", "3"), ()], ids=["point", "formal"])

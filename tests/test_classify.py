@@ -262,9 +262,6 @@ class _ValueDeformed(CoefficientRule):
         return value + closed
 
 
-_FG_PAIRS = ((-1, 2), (1, -2), (2, -2))
-
-
 def test_closed_forms_match_recurrence(ctx, sym):
     # the deformed rule passes the three pairs, at a point and at formal
     # p, q; the audit derives F0 and G0 itself
@@ -544,7 +541,7 @@ def _fg_oracle(ctx, a, b, jmax):
     F0, G0 = classify.fg_constants(x_factors(ctx, a, b))
     rule = _ValueDeformed(a, b, F0, G0)
     notes, failures = [], []
-    for n, m in _FG_PAIRS:
+    for n, m in ((-1, 2), (1, -2), (2, -2)):
         for j in range(-jmax, jmax + 1):
             try:
                 r = relation_residual(ctx, rule, n, m, j)
@@ -558,6 +555,15 @@ def _fg_oracle(ctx, a, b, jmax):
     return notes, failures
 
 
+def _weight_two_point(point):
+    """The context and (a, b) of the weight-two failure tests: (2,3) with
+    formal a, b, or with a = b = 1."""
+    if point == "formal":
+        c = ScalarContext.symbolic("2", "3")
+        return c, c.var("a"), c.var("b")
+    return ScalarContext.numeric(2, 3), Fraction(1), Fraction(1)
+
+
 @pytest.mark.parametrize("point", ["formal", "numeric"])
 def test_weight_two_failures_read_as_the_value_path(monkeypatch, point):
     """With F and G shifted by 1 and the partner by 1, every c2-display,
@@ -566,12 +572,7 @@ def test_weight_two_failures_read_as_the_value_path(monkeypatch, point):
     any F and G.  Each failure, reduced once from its numerator, reads as
     the value path's residual, and each literal-cm2 finding as the typeset
     formula's."""
-    if point == "formal":
-        c = ScalarContext.symbolic("2", "3")
-        a, b = c.var("a"), c.var("b")
-    else:
-        c = ScalarContext.numeric(2, 3)
-        a = b = Fraction(1)
+    c, a, b = _weight_two_point(point)
     jmax = 4
     real_fg, real_partner = classify.fg_constants, classify.second_solution
 
@@ -614,12 +615,7 @@ def test_deformation_breaks_fail_the_pair_that_ties_f_to_g(
     """F0 + 1, G0 + 1 and -F0 each fail the (2,-2) relation at every j,
     at (2,3) with a = b = 1 and with formal a, b, while (-1,2) and (1,-2)
     still hold; each failure reads as the value path's residual."""
-    if point == "formal":
-        c = ScalarContext.symbolic("2", "3")
-        a, b = c.var("a"), c.var("b")
-    else:
-        c = ScalarContext.numeric(2, 3)
-        a = b = Fraction(1)
+    c, a, b = _weight_two_point(point)
     jmax = 3
     real = classify.fg_constants
     monkeypatch.setattr(classify, "fg_constants",
@@ -635,12 +631,7 @@ def test_fg_audit_fails_when_u_steps_by_2u(monkeypatch, point):
     """A context whose u^n reads as (2u)^n breaks the deformed rule and mab
     under it; the audit fails, and each failure reads as the value path's
     residual."""
-    if point == "formal":
-        c = ScalarContext.symbolic("2", "3")
-        a, b = c.var("a"), c.var("b")
-    else:
-        c = ScalarContext.numeric(2, 3)
-        a = b = Fraction(1)
+    c, a, b = _weight_two_point(point)
     real_upow = c.upow
     monkeypatch.setattr(c, "upow", lambda n: real_upow(n) * Fraction(2) ** n)
     rep = fg_recurrence_audit(c, a, b, 3)

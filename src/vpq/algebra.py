@@ -117,8 +117,8 @@ def hom_twist(ctx, x):
 class _StructureConstants:
     """Unreduced (numerator, denominator) parts of eta(n, m),
     central_coefficient(n) and the twist factor 1 + u^n under one context,
-    each built once from the `ScalarContext.parts` of the cached h and u
-    values by ring products only: no gcd and no Fraction or
+    each built once from the parts of the cached h and u values
+    (`ScalarContext.split`) by ring products only: no gcd and no Fraction or
     RationalFunction.
 
     Every denominator is nonzero (the context guard keeps 1 + u^n away
@@ -141,8 +141,8 @@ class _StructureConstants:
         hit = self._eta.get((n, m))
         if hit is None:
             ctx = self.ctx
-            an, bn = ctx.parts(ctx.hq(n))
-            am, bm = ctx.parts(ctx.hq(m))
+            an, bn = ctx.split("hq", n)
+            am, bm = ctx.split("hq", m)
             hit = self._eta[n, m] = (an * bm - am * bn, bn * bm)
         return hit
 
@@ -151,11 +151,11 @@ class _StructureConstants:
         hit = self._central.get(n)
         if hit is None:
             ctx = self.ctx
-            num, den = ctx.parts(ctx.upow(-n))
+            num, den = ctx.split("upow", -n)
             tn, td = self.twist(n)
             num, den = num * td, den * tn * self._six
             for j in (n - 1, n, n + 1):
-                hn, hd = ctx.parts(ctx.hq(j))
+                hn, hd = ctx.split("hq", j)
                 num, den = num * hn, den * hd
             hit = self._central[n] = (num, den)
         return hit
@@ -165,7 +165,7 @@ class _StructureConstants:
         hit = self._twist.get(n)
         if hit is None:
             ctx = self.ctx
-            un, ud = ctx.parts(ctx.upow(n))
+            un, ud = ctx.split("upow", n)
             hit = self._twist[n] = (ud + un, ud)
         return hit
 

@@ -565,7 +565,7 @@ class _Deformed(Mab):
             if is_zero(dn):
                 raise ValueError("the closed form in row %d has a zero "
                                  "denominator at k=%d" % (n, k))
-            un, ud = ctx.parts(ctx.upow(3 * k))
+            un, ud = ctx.split("upow", 3 * k)
             out.append((ring_sum((bn, ud, kd, dn), (un, kn, dd, bd)),
                         ring_sum((bd, ud, kd, dn))))
         return out
@@ -700,7 +700,7 @@ def l2_display_audit(ctx, a, b, jmax):
         if j not in l2:
             continue
         c2, cm2 = l2[j]
-        u = ctx.parts(ctx.upow(3 * j))
+        u = ctx.split("upow", 3 * j)
         rep.record("c2-display", (j,), _residual(
             ctx, *_display(c2, u, fp, c[2][j])))
         rep.record("cm2-display", (j,), _residual(

@@ -11,14 +11,17 @@ and the central element acts as zero on every family.
 A rule gives single values through `coeff` and whole rows through
 `parts_row(ctx, n, ks)`: an unreduced (numerator, denominator) pair for each
 c(n, k), k in ks, every denominator nonzero.  Parts come from
-`ScalarContext.parts`: at a point, on either backend, a constant part is an
-int and only the rest are Polys, so a row is int arithmetic even with formal
-a, b; at formal p, q every part is a Poly.  Where a part is a Poly, the
-kernels sum their products with `scalar.ring_sum`, the one place where
-ints and Polys meet (Poly operators take Polys only); all-int parts keep
-int expressions.  The module sweep, the submodule graph and the intertwiner
-validation read rows and test numerators, so a row of `Mab` takes ring
-products only; a value is reduced only where a report prints it.
+`ScalarContext.parts`, and those of the cached h(k), u^k, [n] and powers
+from `ScalarContext.split`, which splits each once per exponent: at a
+point, on either backend, a constant part is an int and only the rest are
+Polys, so a row is int arithmetic even with formal a, b; at formal p, q
+every part is a Poly.  Where a part is a Poly, the kernels sum their
+products with `scalar.ring_sum`, the one place where ints and Polys meet
+(Poly operators take Polys only); all-int parts keep int expressions.  The
+module sweep, the submodule graph and the intertwiner validation read rows
+and test numerators.  A row of `Mab` is built from the parts of a, b and
+the cached values by ring products only and reduces nothing; a value is
+reduced only where a report prints it.
 A sweep that rereads coefficients reads them through one `MemoRule`, which
 caches values and rows.
 
@@ -123,16 +126,28 @@ class Mab(CoefficientRule):
         return ctx.hq(k) - ctx.upow(k) * (self.a + self.b * ctx.hq(n))
 
     def parts_row(self, ctx, n, ks):
-        """c(n,k) = h(k) - u^k A_n with A_n = a + b h(n): one reduced
-        constant per row, then ring products of its parts with the cached
-        parts of h(k) and u^k, by `ring_sum` when a part of A_n is a
-        Poly."""
-        An, Ad = ctx.parts(self.a + self.b * ctx.hq(n))
-        ring = type(An) is Poly or type(Ad) is Poly
+        """c(n,k) = h(k) - u^k A_n with A_n = a + b h(n), all from parts:
+        A_n's from those of a, b and the cached h(n) (an int expression
+        when every part is an int, else one `ring_sum`), then each entry
+        from A_n's and the cached parts of h(k) and u^k (`ctx.split`).  A
+        row reduces nothing: no gcd and no Fraction or RationalFunction."""
+        split = ctx.split
+        an, ad = ctx.parts(self.a)
+        bn, bd = ctx.parts(self.b)
+        hn, hd = split("hq", n)
+        if Poly in {type(an), type(ad), type(bn), type(bd), type(hn),
+                    type(hd)}:
+            ring = True
+            An = ring_sum((an, bd, hd), (bn, hn, ad))
+            Ad = ring_sum((ad, bd, hd))
+        else:
+            ring = False
+            An = an * bd * hd + bn * hn * ad
+            Ad = ad * bd * hd
         out = []
         for k in ks:
-            hn, hd = ctx.parts(ctx.hq(k))
-            un, ud = ctx.parts(ctx.upow(k))
+            hn, hd = split("hq", k)
+            un, ud = split("upow", k)
             if ring:
                 out.append((ring_sum((hn, ud, Ad), (-1, un, hd, An)),
                             ring_sum((hd, ud, Ad))))
@@ -375,10 +390,10 @@ def _pair_numerators(ctx, rule, n, m, ks):
     products; an all-int sweep keeps int expressions, which Python
     evaluates faster than any loop over factors.
     """
-    a1, b1 = ctx.parts(ctx.upow(n))
-    a2, b2 = ctx.parts(ctx.upow(m))
-    hm, dhm = ctx.parts(ctx.hq(m))
-    hn, dhn = ctx.parts(ctx.hq(n))
+    a1, b1 = ctx.split("upow", n)
+    a2, b2 = ctx.split("upow", m)
+    hm, dhm = ctx.split("hq", m)
+    hn, dhn = ctx.split("hq", n)
     row = rule.parts_row
     # parts of c(m,k), c(n,m+k), c(n,k), c(m,n+k) and c(n+m,k)
     rows = zip(row(ctx, m, ks), row(ctx, n, [m + k for k in ks]),

@@ -818,6 +818,23 @@ def _ground(f):
     return f
 
 
+def _formal_qint(n):
+    """[n] at formal p, q in normal form: [k] = sum_{i<k} p^{k-1-i} q^i
+    over 1, and [-k] = -[k]/(pq)^k for k > 0.  The terms p^{k-1} and
+    q^{k-1} of [k] keep p and q from dividing it, so the parts are coprime
+    and no gcd is needed."""
+    k = abs(n)
+    if k > _EMAX:
+        raise _overflow()
+    sp, sq = _SHIFTS[VARS.index("p")], _SHIFTS[VARS.index("q")]
+    sign = 1 if n > 0 else -1
+    num = Poly.__new__(Poly)
+    num.terms = {((k - 1 - i) << sp) + (i << sq): sign for i in range(k)}
+    den = Poly.__new__(Poly)
+    den.terms = {_ZEXP if n >= 0 else (k << sp) + (k << sq): 1}
+    return RationalFunction(num, den, _reduced=True)
+
+
 def _guarded_point(p, q):
     """Parse a rational point (p, q) and reject the ones the theory excludes.
 
@@ -848,8 +865,10 @@ class ScalarContext:
 
     The context caches one-index values: ``ppow``, ``qpow``, ``qint``,
     ``upow`` (u^n = p^{-n} q^n) and ``hq`` (h(n) = p^{-n}[n]) are computed
-    once per exponent.  A sweep caches its rule's coefficients in one
-    ``modules.MemoRule``; ``verify_algebra`` has ``_StructureConstants``.
+    once per exponent, and ``split(name, n)`` holds their ``parts``, split
+    once per exponent, for the fraction-free kernels.  A sweep caches its
+    rule's coefficients in one ``modules.MemoRule``; ``verify_algebra``
+    has ``_StructureConstants``.
     """
 
     def __init__(self, backend, p, q, formal=False):
@@ -864,6 +883,7 @@ class ScalarContext:
         self._qpow_cache = {}
         self._upow_cache = {}
         self._hq_cache = {}
+        self._split_cache = {}
 
     # constructors ----------------------------------------------------------
 
@@ -931,7 +951,9 @@ class ScalarContext:
         `_StructureConstants` multiplies its parts with Poly operators,
         and each kernel that selects its evaluation by ``ctx.formal``
         expects Poly parts there, so both must see Polys only.  Anything
-        else (a float) raises TypeError under every context."""
+        else (a float) raises TypeError under every context.  The parts of
+        a cached one-index value are read through `split`, which calls
+        this once per exponent."""
         if isinstance(x, RationalFunction):
             if self.formal:
                 return x.num, x.den
@@ -954,6 +976,16 @@ class ScalarContext:
 
     # memoised one-index quantities --------------------------------------------
 
+    def split(self, name, n):
+        """`parts` of the cached one-index value ``name`` at n, where name
+        is "ppow", "qpow", "qint", "upow" or "hq": split once per exponent,
+        so a row kernel reads the parts of h(k) or u^k with one lookup."""
+        key = (name, n)
+        hit = self._split_cache.get(key)
+        if hit is None:
+            hit = self._split_cache[key] = self.parts(getattr(self, name)(n))
+        return hit
+
     def ppow(self, n):
         """p**n."""
         hit = self._ppow_cache.get(n)
@@ -969,11 +1001,14 @@ class ScalarContext:
         return hit
 
     def qint(self, n):
-        """The two-parameter integer (p^n - q^n)/(p - q), any integer n."""
+        """The two-parameter integer (p^n - q^n)/(p - q), any integer n.
+        At formal p, q it is built in normal form (`_formal_qint`), with no
+        division and no gcd."""
         n = int(n)
         hit = self._qint_cache.get(n)
         if hit is None:
             hit = self._qint_cache[n] = (
+                _formal_qint(n) if self.formal else
                 (self.ppow(n) - self.qpow(n)) / (self.p - self.q))
         return hit
 
@@ -997,19 +1032,20 @@ def pascal_numerators(ctx, m, ns):
     denominator.
 
     Write the three terms [m+n], p^n [m] and q^m [n] as t_i = N_i/D_i from
-    the `ScalarContext.parts` of the cached qint, ppow and qpow values.
+    the parts of the cached qint, ppow and qpow values (`ScalarContext.split`).
     Every D_i is nonzero, so the residual t1 - t2 - t3 is zero exactly when
     N1·D2·D3 - N2·D1·D3 - N3·D1·D2 is: ring products only (ints or Polys),
     no gcd and no reduced quotient.  At formal p, q the parts are Polys and
     `ring_sum` takes the three products; at a point they are ints.
     """
-    am, bm = ctx.parts(ctx.qint(m))
-    qm, dqm = ctx.parts(ctx.qpow(m))
+    split = ctx.split
+    am, bm = split("qint", m)
+    qm, dqm = split("qpow", m)
     out = []
     for n in ns:
-        n1, d1 = ctx.parts(ctx.qint(m + n))
-        pn, dpn = ctx.parts(ctx.ppow(n))
-        an, bn = ctx.parts(ctx.qint(n))
+        n1, d1 = split("qint", m + n)
+        pn, dpn = split("ppow", n)
+        an, bn = split("qint", n)
         if ctx.formal:
             out.append(ring_sum((n1, dpn, bm, dqm, bn),
                                 (-1, am, pn, d1, dqm, bn),
@@ -1037,10 +1073,10 @@ def pascal_residual(ctx, m, n):
 def reflection_residual(ctx, n):
     """[-n] + (pq)^(-n) [n]; identically zero.  Judged by its numerator
     N1·D2 + N2·D1 as `pascal_residual` is; only a nonzero one is reduced."""
-    n1, d1 = ctx.parts(ctx.qint(-n))
-    pn, dpn = ctx.parts(ctx.ppow(-n))
-    qn, dqn = ctx.parts(ctx.qpow(-n))
-    an, bn = ctx.parts(ctx.qint(n))
+    n1, d1 = ctx.split("qint", -n)
+    pn, dpn = ctx.split("ppow", -n)
+    qn, dqn = ctx.split("qpow", -n)
+    an, bn = ctx.split("qint", n)
     if ctx.formal:
         num = ring_sum((n1, dpn, dqn, bn), (an, pn, qn, d1))
     else:

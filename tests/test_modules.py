@@ -712,9 +712,11 @@ def test_parts_row_matches_coeff(backend):
 
 
 @pytest.mark.parametrize("backend", ["numeric", "formal-pq"])
-def test_mab_rows_reduce_one_constant_per_row(backend, monkeypatch):
-    # with u^k and h(k) cached, a row of Mab reduces A_n = a + b h(n) and
-    # nothing else, however long it is
+def test_mab_rows_reduce_nothing(backend, monkeypatch):
+    # with the parts of a, b, h(k) and u^k at hand, a Mab row builds A_n =
+    # a + b h(n) and every entry from parts: on a warm context it makes no
+    # Fraction and calls no gcd, however long it is; one coeff value does
+    # both, which shows that the hooks count
     if backend == "numeric":
         ctx = ScalarContext.numeric("5/2", "-3/4")
         rule = Mab(Fraction(1, 3), Fraction(-2))
@@ -741,16 +743,49 @@ def test_mab_rows_reduce_one_constant_per_row(backend, monkeypatch):
             del reductions[:]
             rule.parts_row(ctx, n, ks)
             counts.append(len(reductions))
+    del reductions[:]
+    rule.coeff(ctx, 3, 5)
+    control = len(reductions)
     monkeypatch.undo()
-    assert counts[0] == counts[1] and counts[2] == counts[3]
-    assert 0 < max(counts) <= 8
+    assert counts == [0, 0, 0, 0]
+    assert control > 0
+
+
+@pytest.mark.parametrize("backend", ["numeric", "formal-ab", "formal-pq"])
+def test_module_sweep_splits_cached_values_once(backend, monkeypatch):
+    # the parts of h(k) and u^k come from ctx.split, so on a warm context
+    # a sweep calls ctx.parts only for a and b, once per row: as often at
+    # kmax 16 as at kmax 8
+    if backend == "numeric":
+        ctx = ScalarContext.numeric("5/2", "-3/4")
+        rule = Mab(Fraction(1, 3), Fraction(-2))
+    else:
+        ctx = (ScalarContext.symbolic() if backend == "formal-pq"
+               else ScalarContext.symbolic("2", "3"))
+        rule = Mab(ctx.var("a"), ctx.var("b"))
+    real = ScalarContext.parts
+    calls = []
+
+    def counting(self, x):
+        calls.append(1)
+        return real(self, x)
+
+    counts = []
+    for kmax in (8, 16):
+        assert verify_module(ctx, rule, 4, kmax).failed == 0   # warms ctx
+        with monkeypatch.context() as patch:
+            patch.setattr(ScalarContext, "parts", counting)
+            del calls[:]
+            assert verify_module(ctx, rule, 4, kmax).failed == 0
+        counts.append(len(calls))
+    assert 0 < counts[0] == counts[1], counts
 
 
 def test_ground_rows_multiply_no_constant_polys(monkeypatch):
     # at a rational point every h(k) and u^k is a constant, so their parts
     # are ints and the row kernels multiply no two constant Polys on a warm
-    # context; a Mab row with formal a, b still reduces A_n = a + b h(n)
-    # once per row, so that count stays flat as the rows grow
+    # context, and a Mab row with formal a, b builds A_n = a + b h(n) from
+    # parts, so that count stays flat as the rows grow
     real = Poly.__mul__
     products = []
 

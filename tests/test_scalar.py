@@ -375,6 +375,33 @@ def test_context_parts_ground_only_at_a_point(sym):
         assert all(isinstance(x, Poly) for x in got)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ScalarContext.numeric("5/2", "-3/4"),
+    lambda: ScalarContext.symbolic("2", "3"),
+    ScalarContext.symbolic,
+])
+def test_split_holds_the_parts_of_each_cached_value(make):
+    # ctx.split(name, n) is ctx.parts of the cached value, split once: a
+    # second read hands back the same pair
+    c = make()
+    for name in ("ppow", "qpow", "qint", "upow", "hq"):
+        for n in range(-25, 26):
+            got = c.split(name, n)
+            assert got == c.parts(getattr(c, name)(n)), (name, n)
+            assert c.split(name, n) is got
+
+
+def test_formal_qint_is_built_in_normal_form():
+    # [n] at formal p, q is built without a division; its parts are those
+    # of the reduced quotient (p^n - q^n)/(p - q), n = 0 included
+    c = ScalarContext.symbolic()
+    p, q = c.p, c.q
+    for n in range(-45, 46):
+        got = c.qint(n)
+        want = (p ** n - q ** n) / (p - q)
+        assert (got.num, got.den) == (want.num, want.den), n
+
+
 def test_quantum_integer_values(ctx):
     # [n] = (p^n - q^n)/(p - q) at p=2, q=3
     assert ctx.qint(0) == 0

@@ -134,16 +134,15 @@ class Mab(CoefficientRule):
         split = ctx.split
         an, ad = ctx.parts(self.a)
         bn, bd = ctx.parts(self.b)
-        hn, hd = split("hq", n)
-        if Poly in {type(an), type(ad), type(bn), type(bd), type(hn),
-                    type(hd)}:
-            ring = True
-            An = ring_sum((an, bd, hd), (bn, hn, ad))
-            Ad = ring_sum((ad, bd, hd))
+        gn, gd = split("hq", n)
+        ring = Poly in {type(an), type(ad), type(bn), type(bd), type(gn),
+                        type(gd)}
+        if ring:
+            An = ring_sum((an, bd, gd), (bn, gn, ad))
+            Ad = ring_sum((ad, bd, gd))
         else:
-            ring = False
-            An = an * bd * hd + bn * hn * ad
-            Ad = ad * bd * hd
+            An = an * bd * gd + bn * gn * ad
+            Ad = ad * bd * gd
         out = []
         for k in ks:
             hn, hd = split("hq", k)

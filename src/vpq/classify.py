@@ -599,6 +599,8 @@ def fg_recurrence_audit(ctx, a, b, jmax):
             else:
                 rep.note("pair (%d,%d) skipped at j=%d: %s" % (n, m, j, bad))
         pairs.append((n, m, ks))
+    if not any(ks for _, _, ks in pairs):
+        raise ValueError(_checks_nothing("fg-recurrences", a, b, jmax))
     _sweep_pairs(ctx, rule, rep, pairs)
     return rep
 
@@ -610,6 +612,13 @@ _L2_DENOMINATORS = ((-1, 2, "c2 denominator dn(j+2)"),
                     (-1, 1, "c2 denominator dn(j+1)"),
                     (1, -2, "cm2 denominator up(j-2)"),
                     (1, -1, "cm2 denominator up(j-1)"))
+
+
+def _checks_nothing(check, a, b, jmax):
+    """The error for a sweep over j whose every j is skipped."""
+    return ("%s checks nothing at a=%s, b=%s: a denominator vanishes at "
+            "every j with |j| <= %d" % (check, scalar_str(a), scalar_str(b),
+                                         jmax))
 
 
 def _vanishing_denominator(j, vanishes):
@@ -695,6 +704,8 @@ def l2_display_audit(ctx, a, b, jmax):
                   _product(c[1][j], c[1][j + 1], c[-2][j + 2])),
                  (_product(c[1][j - 2], c[1][j - 1]),
                   _product(c[-1][j], c[-1][j - 1], c[2][j - 2])))
+    if not any(j in l2 for j in range(-jmax, jmax + 1)):
+        raise ValueError(_checks_nothing("l2-display", a, b, jmax))
     variant_hits = 0
     for j in range(-jmax, jmax + 1):
         if j not in l2:

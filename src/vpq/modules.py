@@ -18,12 +18,15 @@ Polys, so a row is int arithmetic even with formal a, b; at formal p, q
 every part is a Poly.  Where a part is a Poly, the kernels sum their
 products with `scalar.ring_sum`, the one place where ints and Polys meet
 (Poly operators take Polys only); all-int parts keep int expressions.  The
-module sweep, the submodule graph and the intertwiner validation read rows
-and test numerators.  A row of `Mab` is built from the parts of a, b and
-the cached values by ring products only and reduces nothing; a value is
-reduced only where a report prints it.
+module sweep, the submodule graph and the intertwiner read rows and test
+numerators.  A row of `Mab` is built from the parts of a, b and the cached
+values by ring products only and reduces nothing; off its special line, an
+exceptional family's entry is the split of a cached h value.  A value is
+reduced only where a report prints it, or where `find_intertwiner`
+returns h, which it propagates by parts.
 A sweep that rereads coefficients reads them through one `MemoRule`, which
-caches values and rows.
+caches values and keeps each row as one list over a span of k, so a read
+over a range of k is one slice.
 
 Families:
 
@@ -71,9 +74,16 @@ class MemoRule(CoefficientRule):
     """One rule under one context, each value and row entry computed once.
 
     A sweep wraps its rule for its own duration, so the memo dies with the
-    sweep.  Under any other context it evaluates the rule afresh.  As it
-    fills a row it notes whether any part it has handed out is a Poly, so
-    `_pair_numerators` knows whether its sums need `ring_sum`.
+    sweep.  Under any other context it evaluates the rule afresh.  Row n
+    is kept as one list over a contiguous span of k, with the span's first
+    k; an entry never asked for is a hole (None).  A read whose ks is a
+    `range` with every entry present is one slice; any other read indexes
+    the list.  The missing entries of a read are filled by one call of the
+    wrapped rule's `parts_row` on exactly those ks, so the memo computes
+    nothing it was not asked for (a `TableRule` raises outside its window,
+    and a rule may raise where an entry is undefined).  As it fills a row
+    it notes whether any part it has handed out is a Poly, so the kernels
+    know whether their sums need `ring_sum`.
     """
 
     def __init__(self, ctx, rule):
@@ -81,7 +91,8 @@ class MemoRule(CoefficientRule):
         self.rule = rule
         self.family = rule.family
         self._memo = {}
-        self._rows = {}     # n -> {k: parts of c(n, k)}
+        # n -> (first k of its span, [parts, None for a hole], hole count)
+        self._rows = {}
         self._ring = False
 
     def coeff(self, ctx, n, k):
@@ -96,17 +107,53 @@ class MemoRule(CoefficientRule):
         """The wrapped rule's row, its missing entries filled by one call."""
         if ctx is not self.ctx:
             return self.rule.parts_row(ctx, n, ks)
-        row = self._rows.setdefault(n, {})
-        missing = [k for k in ks if k not in row]
+        if not ks:
+            return []
+        entry = self._rows.get(n)
+        if type(ks) is not range or ks.step != 1:
+            lo, row = self._fill(ctx, n, entry, ks)
+            return [row[k - lo] for k in ks]
+        if entry is None:
+            row = self._got(self.rule.parts_row(ctx, n, ks))
+            self._rows[n] = ks.start, row, 0
+            return row[:]
+        lo, row, holes = entry
+        if holes or ks.start < lo or ks.stop - lo > len(row):
+            lo, row = self._fill(ctx, n, entry, ks)
+        return row[ks.start - lo:ks.stop - lo]
+
+    def _fill(self, ctx, n, entry, ks):
+        """(first k, list) of row n, whose span (`entry`, None for a new
+        row) is grown with holes to cover ks and whose holes at ks are
+        filled by one call of the wrapped rule."""
+        first, last = min(ks), max(ks)
+        lo, row, holes = entry or (first, [], 0)
+        if first < lo:
+            row[:0] = [None] * (lo - first)
+            holes += lo - first
+            lo = first
+        if last >= lo + len(row):
+            holes += last + 1 - lo - len(row)
+            row.extend([None] * (last + 1 - lo - len(row)))
+        self._rows[n] = lo, row, holes
+        if not holes:
+            return lo, row
+        missing = [k for k in dict.fromkeys(ks) if row[k - lo] is None]
         if missing:
-            got = self.rule.parts_row(ctx, n, missing)
-            row.update(zip(missing, got))
-            if not self._ring:
-                for num, den in got:
-                    if type(num) is Poly or type(den) is Poly:
-                        self._ring = True
-                        break
-        return [row[k] for k in ks]
+            got = self._got(self.rule.parts_row(ctx, n, missing))
+            for k, parts in zip(missing, got):
+                row[k - lo] = parts
+            self._rows[n] = lo, row, holes - len(missing)
+        return lo, row
+
+    def _got(self, got):
+        """got, the parts of a fill, noted: does any hold a Poly?"""
+        if not self._ring:
+            for num, den in got:
+                if type(num) is Poly or type(den) is Poly:
+                    self._ring = True
+                    break
+        return got
 
     def params(self):
         return self.rule.params()
@@ -159,12 +206,27 @@ class Mab(CoefficientRule):
         return {"a": self.a, "b": self.b}
 
 
-class ExcAlpha(CoefficientRule):
+class _OneLineRule(CoefficientRule):
+    """An exceptional family: c(n, k) is the cached h(k + e n + f) off its
+    special line k = c n + d, with (e, f) = `off` and (c, d) = `line`."""
+
+    def parts_row(self, ctx, n, ks):
+        """Off the line each entry is the cached split of its h value
+        (`ctx.split`); only the line's entry is evaluated by `coeff`."""
+        c, d = self.line
+        e, f = self.off
+        special, shift, split = c * n + d, e * n + f, ctx.split
+        return [ctx.parts(self.coeff(ctx, n, k)) if k == special
+                else split("hq", k + shift) for k in ks]
+
+
+class ExcAlpha(_OneLineRule):
     """c(n,k) = p^{-n-k-1}[n+k+1] away from k=-1;
     c(n,-1) = -q^n[-n] + [-n][n+1] p^{-n} q^n * alpha.
     As -q^j[-j] = h(j), these are h(n+k+1) and h(n) + u^n [-n][n+1] alpha."""
 
     family = "alpha"
+    line, off = (0, -1), (1, 1)
 
     def __init__(self, alpha):
         self.alpha = alpha
@@ -179,11 +241,12 @@ class ExcAlpha(CoefficientRule):
         return {"alpha": self.alpha}
 
 
-class ExcAlphaPrime(CoefficientRule):
+class ExcAlphaPrime(_OneLineRule):
     """c(n,k) = p^{-k}[k] away from k=-n;
     c(n,-n) = p^n[-n] + p^n q^{-n} [-n][n+1] * alphap."""
 
     family = "alphap"
+    line, off = (-1, 0), (0, 0)
 
     def __init__(self, alphap):
         self.alphap = alphap
@@ -198,12 +261,13 @@ class ExcAlphaPrime(CoefficientRule):
         return {"alphap": self.alphap}
 
 
-class ExcBeta(CoefficientRule):
+class ExcBeta(_OneLineRule):
     """c(n,k) = -q^{n+k-1}[-n-k+1] away from k=1;
     c(n,1) = -q^n[-n] + p^{-n} q^n [n][-n+1] * beta.
     As -q^j[-j] = h(j), these are h(n+k-1) and h(n) + u^n [n][-n+1] beta."""
 
     family = "beta"
+    line, off = (0, 1), (1, -1)
 
     def __init__(self, beta):
         self.beta = beta
@@ -218,7 +282,7 @@ class ExcBeta(CoefficientRule):
         return {"beta": self.beta}
 
 
-class ExcBetaPrime(CoefficientRule):
+class ExcBetaPrime(_OneLineRule):
     """c(n,k) = p^{-k}[k] away from k=-n; exceptional line on k=-n.
 
     Two candidate readings exist for the bracket pair in the exceptional
@@ -229,6 +293,7 @@ class ExcBetaPrime(CoefficientRule):
     """
 
     family = "betap"
+    line, off = (-1, 0), (0, 0)
 
     def __init__(self, betap, reading="adjusted"):
         if reading not in ("adjusted", "given"):
@@ -376,6 +441,14 @@ def relation_residual(ctx, rule, n, m, k):
             - (ctx.hq(m) - ctx.hq(n)) * c(ctx, n + m, k))
 
 
+def _shifted(ks, s):
+    """The indices k + s for k in ks; a range stays a range, so a
+    `MemoRule` reads it as one slice."""
+    if type(ks) is range:
+        return range(ks.start + s, ks.stop + s, ks.step)
+    return [k + s for k in ks]
+
+
 def _pair_numerators(ctx, rule, n, m, ks):
     """Numerators of the `relation_residual`s on v_k, k in ks, for the
     generator pair (n, m), over a common denominator.
@@ -395,8 +468,8 @@ def _pair_numerators(ctx, rule, n, m, ks):
     hn, dhn = ctx.split("hq", n)
     row = rule.parts_row
     # parts of c(m,k), c(n,m+k), c(n,k), c(m,n+k) and c(n+m,k)
-    rows = zip(row(ctx, m, ks), row(ctx, n, [m + k for k in ks]),
-               row(ctx, n, ks), row(ctx, m, [n + k for k in ks]),
+    rows = zip(row(ctx, m, ks), row(ctx, n, _shifted(ks, m)),
+               row(ctx, n, ks), row(ctx, m, _shifted(ks, n)),
                row(ctx, n + m, ks))
     if rule._ring:
         # the factors that do not depend on k, folded once per pair
@@ -434,9 +507,12 @@ def _sweep_pairs(ctx, memo, rep, pairs):
             failures = {k: -r for k, r in pending.pop((m, n)).items()}
         else:
             nums = _pair_numerators(ctx, memo, n, m, ks)
+            if not memo._ring:      # the numerators are ints
+                nonzero = [k for k, x in zip(ks, nums) if x]
+            else:
+                nonzero = [k for k, x in zip(ks, nums) if not is_zero(x)]
             failures = pending[n, m] = {
-                k: relation_residual(ctx, memo, n, m, k)
-                for k, x in zip(ks, nums) if not is_zero(x)}
+                k: relation_residual(ctx, memo, n, m, k) for k in nonzero}
         rep.record_zeros(len(ks) - len(failures))
         for k, r in failures.items():
             rep.record("module-relation", (n, m, k), r)
@@ -499,14 +575,16 @@ def _row_window(n, window):
 
 def _edges(ctx, rule, window):
     """Directed action graph on indices |k| <= window (all n, not just ±1,±2):
-    k -> k + n wherever c(n, k) has a nonzero numerator, one row per n."""
+    k -> k + n wherever c(n, k) has a nonzero numerator, one row per n.
+    Each row is read once, so no memo: an int numerator is tested as an
+    int, any other by `is_zero`."""
     adj = {k: [] for k in range(-window, window + 1)}
     for n in range(-2 * window, 2 * window + 1):
         if n == 0:
             continue
         ks = _row_window(n, window)
         for k, (num, _) in zip(ks, rule.parts_row(ctx, n, ks)):
-            if not is_zero(num):
+            if num if type(num) is int else not is_zero(num):
                 adj[k].append(k + n)
     return adj
 
@@ -603,32 +681,45 @@ def find_intertwiner(ctx, ruleA, ruleB, m, window):
     Propagates h from h_0 = 1 along the n=1 constraints, branching with a
     fresh unit scale when a chain decouples (both adjacent coefficients
     zero), then validates every constraint with |n| <= 2 inside the window.
-    The propagation divides values, so h stays exact and reduced; the
-    validation compares cross-multiplied parts, rows of both rules, by
-    `ring_sum`.
+    Each rule is read through one `MemoRule`, so the validation rereads
+    the n=1 rows of the propagation from it.  h is propagated by parts, a
+    ring product per step, the validation compares cross-multiplied parts,
+    and each h_k is reduced once at the end (`ctx.join`), so the values
+    returned are the exact reduced ones.
     """
     window = int(window)
-    h = {0: ctx.one}
+    A, B = MemoRule(ctx, ruleA), MemoRule(ctx, ruleB)
+    ks = _row_window(1, window)     # j of the constraint joining h_j, h_{j+1}
+    c = dict(zip(ks, zip(A.parts_row(ctx, 1, ks),
+                         B.parts_row(ctx, 1, _shifted(ks, m)))))
+    ring = A._ring or B._ring
+    one = ctx.parts(ctx.one)
+    h = {0: one}
     for step in (1, -1):
         for k in range(0, step * window, step):
-            j = min(k, k + step)    # the n=1 constraint joining h_j, h_{j+1}
-            ca = ruleA.coeff(ctx, 1, j)
-            cb = ruleB.coeff(ctx, 1, j + m)
-            if is_zero(ca) and is_zero(cb):
-                h[k + step] = ctx.one
-            elif is_zero(ca) or is_zero(cb):
+            (an, ad), (bn, bd) = c[min(k, k + step)]
+            if is_zero(an) and is_zero(bn):
+                h[k + step] = one
+                continue
+            if is_zero(an) or is_zero(bn):
                 return None
-            else:
-                h[k + step] = h[k] * (cb / ca if step > 0 else ca / cb)
-    hparts = {k: ctx.parts(v) for k, v in h.items()}
+            if step < 0:    # h_{k-1} = h_k cA/cB, else h_{k+1} = h_k cB/cA
+                an, ad, bn, bd = bn, bd, an, ad
+            hn, hd = h[k]
+            h[k + step] = ((ring_sum((hn, bn, ad)), ring_sum((hd, bd, an)))
+                           if ring else (hn * bn * ad, hd * bd * an))
     for n in range(-2, 3):
         ks = _row_window(n, window)
-        rowA = ruleA.parts_row(ctx, n, ks)
-        rowB = ruleB.parts_row(ctx, n, [k + m for k in ks])
+        rowA = A.parts_row(ctx, n, ks)
+        rowB = B.parts_row(ctx, n, _shifted(ks, m))
+        ring = A._ring or B._ring
         for k, (an, ad), (bn, bd) in zip(ks, rowA, rowB):
-            hn0, hd0 = hparts[k]
-            hn1, hd1 = hparts[k + n]
-            if not is_zero(ring_sum((hn1, an, hd0, bd),
-                                    (-1, hn0, bn, hd1, ad))):
+            hn0, hd0 = h[k]
+            hn1, hd1 = h[k + n]
+            if ring:
+                if not is_zero(ring_sum((hn1, an, hd0, bd),
+                                        (-1, hn0, bn, hd1, ad))):
+                    return None
+            elif hn1 * an * hd0 * bd != hn0 * bn * hd1 * ad:
                 return None
-    return h
+    return {k: ctx.join(*parts) for k, parts in h.items()}

@@ -184,6 +184,28 @@ def test_empty_checks_list_is_a_usage_error(capsys, tmp_path):
     assert "Traceback" not in err and "checked=" not in out
 
 
+@pytest.mark.parametrize("check", ["l2-display", "fg-recurrences"])
+def test_a_check_whose_every_j_is_skipped_is_a_usage_error(capsys, tmp_path,
+                                                            check):
+    # at (2,3) with a = -1/2, b = -3/2 a denominator vanishes at j = 0, the
+    # only j of jmax 0: such a check used to print "ok ... checked=0"
+    path = tmp_path / "skipped.json"
+    spec = {"check": check, "a": "-1/2", "b": "-3/2"}
+
+    def run_at(jmax):
+        path.write_text(json.dumps({"context": {"p": "2", "q": "3"},
+                                    "checks": [{**spec, "jmax": jmax}]}))
+        return run(capsys, "suite", "--config", str(path))
+
+    assert run_at(1)[0] == 0    # j = 1 is checked
+    rc, out, err = run_at(0)
+    assert rc == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("vpq: %s checks nothing"
+                                                   % check)
+    assert "Traceback" not in err
+
+
 def test_suite_runs_are_byte_identical(capsys, tmp_path):
     config = tmp_path / "suite.json"
     config.write_text(json.dumps({

@@ -629,6 +629,143 @@ def test_verify_module_asks_each_coefficient_once():
     assert asked and len(asked) == len(set(asked))
 
 
+def _asking(rule):
+    """rule, its parts_row noting the ks it is asked for in `rule.asked`;
+    `rule.own` is the uncounted parts_row."""
+    rule.own = rule.parts_row
+    rule.asked = []
+
+    def counting(ctx, n, ks):
+        rule.asked.extend((n, k) for k in ks)
+        return rule.own(ctx, n, ks)
+
+    rule.parts_row = counting
+    return rule
+
+
+@pytest.mark.parametrize("backend", ["numeric", "symbolic", "formal-pq"])
+def test_memo_reads_compute_each_entry_once(backend):
+    # overlapping range reads, list reads with gaps, repeats and any order,
+    # and reads that widen a row's span to either side: each read gives the
+    # rule's own row, and the rule is asked for each entry once
+    ctx = {"numeric": ScalarContext.numeric(2, 3),
+           "symbolic": ScalarContext.symbolic("2", "3"),
+           "formal-pq": ScalarContext.symbolic()}[backend]
+    reads = [range(-3, 4), range(0, 8), [10, 5, -6, 10], range(-8, 12),
+             [7, -3], range(-2, 2), [14, -12, 14], range(-12, 15),
+             range(5, 5), [], range(3, -3, -2)]
+    for rule in _family_rules(lambda i: ctx.scalar(_NUMERIC[i])):
+        memo = MemoRule(ctx, _asking(rule))
+        want = set()
+        for n in (-2, 1, 3):
+            for ks in reads:
+                got = memo.parts_row(ctx, n, ks)
+                assert got == [rule.own(ctx, n, [k])[0] for k in ks], (
+                    rule.describe(), n, ks)
+                want |= {(n, k) for k in ks}
+        assert sorted(rule.asked) == sorted(want), rule.describe()
+
+
+@pytest.mark.parametrize("backend", ["numeric", "symbolic"])
+def test_memo_computes_no_entry_it_was_not_asked_for(backend):
+    # a TableRule raises outside its window: a read is filled by one call
+    # on exactly its missing ks, so a read at the window's edge, or one
+    # whose list of ks spans a gap in a row, asks for nothing beyond them,
+    # and a read that fails leaves the memo as it was
+    ctx = (ScalarContext.numeric(2, 3) if backend == "numeric"
+           else ScalarContext.symbolic("2", "3"))
+    window = 3
+    entries = {(n, k): Fraction(n * n + k, 3) for n in (1, 2)
+               for k in range(-window, window + 1)}
+    del entries[1, 0]       # a gap inside row 1
+    rule = _asking(TableRule(entries, window))
+    memo = MemoRule(ctx, rule)
+
+    def asks(n, ks, error=None):
+        del rule.asked[:]
+        if error is None:
+            assert memo.parts_row(ctx, n, ks) == [
+                ctx.parts(ctx.scalar(entries[n, k])) for k in ks]
+        else:
+            with pytest.raises(ValueError, match=error):
+                memo.parts_row(ctx, n, ks)
+        return rule.asked
+
+    edge = range(-window, window + 1)
+    assert asks(2, edge) == [(2, k) for k in edge]
+    assert asks(2, range(-window, window + 2), r"\(2,4\)") == [(2, 4)]
+    assert asks(2, [-window - 1, 0], r"\(2,-4\)") == [(2, -4)]
+    assert asks(2, edge) == asks(2, edge[::-1]) == asks(2, [3, 0, 3]) == []
+    assert asks(1, [-window, window]) == [(1, -window), (1, window)]
+    assert asks(1, [window, -2, -window]) == [(1, -2)]
+    assert asks(1, edge, r"\(1,0\)") == [(1, -1), (1, 0), (1, 1), (1, 2)]
+    assert asks(1, range(1, window + 1)) == [(1, 1), (1, 2)]
+    assert asks(1, [-1, 3]) == [(1, -1)]
+    assert asks(1, range(1, window + 1)) == []
+
+
+def _intertwiner_samples(ctx, draw):
+    """Shifted pairs (h = 1) and unrelated pairs, from draw() parameters."""
+    rnd = random.Random(20261024)
+    cases = []
+    for _ in range(4):
+        a, b = draw(rnd), draw(rnd)
+        m = rnd.randint(-3, 3)
+        a2, b2 = shift_params(ctx, a, b, m)
+        cases += [(Mab(a, b), Mab(a2, b2), m, True),
+                  (Mab(a, b), Mab(a2 + ctx.one, b2), m, False),
+                  (Mab(a, b), Mab(a2, b2 * 2 + ctx.one), m, False)]
+    return cases
+
+
+@pytest.mark.parametrize("backend", ["numeric", "symbolic", "formal-ab"])
+def test_intertwiner_matches_the_value_path(backend):
+    # find_intertwiner propagates h by parts and reduces each h_k once; the
+    # value path divides values at every step (`_value_intertwiner`): both
+    # give the same reduced h, printed alike, or both None
+    if backend == "formal-ab":
+        ctx = ScalarContext.symbolic("2", "3")
+        a, b = ctx.var("a"), ctx.var("b")
+
+        def draw(rnd):
+            return (a if rnd.random() < 0.5 else b) * rnd.randint(1, 3) \
+                + ctx.scalar(Fraction(rnd.randint(-4, 4), rnd.randint(1, 4)))
+        window = 4
+    else:
+        ctx = (ScalarContext.numeric(2, 3) if backend == "numeric"
+               else ScalarContext.symbolic("2", "3"))
+
+        def draw(rnd):
+            return ctx.scalar(Fraction(rnd.randint(-4, 4), rnd.randint(1, 4)))
+        window = 8
+    found = 0
+    for ruleA, ruleB, m, related in _intertwiner_samples(ctx, draw):
+        want = _value_intertwiner(ctx, ruleA, ruleB, m, window)
+        got = find_intertwiner(ctx, ruleA, ruleB, m, window)
+        assert (got is not None) == related == (want is not None)
+        if related:
+            assert got == want
+            assert {k: scalar_str(v) for k, v in got.items()} == {
+                k: scalar_str(v) for k, v in want.items()}
+            assert all(type(v) is type(ctx.one) for v in got.values())
+            found += 1
+    assert found == 4
+
+
+@pytest.mark.parametrize("backend", ["numeric", "symbolic"])
+def test_intertwiner_reads_each_coefficient_once(backend):
+    # each rule is read through one MemoRule: the validation's n = 1 rows
+    # are those the propagation read
+    ctx = (ScalarContext.numeric(2, 3) if backend == "numeric"
+           else ScalarContext.symbolic("2", "3"))
+    a, b, m = ctx.scalar(Fraction(1, 3)), ctx.scalar(-2), 2
+    ruleA, ruleB = _asking(Mab(a, b)), _asking(Mab(*shift_params(ctx, a, b,
+                                                                 m)))
+    assert find_intertwiner(ctx, ruleA, ruleB, m, 6) is not None
+    for rule in (ruleA, ruleB):
+        assert rule.asked and len(rule.asked) == len(set(rule.asked))
+
+
 @pytest.mark.parametrize("backend", ["numeric", "symbolic"])
 def test_parameters_may_be_ints_fractions_or_scalars(backend):
     # every formula mixes its parameters with context scalars, so int and
@@ -886,8 +1023,11 @@ def test_mixed_rows_take_ring_sum(monkeypatch):
                     assert is_zero(x) == want, (rule.describe(), n, m, k)
                     zeros += want
                     nonzeros += not want
-        for row in memo._rows.values():
-            kinds |= {type(x) for parts in row.values() for x in parts}
+        # every entry the sweep read: rows n + m at ks, rows n, m at k + m
+        for n in range(-6, 7):
+            span = range(-7, 8) if abs(n) <= 3 else ks
+            kinds |= {type(x) for parts in memo.parts_row(ctx, n, span)
+                      for x in parts}
         assert kinds == {int, Poly}, rule.describe()
     assert zeros > 1000 and nonzeros > 10
     # a rule with int parts only keeps the int expressions

@@ -704,54 +704,6 @@ def test_memo_computes_no_entry_it_was_not_asked_for(backend):
     assert asks(1, range(1, window + 1)) == []
 
 
-def _intertwiner_samples(ctx, draw):
-    """Shifted pairs (h = 1) and unrelated pairs, from draw() parameters."""
-    rnd = random.Random(20261024)
-    cases = []
-    for _ in range(4):
-        a, b = draw(rnd), draw(rnd)
-        m = rnd.randint(-3, 3)
-        a2, b2 = shift_params(ctx, a, b, m)
-        cases += [(Mab(a, b), Mab(a2, b2), m, True),
-                  (Mab(a, b), Mab(a2 + ctx.one, b2), m, False),
-                  (Mab(a, b), Mab(a2, b2 * 2 + ctx.one), m, False)]
-    return cases
-
-
-@pytest.mark.parametrize("backend", ["numeric", "symbolic", "formal-ab"])
-def test_intertwiner_matches_the_value_path(backend):
-    # find_intertwiner propagates h by parts and reduces each h_k once; the
-    # value path divides values at every step (`_value_intertwiner`): both
-    # give the same reduced h, printed alike, or both None
-    if backend == "formal-ab":
-        ctx = ScalarContext.symbolic("2", "3")
-        a, b = ctx.var("a"), ctx.var("b")
-
-        def draw(rnd):
-            return (a if rnd.random() < 0.5 else b) * rnd.randint(1, 3) \
-                + ctx.scalar(Fraction(rnd.randint(-4, 4), rnd.randint(1, 4)))
-        window = 4
-    else:
-        ctx = (ScalarContext.numeric(2, 3) if backend == "numeric"
-               else ScalarContext.symbolic("2", "3"))
-
-        def draw(rnd):
-            return ctx.scalar(Fraction(rnd.randint(-4, 4), rnd.randint(1, 4)))
-        window = 8
-    found = 0
-    for ruleA, ruleB, m, related in _intertwiner_samples(ctx, draw):
-        want = _value_intertwiner(ctx, ruleA, ruleB, m, window)
-        got = find_intertwiner(ctx, ruleA, ruleB, m, window)
-        assert (got is not None) == related == (want is not None)
-        if related:
-            assert got == want
-            assert {k: scalar_str(v) for k, v in got.items()} == {
-                k: scalar_str(v) for k, v in want.items()}
-            assert all(type(v) is type(ctx.one) for v in got.values())
-            found += 1
-    assert found == 4
-
-
 @pytest.mark.parametrize("backend", ["numeric", "symbolic"])
 def test_intertwiner_reads_each_coefficient_once(backend):
     # each rule is read through one MemoRule: the validation's n = 1 rows
@@ -1124,25 +1076,33 @@ class _Regauged(modules.CoefficientRule):
 
 
 @pytest.mark.parametrize("backend", ["numeric", "numeric-5/2,-3/4",
-                                     "symbolic"])
+                                     "symbolic", "formal-ab"])
 def test_intertwiner_validation_matches_values(backend, monkeypatch):
     # shifted pairs (h = 1), regauged shifts (h_k = g(k+m)/g(m), so the
     # parts of h have denominators), unrelated pairs, and regauged shifts
     # with one |n| = 2 coefficient bumped: that breaks one constraint of
-    # the validation and none of the n = 1 propagation
+    # the validation and none of the n = 1 propagation.  h, propagated by
+    # parts and reduced once, is the value path's h, which divides values
+    # at every step (`_value_intertwiner`), and prints alike
     ctx = {"numeric": ScalarContext.numeric(2, 3),
            "numeric-5/2,-3/4": ScalarContext.numeric("5/2", "-3/4"),
-           "symbolic": ScalarContext.symbolic("2", "3")}[backend]
+           "symbolic": ScalarContext.symbolic("2", "3"),
+           "formal-ab": ScalarContext.symbolic("2", "3")}[backend]
 
     def g(j):
         return ctx.scalar(Fraction(j * j + 1, abs(j) + 2))
 
+    def draw(var):
+        x = Fraction(rnd.randint(-4, 4), rnd.randint(1, 4))
+        if backend == "formal-ab":     # a parameter linear in a or b
+            return ctx.var(var) * rnd.randint(1, 3) + ctx.scalar(x)
+        return x
+
     rnd = random.Random(20261022)
-    window = 6
+    window = 4 if backend == "formal-ab" else 6
     cases = []
     for _ in range(5):
-        a = Fraction(rnd.randint(-4, 4), rnd.randint(1, 4))
-        b = Fraction(rnd.randint(-4, 4), rnd.randint(1, 4))
+        a, b = draw("a"), draw("b")
         m = rnd.randint(-3, 3)
         a2, b2 = shift_params(ctx, a, b, m)
         k0 = rnd.choice((-window, 0, window - 2))
@@ -1152,22 +1112,24 @@ def test_intertwiner_validation_matches_values(backend, monkeypatch):
                   (Mab(a, b), Mab(a2, b2 * 2 + 1), m, "unrelated"),
                   (Mab(a, b), _Regauged(Mab(a2, b2), g, (2, k0 + m)), m,
                    "bumped")]
-    real_coeff = Mab.coeff
 
-    def n1_only(self, ctx, n, k):
-        assert n == 1, "the validation read c(%d, %d) as a value" % (n, k)
-        return real_coeff(self, ctx, n, k)
+    def no_value(self, ctx, n, k):
+        raise AssertionError("find_intertwiner read c(%d, %d) as a value"
+                             % (n, k))
 
     gauged = 0
     for ruleA, ruleB, m, kind in cases:
         want = _value_intertwiner(ctx, ruleA, ruleB, m, window)
         with monkeypatch.context() as patch:
             if isinstance(ruleB, Mab):
-                patch.setattr(Mab, "coeff", n1_only)
+                patch.setattr(Mab, "coeff", no_value)
             got = find_intertwiner(ctx, ruleA, ruleB, m, window)
         assert (got is not None) == (kind == "related") == (want is not None)
         if kind == "related":
             assert got == want
+            assert {k: scalar_str(v) for k, v in got.items()} == {
+                k: scalar_str(v) for k, v in want.items()}
+            assert all(type(v) is type(ctx.one) for v in got.values())
             gauged += any("/" in scalar_str(v) for v in got.values())
         if kind == "bumped":
             h = find_intertwiner(ctx, ruleA, _Regauged(ruleB.rule, g), m,

@@ -63,19 +63,13 @@ def quadratic_in_x_check(ctx, rule, window):
     return rep
 
 
-def _j0_equation(ctx, a, j):
-    p, q = ctx.p, ctx.q
-    return (p ** -j * ctx.qint(j) - a * p ** -j * q ** j
-            - a * p ** (-j - 2) * q ** (j + 1) * ctx.qint(2))
-
-
 def find_j0_all(ctx, a, window):
-    """All integer roots of the junction-weight equation in the window."""
-    window = int(window)
-    hits = [j for j in range(-window, window + 1)
-            if is_zero(_j0_equation(ctx, a, j))]
-    hits.sort(key=lambda j: (abs(j), j))
-    return hits
+    """All integer roots in the window of the junction-weight equation,
+    nearest zero first.  The equation p^{-j}[j] - a p^{-j} q^j
+    - a p^{-j-2} q^{j+1}[2] = 0 is c(2, j) = 0 on the line module
+    M(a, aq), so the roots are the weights that module's L_2 kills."""
+    return sorted(annihilator_spectrum(ctx, Mab(a, a * ctx.q), 2, window),
+                  key=lambda j: (abs(j), j))
 
 
 def find_j0(ctx, a, window):
@@ -307,14 +301,14 @@ def case_constants_audit(ctx, a, window=12):
 def _alpha_display(ctx, n, alpha):
     # the raising/lowering value on the pinned weight in the alpha family
     J = ctx.qint
-    return (-(ctx.q ** n) * J(-n)
-            + J(-n) * J(n + 1) * ctx.p ** -n * ctx.q ** n * alpha)
+    return (-ctx.qpow(n) * J(-n)
+            + J(-n) * J(n + 1) * ctx.ppow(-n) * ctx.qpow(n) * alpha)
 
 
 def _alphap_display(ctx, n, alphap):
     J = ctx.qint
-    return (ctx.p ** n * J(-n)
-            + ctx.p ** n * ctx.q ** -n * J(-n) * J(n + 1) * alphap)
+    return (ctx.ppow(n) * J(-n)
+            + ctx.ppow(n) * ctx.qpow(-n) * J(-n) * J(n + 1) * alphap)
 
 
 def family_consistency(ctx, window):
@@ -328,7 +322,7 @@ def family_consistency(ctx, window):
     """
     window = int(window)
     p, q = ctx.p, ctx.q
-    J = ctx.qint
+    J, P, Q = ctx.qint, ctx.ppow, ctx.qpow
     rep = ResidualReport("family-consistency", {
         "window": window, **ctx.describe()})
 
@@ -339,8 +333,8 @@ def family_consistency(ctx, window):
         child = ResidualReport("line-formula", {"a": scalar_str(a)})
         for n in (-2, -1, 0, 1, 2):
             for j in range(-window, window + 1):
-                want = (p ** -j * J(j) - a * p ** -j * q ** j
-                        - a * p ** (-j - n) * q ** (j + 1) * J(n))
+                want = (P(-j) * J(j) - a * P(-j) * Q(j)
+                        - a * P(-j - n) * Q(j + 1) * J(n))
                 child.record("line-closed-form", (n, j),
                              rule.coeff(ctx, n, j) - want)
         label = key if aval is None else "%s[a=%s]" % (key, aval)
@@ -357,15 +351,15 @@ def family_consistency(ctx, window):
                 if j == -1:
                     want = _alpha_display(ctx, n, alpha)
                 else:
-                    want = p ** (-n - j - 1) * J(n + j + 1)
+                    want = P(-n - j - 1) * J(n + j + 1)
                 child.record("alpha-closed-form", (n, j), got - want)
         H = fam.coeff(ctx, 1, -1)
         child.record("pinned-raise-display", (2, -1),
                      fam.coeff(ctx, 2, -1)
-                     - (p ** -2 * q ** 3 * J(-1) + p ** -2 * J(3) * H))
+                     - (P(-2) * Q(3) * J(-1) + P(-2) * J(3) * H))
         child.record("pinned-lower-display", (-2, -1),
                      fam.coeff(ctx, -2, -1)
-                     - (p ** 3 * J(-3) + p ** 3 * q ** -3 * H))
+                     - (P(3) * J(-3) + P(3) * Q(-3) * H))
         rep.merge_child("case3[alpha=%s]" % av, child)
 
     # case 4: the alpha' family
@@ -379,15 +373,15 @@ def family_consistency(ctx, window):
                 if j == -n:
                     want = _alphap_display(ctx, n, alphap)
                 else:
-                    want = p ** -j * J(j)
+                    want = P(-j) * J(j)
                 child.record("alphap-closed-form", (n, j), got - want)
         Hp = fam.coeff(ctx, 1, -1)
         child.record("pinned-raise-display", (2, -2),
                      fam.coeff(ctx, 2, -2)
-                     - (p ** 2 * q ** -3 - p ** 3 * q * J(-3) * Hp))
+                     - (P(2) * Q(-3) - P(3) * q * J(-3) * Hp))
         child.record("pinned-lower-display", (-2, 2),
                      fam.coeff(ctx, -2, 2)
-                     - (p ** -3 * J(3) + p ** -3 * q ** 3 * Hp))
+                     - (P(-3) * J(3) + P(-3) * Q(3) * Hp))
         rep.merge_child("case4[alphap=%s]" % av, child)
 
     # mirror families: verified through the defining relation only

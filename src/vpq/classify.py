@@ -598,6 +598,8 @@ def fg_recurrence_audit(ctx, a, b, jmax):
                 ks.append(j)
             else:
                 rep.note("pair (%d,%d) skipped at j=%d: %s" % (n, m, j, bad))
+        if len(ks) == 2 * jmax + 1:     # none skipped: memo reads are slices
+            ks = range(-jmax, jmax + 1)
         pairs.append((n, m, ks))
     if not any(ks for _, _, ks in pairs):
         raise ValueError(_checks_nothing("fg-recurrences", a, b, jmax))

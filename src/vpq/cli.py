@@ -14,11 +14,13 @@ import os
 import sys
 
 from .scalar import parse_rational
-from .suite import SuiteConfig, SuiteConfigError, run_suite
+from .suite import _CHECKS, SuiteConfig, run_suite
 
 
-# flags shared by several subcommands: name -> argparse keyword arguments
-_SHARED = {
+# flags: name -> argparse keyword arguments.  A flag named by a check key
+# (suite._CHECKS) carries its value into that check's spec; a size flag
+# defaults to None, which takes the check's own default
+_FLAGS = {
     "p": dict(default="2", metavar="RAT",
               help="first deformation parameter (rational string)"),
     "q": dict(default="3", metavar="RAT",
@@ -28,8 +30,58 @@ _SHARED = {
                  help="seed for sampled checks (recorded in report)"),
     "window": dict(type=int, default=None, metavar="N",
                    help="sweep half-width"),
+    "family": dict(required=True,
+                   help="e.g. mab:a=1/3,b=-2 or alpha:alpha=0"),
+    "nmax": dict(type=int, default=None),
+    "kmax": dict(type=int, default=None),
+    "filter": dict(choices=("all", "generators"), default=None),
+    "a": dict(required=True, metavar="RAT"),
+    "b": dict(required=True, metavar="RAT"),
+    "m": dict(required=True, type=int),
+    "two_l": dict(required=True, type=int),
+    "omega": dict(required=True, type=int, choices=(1, -1)),
 }
 _CONTEXT = ("p", "q", "backend", "seed")
+
+# subcommand -> (help text, the checks it runs, its own flags, which may
+# override _FLAGS).  It takes the context flags and every key of its
+# checks; `_checks` picks the checks a run needs
+_COMMANDS = {
+    "verify-algebra": ("skew-symmetry, twisted Jacobi, central cocycle",
+                       ("verify-algebra",), {}),
+    "verify-module": ("defining relation sweep for one family",
+                      ("verify-module",), {}),
+    "submodules": ("enumerate invariant weight-subspace supports",
+                   ("submodules",), {}),
+    "iso": ("shifted parameters and the diagonal intertwiner", ("iso",), {}),
+    "classify": ("degeneracy profile of the eight linear factors",
+                 ("classify", "roots"), {}),
+    "audit-identities": (
+        "cubic-difference and product identities",
+        ("audit-identities", "degeneracy-table"),
+        {"table": dict(action="store_true",
+                       help="also audit the sixteen-line degeneracy table "
+                            "symbolically")}),
+    "case-audit": (
+        "case constants, junction weight, families",
+        ("case-audit", "family-consistency"),
+        {"a": dict(default=None, metavar="RAT",
+                   help="case representative; omit to only run the family "
+                        "consistency sweep"),
+         "families": dict(action="store_true",
+                          help="also run the exceptional-family consistency "
+                               "sweep")}),
+    "uqsl2": ("one-parameter quantum sl2 representation checks",
+              ("uqsl2", "uqsl2-x"), {}),
+    "suite": ("run a JSON suite configuration", (),
+              {"config": dict(required=True, metavar="PATH")}),
+}
+# the context flags of the subcommands that do not take all four: a suite
+# config holds its own context, and uqsl2's representation carries its own
+# q (the --q flag), so its context is pinned to _UQSL2_CONTEXT, where --q 2
+# does not collide with the context guard p != q
+_CONTEXT_OF = {"suite": (), "uqsl2": ("seed",)}
+_UQSL2_CONTEXT = {"p": "2", "q": "3"}
 
 
 def build_parser():
@@ -38,126 +90,46 @@ def build_parser():
         description="exact verification of the two-parameter deformed "
                     "Virasoro algebra and its weight modules")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, flags=_CONTEXT):
-        """A subcommand taking --json and the named shared flags."""
-        p = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            p.add_argument("--" + flag, **_SHARED[flag])
+    for cmd, (help_text, checks, own) in _COMMANDS.items():
+        p = sub.add_parser(cmd, help=help_text)
+        flags = {**_FLAGS, **own}
+        keys = [k for check in checks for k in _CHECKS[check]]
+        for flag in dict.fromkeys((*_CONTEXT_OF.get(cmd, _CONTEXT), *keys,
+                                   *own)):
+            p.add_argument("--" + flag.replace("_", "-"), **flags[flag])
         p.add_argument("--json", default=None, metavar="PATH",
                        help="write the full JSON report here")
-        return p
-
-    # size flags default to None: the check's own default (suite._CHECKS)
-    add("verify-algebra", "skew-symmetry, twisted Jacobi, central cocycle",
-        _CONTEXT + ("window",))
-
-    p = add("verify-module", "defining relation sweep for one family")
-    p.add_argument("--family", required=True,
-                   help="e.g. mab:a=1/3,b=-2 or alpha:alpha=0")
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--filter", choices=("all", "generators"), default=None)
-
-    p = add("submodules", "enumerate invariant weight-subspace supports",
-            _CONTEXT + ("window",))
-    p.add_argument("--family", required=True)
-
-    p = add("iso", "shifted parameters and the diagonal intertwiner")
-    p.add_argument("--a", required=True, metavar="RAT")
-    p.add_argument("--b", required=True, metavar="RAT")
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--kmax", type=int, default=None)
-
-    p = add("classify", "degeneracy profile of the eight linear factors")
-    p.add_argument("--a", required=True, metavar="RAT")
-    p.add_argument("--b", required=True, metavar="RAT")
-
-    p = add("audit-identities", "cubic-difference and product identities")
-    p.add_argument("--a", required=True, metavar="RAT")
-    p.add_argument("--b", required=True, metavar="RAT")
-    p.add_argument("--table", action="store_true",
-                   help="also audit the sixteen-line degeneracy table "
-                        "symbolically")
-
-    p = add("case-audit", "case constants, junction weight, families",
-            _CONTEXT + ("window",))
-    p.add_argument("--a", default=None, metavar="RAT",
-                   help="case representative; omit to only run the family "
-                        "consistency sweep")
-    p.add_argument("--families", action="store_true",
-                   help="also run the exceptional-family consistency sweep")
-
-    # --q is the representation's own parameter; the context is pinned
-    p = add("uqsl2", "one-parameter quantum sl2 representation checks",
-            ("q", "seed"))
-    p.add_argument("--two-l", dest="two_l", required=True, type=int)
-    p.add_argument("--omega", required=True, type=int, choices=(1, -1))
-
-    p = add("suite", "run a JSON suite configuration", ())
-    p.add_argument("--config", required=True, metavar="PATH")
-
     return top
 
 
-def _one_check_config(args, checks, context=None):
-    """Suite config of the given checks; a None value takes the default."""
+def _checks(args):
+    """The checks a subcommand run needs, from its table entry."""
+    checks = _COMMANDS[args.command][1]
+    if args.command == "audit-identities" and not args.table:
+        return checks[:1]
+    if args.command == "case-audit":
+        # --a runs the case audit; --families, or no --a, the family sweep
+        wanted = (args.a is not None, args.families or args.a is None)
+        return [c for c, on in zip(checks, wanted) if on]
+    if args.command == "uqsl2" and args.two_l % 2:
+        return checks[:1]       # the x fit needs integer weights
+    return checks
+
+
+def _build_config(args):
+    """Suite config of a run; a flag left at None takes the check default."""
+    if args.command == "suite":
+        return SuiteConfig.from_path(args.config)
     doc = {
-        "context": context or {"p": args.p, "q": args.q,
-                               "backend": args.backend},
-        "checks": [{k: v for k, v in spec.items() if v is not None}
-                   for spec in checks],
+        "context": (_UQSL2_CONTEXT if args.command == "uqsl2" else
+                    {"p": args.p, "q": args.q, "backend": args.backend}),
+        "checks": [{"check": c, **{k: v for k in _CHECKS[c]
+                                   if (v := getattr(args, k)) is not None}}
+                   for c in _checks(args)],
     }
     if args.seed is not None:
         doc["seed"] = args.seed
     return SuiteConfig.from_dict(doc)
-
-
-def _build_config(args):
-    cmd = args.command
-    if cmd == "suite":
-        return SuiteConfig.from_path(args.config)
-    if cmd == "verify-algebra":
-        return _one_check_config(args, [{"check": cmd, "window": args.window}])
-    if cmd == "verify-module":
-        return _one_check_config(args, [{
-            "check": "verify-module", "family": args.family,
-            "nmax": args.nmax, "kmax": args.kmax, "filter": args.filter}])
-    if cmd == "submodules":
-        return _one_check_config(args, [{
-            "check": cmd, "family": args.family, "window": args.window}])
-    if cmd == "iso":
-        return _one_check_config(args, [{
-            "check": "iso", "a": args.a, "b": args.b, "m": args.m,
-            "kmax": args.kmax}])
-    if cmd == "classify":
-        return _one_check_config(args, [
-            {"check": "classify", "a": args.a, "b": args.b},
-            {"check": "roots", "a": args.a, "b": args.b}])
-    if cmd == "audit-identities":
-        checks = [{"check": "audit-identities", "a": args.a, "b": args.b}]
-        if args.table:
-            checks.append({"check": "degeneracy-table"})
-        return _one_check_config(args, checks)
-    if cmd == "case-audit":
-        checks = []
-        if args.a is not None:
-            checks.append({"check": "case-audit", "a": args.a,
-                           "window": args.window})
-        if args.families or args.a is None:
-            checks.append({"check": "family-consistency",
-                           "window": args.window})
-        return _one_check_config(args, checks)
-    if cmd == "uqsl2":
-        checks = [{"check": "uqsl2", "two_l": args.two_l,
-                   "omega": args.omega, "q": args.q}]
-        if args.two_l % 2 == 0:
-            checks.append({"check": "uqsl2-x", "two_l": args.two_l,
-                           "omega": args.omega, "q": args.q})
-        # the rep carries its own q; pin a neutral two-parameter context so
-        # --q 2 does not collide with the context guard p != q
-        return _one_check_config(args, checks, {"p": "2", "q": "3"})
-    raise SuiteConfigError("unknown command %r" % cmd)
 
 
 def _summarize(report, stream):

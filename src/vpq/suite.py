@@ -49,46 +49,6 @@ def _want_int(spec, key, where, minimum=None):
     return v
 
 
-# per-check key tables: name -> {key: (kind, default[, minimum])}; a None
-# default means required.  Each minimum is the least value at which the
-# check still checks something (or at which its sweep is defined), so a
-# config can never pass vacuously; sampled-iso's kmax must also make its
-# negative check sound (window 0 checks only n = 0, which pins a2 alone).
-_CHECKS = {
-    "qint-identities": {"mmax": ("int", 20, 0)},
-    "verify-algebra": {"window": ("int", 4, 0)},
-    "generation": {"window": ("int", 6, 3)},
-    "verify-module": {"family": ("str", None), "nmax": ("int", 4, 1),
-                      "kmax": ("int", 8, 1), "filter": ("str", "all")},
-    "sampled-modules": {"count": ("int", 5, 1), "nmax": ("int", 6, 1),
-                        "kmax": ("int", 10, 1)},
-    "sampled-families": {"count": ("int", 3, 1), "kmax": ("int", 8, 2)},
-    "submodules": {"family": ("str", None), "window": ("int", 8, 0)},
-    "is-reducible-grid": {"mmax": ("int", 4, 0), "window": ("int", 8, 0)},
-    "iso": {"a": ("rat", None), "b": ("rat", None), "m": ("int", None),
-            "kmax": ("int", 8, 0)},
-    "sampled-iso": {"count": ("int", 10, 1), "mmax": ("int", 4, 0),
-                    "kmax": ("int", 8, 1)},
-    "classify": {"a": ("rat", None), "b": ("rat", None)},
-    "audit-identities": {"a": ("rat", None), "b": ("rat", None)},
-    "degeneracy-table": {},
-    "roots": {"a": ("rat", None), "b": ("rat", None)},
-    "l2-display": {"a": ("rat", None), "b": ("rat", None),
-                   "jmax": ("int", 6, 0)},
-    "fg-recurrences": {"a": ("rat", None), "b": ("rat", None),
-                       "jmax": ("int", 6, 0)},
-    "case-audit": {"a": ("rat", None), "window": ("int", 12, 3)},
-    "family-consistency": {"window": ("int", 6, 2)},
-    "annihilator": {"family": ("str", None), "n": ("int", -1),
-                    "window": ("int", 8, 0)},
-    "quadratic-in-x": {"a": ("rat", None), "window": ("int", 8, 4)},
-    "uqsl2": {"two_l": ("int", None, 0), "omega": ("int", None),
-              "q": ("rat", None)},
-    "uqsl2-x": {"two_l": ("int", None, 0), "omega": ("int", None),
-                "q": ("rat", None)},
-}
-
-
 class SuiteConfig:
     """Validated suite description; rejects unknown keys everywhere."""
 
@@ -203,6 +163,30 @@ def _rand_fraction(rng, nonzero=False):
 
 # -- check handlers ----------------------------------------------------------
 
+# name -> {key: (kind, default[, minimum])} and name -> handler(ctx, spec,
+# rng); `run_suite` reads the handler here at call time
+_CHECKS = {}
+_HANDLERS = {}
+_RAT = ("rat", None)    # a required rational string
+
+
+def _check(name, **keys):
+    """Register the decorated handler as check `name` taking `keys`.
+
+    A key's value is (kind, default[, minimum]) with kind "int", "rat" or
+    "str"; a None default means required.  Each minimum is the least value
+    at which the check still checks something (or at which its sweep is
+    defined), so a config can never pass vacuously; sampled-iso's kmax must
+    also make its negative check sound (window 0 checks only n = 0, which
+    pins a2 alone)."""
+    def register(handler):
+        _CHECKS[name] = keys
+        _HANDLERS[name] = handler
+        return handler
+    return register
+
+
+@_check("qint-identities", mmax=("int", 20, 0))
 def _check_qint(ctx, spec, rng):
     mmax = spec["mmax"]
     rep = ResidualReport("qint-identities", {"mmax": mmax, **ctx.describe()})
@@ -218,20 +202,26 @@ def _check_qint(ctx, spec, rng):
     return rep
 
 
+@_check("verify-algebra", window=("int", 4, 0))
 def _check_verify_algebra(ctx, spec, rng):
     return algebra.verify_algebra(ctx, spec["window"])
 
 
+@_check("generation", window=("int", 6, 3))
 def _check_generation(ctx, spec, rng):
     return algebra.generation_check(ctx, spec["window"])
 
 
+@_check("verify-module", family=("str", None), nmax=("int", 4, 1),
+        kmax=("int", 8, 1), filter=("str", "all"))
 def _check_verify_module(ctx, spec, rng):
     rule = parse_family(spec["family"])
     return modules.verify_module(ctx, rule, spec["nmax"], spec["kmax"],
                                  pair_filter=spec["filter"])
 
 
+@_check("sampled-modules", count=("int", 5, 1), nmax=("int", 6, 1),
+        kmax=("int", 10, 1))
 def _check_sampled_modules(ctx, spec, rng):
     rep = ResidualReport("sampled-modules", {
         "count": spec["count"], "nmax": spec["nmax"], "kmax": spec["kmax"],
@@ -248,6 +238,7 @@ def _check_sampled_modules(ctx, spec, rng):
     return rep
 
 
+@_check("sampled-families", count=("int", 3, 1), kmax=("int", 8, 2))
 def _check_sampled_families(ctx, spec, rng):
     rep = ResidualReport("sampled-families", {
         "count": spec["count"], "kmax": spec["kmax"], **ctx.describe()})
@@ -264,6 +255,7 @@ def _check_sampled_families(ctx, spec, rng):
     return rep
 
 
+@_check("submodules", family=("str", None), window=("int", 8, 0))
 def _check_submodules(ctx, spec, rng):
     rule = parse_family(spec["family"])
     subs, truncated = modules.find_submodules_ex(ctx, rule, spec["window"])
@@ -278,6 +270,7 @@ def _check_submodules(ctx, spec, rng):
     return rep
 
 
+@_check("is-reducible-grid", mmax=("int", 4, 0), window=("int", 8, 0))
 def _check_is_reducible_grid(ctx, spec, rng):
     rep = ResidualReport("is-reducible-grid", {
         "mmax": spec["mmax"], "window": spec["window"], **ctx.describe()})
@@ -314,6 +307,7 @@ def _ab(ctx, spec):
     return ctx.scalar(spec["a"]), ctx.scalar(spec["b"])
 
 
+@_check("iso", a=_RAT, b=_RAT, m=("int", None), kmax=("int", 8, 0))
 def _check_iso(ctx, spec, rng):
     a, b = _ab(ctx, spec)
     m = spec["m"]
@@ -334,6 +328,8 @@ def _check_iso(ctx, spec, rng):
     return rep
 
 
+@_check("sampled-iso", count=("int", 10, 1), mmax=("int", 4, 0),
+        kmax=("int", 8, 1))
 def _check_sampled_iso(ctx, spec, rng):
     rep = ResidualReport("sampled-iso", {
         "count": spec["count"], "mmax": spec["mmax"], "kmax": spec["kmax"],
@@ -373,6 +369,7 @@ def _check_sampled_iso(ctx, spec, rng):
     return rep
 
 
+@_check("classify", a=_RAT, b=_RAT)
 def _check_classify(ctx, spec, rng):
     a, b = _ab(ctx, spec)
     prof = classify.degeneracy_profile(ctx, a, b)
@@ -390,36 +387,45 @@ def _check_classify(ctx, spec, rng):
     return rep
 
 
+@_check("audit-identities", a=_RAT, b=_RAT)
 def _check_audit_identities(ctx, spec, rng):
     return classify.identity_audit(ctx, *_ab(ctx, spec))
 
 
+@_check("degeneracy-table")
 def _check_degeneracy_table(ctx, spec, rng):
     sctx = ScalarContext.symbolic(scalar_str(ctx.p), scalar_str(ctx.q))
     return classify.degeneracy_table_audit(sctx)
 
 
+@_check("roots", a=_RAT, b=_RAT)
 def _check_roots(ctx, spec, rng):
     return classify.quadratic_roots_audit(ctx, *_ab(ctx, spec))
 
 
+@_check("l2-display", a=_RAT, b=_RAT, jmax=("int", 6, 0))
 def _check_l2_display(ctx, spec, rng):
     return classify.l2_display_audit(ctx, *_ab(ctx, spec), spec["jmax"])
 
 
+@_check("fg-recurrences", a=_RAT, b=_RAT, jmax=("int", 6, 0))
 def _check_fg_recurrences(ctx, spec, rng):
     return classify.fg_recurrence_audit(ctx, *_ab(ctx, spec), spec["jmax"])
 
 
+@_check("case-audit", a=_RAT, window=("int", 12, 3))
 def _check_case_audit(ctx, spec, rng):
     return caseaudit.case_constants_audit(ctx, ctx.scalar(spec["a"]),
                                           window=spec["window"])
 
 
+@_check("family-consistency", window=("int", 6, 2))
 def _check_family_consistency(ctx, spec, rng):
     return caseaudit.family_consistency(ctx, spec["window"])
 
 
+@_check("annihilator", family=("str", None), n=("int", -1),
+        window=("int", 8, 1))
 def _check_annihilator(ctx, spec, rng):
     rule = parse_family(spec["family"])
     ks = caseaudit.annihilator_spectrum(ctx, rule, spec["n"], spec["window"])
@@ -431,6 +437,7 @@ def _check_annihilator(ctx, spec, rng):
     return rep
 
 
+@_check("quadratic-in-x", a=_RAT, window=("int", 8, 4))
 def _check_quadratic_in_x(ctx, spec, rng):
     a = ctx.scalar(spec["a"])
     return caseaudit.quadratic_in_x_check(ctx, Mab(a, a * ctx.q),
@@ -443,40 +450,14 @@ def _uqsl2_rep(spec):
                           parse_rational(spec["q"]))
 
 
+@_check("uqsl2", two_l=("int", None, 0), omega=("int", None), q=_RAT)
 def _check_uqsl2(ctx, spec, rng):
     return uqsl2.rep_relation_audit(_uqsl2_rep(spec))
 
 
+@_check("uqsl2-x", two_l=("int", None, 0), omega=("int", None), q=_RAT)
 def _check_uqsl2_x(ctx, spec, rng):
     return uqsl2.quadratic_in_x_fit(_uqsl2_rep(spec))
-
-
-_HANDLERS = {
-    "qint-identities": _check_qint,
-    "verify-algebra": _check_verify_algebra,
-    "generation": _check_generation,
-    "verify-module": _check_verify_module,
-    "sampled-modules": _check_sampled_modules,
-    "sampled-families": _check_sampled_families,
-    "submodules": _check_submodules,
-    "is-reducible-grid": _check_is_reducible_grid,
-    "iso": _check_iso,
-    "sampled-iso": _check_sampled_iso,
-    "classify": _check_classify,
-    "audit-identities": _check_audit_identities,
-    "degeneracy-table": _check_degeneracy_table,
-    "roots": _check_roots,
-    "l2-display": _check_l2_display,
-    "fg-recurrences": _check_fg_recurrences,
-    "case-audit": _check_case_audit,
-    "family-consistency": _check_family_consistency,
-    "annihilator": _check_annihilator,
-    "quadratic-in-x": _check_quadratic_in_x,
-    "uqsl2": _check_uqsl2,
-    "uqsl2-x": _check_uqsl2_x,
-}
-
-assert set(_HANDLERS) == set(_CHECKS)
 
 
 class JsonReport:

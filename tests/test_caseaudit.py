@@ -78,6 +78,18 @@ def test_junction_weight_solutions(ctx):
     assert find_j0_all(ctx, Fraction(-1, 2), 12) == [-3]
 
 
+def test_junction_equation_is_c2_of_the_line_module():
+    # find_j0_all reads the junction weights as the zeros of c(2, j) on
+    # M(a, aq); at formal p, q, a that row is the junction equation
+    ctx = ScalarContext.symbolic()
+    p, q, a, J = ctx.p, ctx.q, ctx.var("a"), ctx.qint
+    rule = Mab(a, a * q)
+    for j in range(-12, 13):
+        equation = (p ** -j * J(j) - a * p ** -j * q ** j
+                    - a * p ** (-j - 2) * q ** (j + 1) * J(2))
+        assert (rule.coeff(ctx, 2, j) - equation).is_zero(), j
+
+
 def test_case_tags(ctx):
     # thresholds at a = 0, a = -1/p, a = -1/(p+q)
     assert case_tag(ctx, Fraction(5)).tag == "Case1"

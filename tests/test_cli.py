@@ -1,11 +1,14 @@
 """Command-line driver: exit codes, JSON reports, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vpq import cli
 from vpq.report import ResidualReport
@@ -311,7 +314,9 @@ def test_vacuous_check_sizes_are_rejected():
                  {"check": "fg-recurrences", "a": "1", "b": "1", "jmax": -6},
                  {"check": "family-consistency", "window": 1},
                  {"check": "quadratic-in-x", "a": "1/7", "window": 3},
-                 {"check": "case-audit", "a": "-1/2", "window": 2}):
+                 {"check": "case-audit", "a": "-1/2", "window": 2},
+                 {"check": "annihilator", "family": "mab:a=1/3,b=-2",
+                  "window": 0}):
         with pytest.raises(SuiteConfigError, match="must be >="):
             SuiteConfig.from_dict({**base, "checks": [spec]})
     # the smallest accepted sizes still check something
@@ -433,3 +438,107 @@ def test_size_flags_default_to_the_check_defaults(capsys, tmp_path):
     assert rc == 0
     params = json.loads(path.read_text())["checks"][0]["params"]
     assert params["kmax"] == _CHECKS["iso"]["kmax"][1]
+
+
+# -- the subcommand table ---------------------------------------------------------
+
+# `vpq suite` reads its checks from a config, fuzzed in test_suite.py
+_SUBCOMMANDS = sorted(set(cli._COMMANDS) - {"suite"})
+
+
+def _check_keys(command):
+    """The keys of the checks the subcommand runs, each once."""
+    return list(dict.fromkeys(k for check in cli._COMMANDS[command][1]
+                              for k in _CHECKS[check]))
+
+
+def _switches(command):
+    """The subcommand's own on/off flags."""
+    own = cli._COMMANDS[command][2]
+    return ["--" + f for f, kw in own.items() if kw.get("action")]
+
+
+# a value for every key a subcommand takes, none of them a check default
+_KEY_VALUES = {"window": "5", "family": "mab:a=1/3,b=-2", "nmax": "2",
+               "kmax": "3", "filter": "generators", "a": "-1/5", "b": "2",
+               "m": "1", "two_l": "2", "omega": "-1", "q": "5"}
+
+
+@pytest.mark.parametrize("command", _SUBCOMMANDS)
+def test_subcommand_specs_carry_exactly_the_check_keys(command):
+    # with every flag given, each check of the table runs, and its spec
+    # holds each of its keys, at the flag's value, and nothing else
+    argv = [command, *_switches(command)]
+    for key in _check_keys(command):
+        argv += ["--" + key.replace("_", "-"), _KEY_VALUES[key]]
+    config = cli._build_config(
+        cli.build_parser().parse_args(cli._glue_negative_rationals(argv)))
+    assert [s["check"] for s in config.checks] == list(
+        cli._COMMANDS[command][1])
+    for spec in config.checks:
+        table = _CHECKS[spec["check"]]
+        assert set(spec) == {"check", *table}
+        for key, (kind, *_) in table.items():
+            value = _KEY_VALUES[key]
+            assert spec[key] == (int(value) if kind == "int" else value)
+
+
+# mostly valid values, with a few of every kind of bad one; sizes are
+# drawn from -2..3, so some fall below a check's minimum
+_ARGV_VALUES = {
+    "int": st.integers(-2, 3).map(str),
+    "rat": st.sampled_from(["0", "1", "-1", "2", "-1/5", "1/3", "3/2"] * 3
+                           + ["1/0", "0.5", "x"]),
+    "family": st.sampled_from(["mab:a=1/3,b=-2", "alpha:alpha=0",
+                               "betap:betap=1/2"] * 2
+                              + ["mab:a=1/0,b=0", "nope"]),
+    "filter": st.sampled_from(["all", "generators"] * 2 + ["some"]),
+    "omega": st.sampled_from(["1", "-1"] * 2 + ["0"]),
+    "backend": st.sampled_from(["numeric", "symbolic"] * 2 + ["exact"]),
+    "p": st.sampled_from(["2", "5", "-3/2"] * 2 + ["0", "1/0"]),
+    "q": st.sampled_from(["3", "7", "1/4"] * 2 + ["1", "x"]),
+    "seed": st.integers(0, 3).map(str),
+}
+# keys no subcommand takes (count, jmax, ...) are foreign everywhere
+_EVERY_KEY = sorted({k for keys in _CHECKS.values() for k in keys})
+
+
+def _kind(flag):
+    """The _ARGV_VALUES entry a flag's value is drawn from."""
+    if flag in _ARGV_VALUES:
+        return flag
+    return next(check[flag][0] for check in _CHECKS.values() if flag in check)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(_SUBCOMMANDS))
+    keys = _check_keys(command)
+    # each key of its checks is usually there (a missing one may be
+    # required), a context flag sometimes, a foreign flag rarely
+    flags = [k for k in keys if draw(st.sampled_from([True] * 5 + [False]))]
+    flags += [k for k in cli._CONTEXT
+              if k not in keys and draw(st.sampled_from([False, False, True]))]
+    if draw(st.sampled_from([False] * 5 + [True])):
+        flags.append(draw(st.sampled_from(
+            [k for k in _EVERY_KEY if k not in keys])))
+    argv = [command, *(s for s in _switches(command) if draw(st.booleans()))]
+    for flag in flags:
+        argv += ["--" + flag.replace("_", "-"),
+                 draw(_ARGV_VALUES[_kind(flag)])]
+    return argv
+
+
+@given(argvs())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_every_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:       # argparse's usage errors
+            rc = exc.code
+    assert rc in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert out.getvalue() == "", argv

@@ -175,8 +175,8 @@ def _check(name, **keys):
 
     A key's value is (kind, default[, minimum]) with kind "int", "rat" or
     "str"; a None default means required.  Each minimum is the least value
-    at which the check still checks something (or at which its sweep is
-    defined), so a config can never pass vacuously; sampled-iso's kmax must
+    at which the check can still fail (or at which its sweep is defined),
+    so a config can never pass vacuously; sampled-iso's kmax must
     also make its negative check sound (window 0 checks only n = 0, which
     pins a2 alone)."""
     def register(handler):

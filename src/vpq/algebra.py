@@ -33,42 +33,8 @@ class AlgebraElement:
                     self.coeffs[int(n)] = c
         self.central = central
 
-    @staticmethod
-    def generator(ctx, n, scale=1):
-        return AlgebraElement({int(n): ctx.one * scale}, ctx.zero)
-
-    @staticmethod
-    def center(ctx, scale=1):
-        return AlgebraElement({}, ctx.one * scale)
-
-    @staticmethod
-    def zero(ctx):
-        return AlgebraElement({}, ctx.zero)
-
-    def __add__(self, other):
-        coeffs = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            s = coeffs.get(n, 0) + c
-            if is_zero(s):
-                coeffs.pop(n, None)
-            else:
-                coeffs[n] = s
-        return AlgebraElement(coeffs, self.central + other.central)
-
-    def __neg__(self):
-        return AlgebraElement({n: -c for n, c in self.coeffs.items()}, -self.central)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s):
-        return AlgebraElement({n: c * s for n, c in self.coeffs.items()}, self.central * s)
-
     def is_zero(self):
         return not self.coeffs and is_zero(self.central)
-
-    def __eq__(self, other):
-        return (self - other).is_zero()
 
     def __str__(self):
         parts = []
@@ -94,24 +60,6 @@ def central_coefficient(ctx, n):
     """
     return (ctx.upow(-n) / ((1 + ctx.upow(n)) * 6)
             * ctx.hq(n - 1) * ctx.hq(n) * ctx.hq(n + 1))
-
-
-def bracket(ctx, x, y):
-    """Bilinear bracket; C is central, so central parts of x,y drop out."""
-    out = AlgebraElement.zero(ctx)
-    for n, cn in x.coeffs.items():
-        for m, cm in y.coeffs.items():
-            s = cn * cm
-            term = {n + m: eta(ctx, n, m) * s}
-            z = central_coefficient(ctx, n) * s if n + m == 0 else ctx.zero
-            out = out + AlgebraElement(term, z)
-    return out
-
-
-def hom_twist(ctx, x):
-    """The twisting map: L_n -> (1 + (q/p)^n) L_n, C -> C."""
-    return AlgebraElement(
-        {n: c * (1 + ctx.upow(n)) for n, c in x.coeffs.items()}, x.central)
 
 
 class _StructureConstants:
@@ -255,11 +203,6 @@ def hom_jacobi_residual(ctx, k, l, m):
         if zero_sum:
             central = central + s * central_coefficient(ctx, x)
     return AlgebraElement({k + l + m: gen}, central)
-
-
-def central_cocycle_residual(ctx, k, l, m):
-    """Central part of the twisted Jacobi sum (meaningful when k+l+m=0)."""
-    return hom_jacobi_residual(ctx, k, l, m).central
 
 
 def verify_algebra(ctx, window):

@@ -72,17 +72,6 @@ def find_j0_all(ctx, a, window):
                   key=lambda j: (abs(j), j))
 
 
-def find_j0(ctx, a, window):
-    """The junction weight j0, or None if the window holds no solution.
-
-    Multiple roots cannot occur under the root-of-unity guard; if a context
-    without that guard produces several, the one closest to zero is
-    returned and case_constants_audit reports a finding.
-    """
-    hits = find_j0_all(ctx, a, window)
-    return hits[0] if hits else None
-
-
 class CaseTag:
     """Which of the four parameter cases a lies in, plus the induced b."""
 

@@ -18,9 +18,8 @@ factors once, at formal a and b.
 The weight-two audits (`l2_display_audit`, `fg_recurrence_audit`) read
 their rule in rows of parts and judge each residual by its fraction-free
 numerator, as `modules.verify_module` does: a passing residual takes ring
-products only, and only a failure or a finding is reduced, once.
-`l2_coefficients` computes the ±2 displays as values.  The deformation
-of mab by the closed forms at F and G is checked as a module.
+products only, and only a failure or a finding is reduced, once.  The
+deformation of mab by the closed forms at F and G is checked as a module.
 """
 
 from __future__ import annotations
@@ -308,23 +307,6 @@ def _variant_partner(ctx, a, b):
 def _step_product(ctx, a, bb):
     rule = Mab(a, bb)
     return rule.coeff(ctx, 1, 0) * rule.coeff(ctx, -1, 1)
-
-
-def quadratic_roots(ctx, a, b):
-    """Both solutions of the step-product quadratic through a given root b.
-
-    The defining constraint is c(1,0)·c(-1,1) = const, quadratic in the b
-    parameter; b is one root and the returned pair is (b, partner).  The
-    partner is verified against the constraint before returning.
-    """
-    partner = second_solution(ctx, a, b)
-    if not is_zero(_step_product(ctx, a, partner) - _step_product(ctx, a, b)):
-        raise ValueError(
-            "quadratic roots: partner b'=%s of b=%s fails the defining "
-            "quadratic c(1,0)·c(-1,1) (a=%s, p=%s, q=%s)"
-            % (scalar_str(partner), scalar_str(b), scalar_str(a),
-               scalar_str(ctx.p), scalar_str(ctx.q)))
-    return (b, partner)
 
 
 def quadratic_roots_audit(ctx, a, b):
@@ -630,24 +612,6 @@ def _vanishing_denominator(j, vanishes):
         if vanishes(n, j + dk):
             return "%s vanishes at j=%d" % (name, j)
     return None
-
-
-def l2_coefficients(ctx, rule, j):
-    """The displayed rational coefficients of the ±2 actions on v_j.
-
-    Returns (c2, cm2), built from the rule's c(±1,·) and c(±2,·).  cm2 is
-    the adjusted reading of its display, the one consistent with the
-    recurrences.  Vanishing denominators raise with the offending factor
-    named.
-    """
-    j = int(j)
-    c = lambda n, k: rule.coeff(ctx, n, k)
-    bad = _vanishing_denominator(j, lambda n, k: is_zero(c(n, k)))
-    if bad is not None:
-        raise ValueError(bad)
-    c2 = c(1, j) * c(1, j + 1) * c(-2, j + 2) / (c(-1, j + 2) * c(-1, j + 1))
-    cm2 = c(-1, j) * c(-1, j - 1) * c(2, j - 2) / (c(1, j - 2) * c(1, j - 1))
-    return c2, cm2
 
 
 def _display(coeff, u, const, w):

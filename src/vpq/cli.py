@@ -72,7 +72,10 @@ _COMMANDS = {
                           help="also run the exceptional-family consistency "
                                "sweep")}),
     "uqsl2": ("one-parameter quantum sl2 representation checks",
-              ("uqsl2", "uqsl2-x"), {}),
+              ("uqsl2", "uqsl2-x"),
+              {"q": dict(default="3", metavar="RAT",
+                         help="the parameter q of U_q(sl2) (rational "
+                              "string)")}),
     "suite": ("run a JSON suite configuration", (),
               {"config": dict(required=True, metavar="PATH")}),
 }

@@ -380,58 +380,6 @@ def parse_family(spec):
     return cls(*[given[f] for f in fields])
 
 
-class WindowedVector:
-    """Sparse vector supported on |k| <= window, no stored zeros."""
-
-    __slots__ = ("window", "entries")
-
-    def __init__(self, window, entries=None):
-        self.window = int(window)
-        self.entries = {}
-        if entries:
-            for k, c in entries.items():
-                if abs(int(k)) > self.window:
-                    raise ValueError("index %d outside window %d" % (k, self.window))
-                if not is_zero(c):
-                    self.entries[int(k)] = c
-
-    @staticmethod
-    def basis(ctx, window, k):
-        return WindowedVector(window, {k: ctx.one})
-
-    def is_zero(self):
-        return not self.entries
-
-    def __eq__(self, other):
-        if self.window != other.window:
-            return False
-        keys = set(self.entries) | set(other.entries)
-        return all(
-            not is_zero(self.entries.get(k, 0) - other.entries.get(k, 0))
-            for k in keys)
-
-    def __str__(self):
-        if not self.entries:
-            return "0"
-        return " + ".join("%s·v[%d]" % (scalar_str(self.entries[k]), k)
-                          for k in sorted(self.entries))
-
-
-def act(ctx, rule, n, v):
-    """L_n applied to a windowed vector; overflow past the window is an error."""
-    out = {}
-    for k in sorted(v.entries):
-        c = rule.coeff(ctx, n, k) * v.entries[k]
-        if is_zero(c):
-            continue
-        if abs(k + n) > v.window:
-            raise ValueError(
-                "action leaves the window: v[%d] -> v[%d] (window %d); widen it"
-                % (k, k + n, v.window))
-        out[k + n] = out.get(k + n, ctx.zero) + c
-    return WindowedVector(v.window, out)
-
-
 def relation_residual(ctx, rule, n, m, k):
     """Defining-axiom residual on v_k for the generator pair (n, m):
     u^n c(m,k) c(n,m+k) - u^m c(n,k) c(m,n+k) - (h(m) - h(n)) c(n+m,k)."""
@@ -540,32 +488,6 @@ def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
         (n, m, ks) for n in ns for m in ns
         if pair_filter == "all" or max(abs(n), abs(m), abs(n + m)) <= 2])
     return rep
-
-
-def weight(ctx, rule, k):
-    """Eigenvalue of L_0 on v_k."""
-    return rule.coeff(ctx, 0, k)
-
-
-def weight_injective(ctx, a, window):
-    """Whether k -> weight is injective on the window for the mab family.
-
-    Closed form: a != -1/(p-q).  The brute-force distinctness scan is run
-    as well; the two must agree under the context guard.
-    """
-    closed = not is_zero(a + 1 / (ctx.p - ctx.q))
-    rule = Mab(a, ctx.zero)
-    seen = [rule.coeff(ctx, 0, k) for k in range(-window, window + 1)]
-    brute = all(
-        not is_zero(seen[i] - seen[j])
-        for i in range(len(seen)) for j in range(i + 1, len(seen)))
-    if closed != brute:
-        raise ValueError(
-            "weight injectivity: closed form a != -1/(p-q) gives %s, the scan "
-            "over |k| <= %d gives %s (a=%s, p=%s, q=%s)"
-            % (closed, window, brute, scalar_str(a), scalar_str(ctx.p),
-               scalar_str(ctx.q)))
-    return closed
 
 
 def _row_window(n, window):

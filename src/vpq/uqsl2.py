@@ -61,9 +61,6 @@ class Uqsl2Rep:
         """Doubled weights from lowest to highest."""
         return list(range(-self.two_l, self.two_l + 1, 2))
 
-    def dimension(self):
-        return self.two_l + 1
-
     def _check_weight(self, two_m):
         two_m = int(two_m)
         if (two_m - self.two_l) % 2 != 0:

@@ -8,13 +8,10 @@ from hypothesis import given, settings, strategies as st
 from vpq import algebra
 from vpq.algebra import (
     AlgebraElement,
-    bracket,
-    central_cocycle_residual,
     central_coefficient,
     eta,
     generation_check,
     hom_jacobi_residual,
-    hom_twist,
     skew_residual,
     verify_algebra,
 )
@@ -22,6 +19,62 @@ from vpq.scalar import ScalarContext, is_zero
 
 
 idx = st.integers(-8, 8)
+
+
+# -- oracles: the bracket and the twisting map on algebra elements ---------
+#
+# The library sums each axiom residual from structure constants; these
+# compose it from elements instead, as a reference the kernels must equal.
+
+def _generator(ctx, n, scale=1):
+    return AlgebraElement({int(n): ctx.one * scale}, ctx.zero)
+
+
+def _center(ctx, scale=1):
+    return AlgebraElement({}, ctx.one * scale)
+
+
+def _zero(ctx):
+    return AlgebraElement({}, ctx.zero)
+
+
+def _add(x, y):
+    # AlgebraElement drops the coefficients that sum to zero
+    coeffs = dict(x.coeffs)
+    for n, c in y.coeffs.items():
+        coeffs[n] = coeffs.get(n, 0) + c
+    return AlgebraElement(coeffs, x.central + y.central)
+
+
+def _sub(x, y):
+    return _add(x, AlgebraElement({n: -c for n, c in y.coeffs.items()},
+                                  -y.central))
+
+
+def _scale(x, s):
+    return AlgebraElement({n: c * s for n, c in x.coeffs.items()},
+                          x.central * s)
+
+
+def bracket(ctx, x, y):
+    """Bilinear bracket; C is central, so central parts of x,y drop out.
+    The structure constants are read through `algebra`, so a test that
+    perturbs them there perturbs the bracket too."""
+    out = _zero(ctx)
+    for n, cn in x.coeffs.items():
+        for m, cm in y.coeffs.items():
+            s = cn * cm
+            term = {n + m: algebra.eta(ctx, n, m) * s}
+            z = (algebra.central_coefficient(ctx, n) * s if n + m == 0
+                 else ctx.zero)
+            out = _add(out, AlgebraElement(term, z))
+    return out
+
+
+def hom_twist(ctx, x):
+    """The twisting map: L_n -> (1 + (q/p)^n) L_n, C -> C."""
+    return AlgebraElement(
+        {n: c * (1 + ctx.upow(n)) for n, c in x.coeffs.items()}, x.central)
 
 
 @given(idx, idx)
@@ -38,8 +91,8 @@ def test_twisted_jacobi_including_center(ctx, k, l, m):
 @given(idx, idx)
 def test_central_part_drops_from_nested_brackets(ctx, k, l):
     # [x, C] = 0 for every x, so nesting against the center is inert
-    x = AlgebraElement.generator(ctx, k)
-    c = AlgebraElement.center(ctx)
+    x = _generator(ctx, k)
+    c = _center(ctx)
     assert bracket(ctx, x, c).is_zero()
     assert bracket(ctx, c, x).is_zero()
 
@@ -50,7 +103,7 @@ def test_central_cocycle_vanishes_on_zero_sum_triples(ctx):
             m = -k - l
             if abs(m) > 6:
                 continue
-            assert central_cocycle_residual(ctx, k, l, m) == 0
+            assert hom_jacobi_residual(ctx, k, l, m).central == 0
 
 
 def test_structure_constant_values(ctx):
@@ -71,8 +124,8 @@ def test_central_coefficient_values(ctx):
 
 
 def test_bracket_of_generators(ctx):
-    x = AlgebraElement.generator(ctx, 1)
-    y = AlgebraElement.generator(ctx, 2)
+    x = _generator(ctx, 1)
+    y = _generator(ctx, 2)
     z = bracket(ctx, x, y)
     assert set(z.coeffs) == {3}
     assert z.coeffs[3] == eta(ctx, 1, 2)
@@ -80,23 +133,22 @@ def test_bracket_of_generators(ctx):
 
 
 def test_bracket_central_term_on_opposite_pair(ctx):
-    z = bracket(ctx, AlgebraElement.generator(ctx, 2),
-                AlgebraElement.generator(ctx, -2))
+    z = bracket(ctx, _generator(ctx, 2),
+                _generator(ctx, -2))
     assert z.central == central_coefficient(ctx, 2)
 
 
 @given(idx, idx, small := st.integers(-3, 3), st.integers(-3, 3))
 def test_bracket_is_bilinear(ctx, n, m, s, t):
-    x = AlgebraElement.generator(ctx, n, scale=s)
-    y = AlgebraElement.generator(ctx, m, scale=t)
+    x = _generator(ctx, n, scale=s)
+    y = _generator(ctx, m, scale=t)
     lhs = bracket(ctx, x, y)
-    rhs = bracket(ctx, AlgebraElement.generator(ctx, n),
-                  AlgebraElement.generator(ctx, m)).scale(s * t)
-    assert (lhs - rhs).is_zero()
+    rhs = _scale(bracket(ctx, _generator(ctx, n), _generator(ctx, m)), s * t)
+    assert _sub(lhs, rhs).is_zero()
 
 
 def test_twist_scales_each_generator(ctx):
-    x = AlgebraElement.generator(ctx, 3)
+    x = _generator(ctx, 3)
     tw = hom_twist(ctx, x)
     assert set(tw.coeffs) == {3}
     assert tw.coeffs[3] == 1 + Fraction(3, 2) ** 3
@@ -104,7 +156,7 @@ def test_twist_scales_each_generator(ctx):
 
 def test_twist_fixes_the_center(ctx):
     # the twisted Jacobi sweep never needs a twist on C; it stays put
-    c = AlgebraElement.center(ctx)
+    c = _center(ctx)
     tw = hom_twist(ctx, c)
     assert not tw.coeffs
     assert tw.central == c.central
@@ -141,22 +193,22 @@ def test_generation_ladder_coefficients_are_nonzero(ctx):
 # -- the structure-constant kernels against the bracket composition --------
 
 def _composed_skew(ctx, n, m):
-    ln = AlgebraElement.generator(ctx, n)
-    lm = AlgebraElement.generator(ctx, m)
-    return bracket(ctx, ln, lm) + bracket(ctx, lm, ln)
+    ln = _generator(ctx, n)
+    lm = _generator(ctx, m)
+    return _add(bracket(ctx, ln, lm), bracket(ctx, lm, ln))
 
 
 def _composed_jacobi(ctx, k, l, m):
-    gens = [AlgebraElement.generator(ctx, i) for i in (k, l, m)]
-    acc = AlgebraElement.zero(ctx)
+    gens = [_generator(ctx, i) for i in (k, l, m)]
+    acc = _zero(ctx)
     for i in range(3):
         x, y, z = gens[i], gens[(i + 1) % 3], gens[(i + 2) % 3]
-        acc = acc + bracket(ctx, hom_twist(ctx, x), bracket(ctx, y, z))
+        acc = _add(acc, bracket(ctx, hom_twist(ctx, x), bracket(ctx, y, z)))
     return acc
 
 
 def _same(a, b):
-    return (a - b).is_zero() and str(a) == str(b)
+    return _sub(a, b).is_zero() and str(a) == str(b)
 
 
 @pytest.mark.parametrize("point", [(2, 3), ("5/2", "-3/4"), "formal"])
@@ -227,7 +279,7 @@ def test_verify_algebra_fails_on_a_wrong_central_coefficient(ctx, monkeypatch):
     assert rep.failed > 0
     assert _failures(rep) == {"central-cocycle"}
     for f in rep.to_dict()["failures"]:
-        detail = str(central_cocycle_residual(ctx, *f["indices"]))
+        detail = str(hom_jacobi_residual(ctx, *f["indices"]).central)
         assert f["residual"] == detail != "0"
 
 

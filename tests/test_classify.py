@@ -18,16 +18,14 @@ from vpq.classify import (
     degeneracy_table_audit,
     fg_recurrence_audit,
     identity_audit,
-    l2_coefficients,
     l2_display_audit,
-    quadratic_roots,
     quadratic_roots_audit,
     second_solution,
     x_factors,
 )
 from vpq import modules
 from vpq.modules import CoefficientRule, Mab, MemoRule, relation_residual
-from vpq.scalar import ScalarContext, scalar_str
+from vpq.scalar import ScalarContext, is_zero, scalar_str
 
 
 small_fracs = st.fractions(
@@ -158,20 +156,13 @@ def test_second_solution_involutes(ctx):
     assert second_solution(ctx, a, b2) == b
 
 
-def test_quadratic_roots(ctx):
-    assert quadratic_roots(ctx, Fraction(2), Fraction(1, 4)) == \
-        (Fraction(1, 4), Fraction(3, 4))
-
-
 def test_quadratic_roots_reports_a_partner_off_the_quadratic(ctx, monkeypatch):
     # the "1 - a(p-q) - b" reading of the partner is not a root at (2, 3)
     monkeypatch.setattr(classify, "second_solution",
                         lambda ctx, a, b: 1 - a * (ctx.p - ctx.q) - b)
-    with pytest.raises(ValueError) as err:
-        quadratic_roots(ctx, Fraction(2), Fraction(1, 4))
-    assert str(err.value) == (
-        "quadratic roots: partner b'=11/4 of b=1/4 fails the defining "
-        "quadratic c(1,0)·c(-1,1) (a=2, p=2, q=3)")
+    d = quadratic_roots_audit(ctx, Fraction(2), Fraction(1, 4)).to_dict()
+    assert d["failures"][0] == {"identity": "partner-root-constraint",
+                                "indices": ["adjusted"], "residual": "-5/4"}
 
 
 def test_quadratic_roots_audit(ctx):
@@ -297,6 +288,25 @@ def test_fg_audit_skips_where_the_value_path_is_undefined(ctx, ab):
     assert [n.partition(":")[0] for n in rep.notes] == notes
     assert rep.failures == failures == [] and rep.failed == 0
     assert rep.checked == 3 * 13 - len(notes) > 0
+
+
+def l2_coefficients(ctx, rule, j):
+    """The displayed rational coefficients of the ±2 actions on v_j, by
+    value arithmetic: the oracle of the parts `l2_display_audit` builds.
+
+    Returns (c2, cm2), built from the rule's c(±1,·) and c(±2,·).  cm2 is
+    the adjusted reading of its display, the one consistent with the
+    recurrences.  Vanishing denominators raise with the offending factor
+    named.
+    """
+    j = int(j)
+    c = lambda n, k: rule.coeff(ctx, n, k)
+    bad = classify._vanishing_denominator(j, lambda n, k: is_zero(c(n, k)))
+    if bad is not None:
+        raise ValueError(bad)
+    c2 = c(1, j) * c(1, j + 1) * c(-2, j + 2) / (c(-1, j + 2) * c(-1, j + 1))
+    cm2 = c(-1, j) * c(-1, j - 1) * c(2, j - 2) / (c(1, j - 2) * c(1, j - 1))
+    return c2, cm2
 
 
 def test_l2_coefficient_values(ctx):
@@ -453,10 +463,9 @@ def test_audit_bytes_are_unchanged(point):
 
 def test_audits_compute_each_value_once(monkeypatch):
     """identity_audit and degeneracy_table_audit build the x-factors once.
-    The weight-two audits build them once too, call no
-    value helper (no ±2 coefficient, rule value or relation residual) on a
-    passing sweep, and reduce exactly once per finding: their residuals are
-    judged by numerators."""
+    The weight-two audits build them once too, call no value helper (no
+    rule value or relation residual) on a passing sweep, and reduce
+    exactly once per finding: their residuals are judged by numerators."""
     c = ScalarContext.symbolic("2", "3")
     a, b = c.var("a"), c.var("b")
     jmax = 6
@@ -470,8 +479,7 @@ def test_audits_compute_each_value_once(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapped)
 
-    for name in ("x_factors", "l2_coefficients"):
-        counted(classify, name, name)
+    counted(classify, "x_factors", "x_factors")
     counted(modules, "relation_residual", "relation_residual")
     counted(Mab, "coeff", "Mab.coeff")
     counted(ScalarContext, "join", "join")

@@ -100,6 +100,12 @@ def test_uqsl2_subcommand(capsys):
     assert rc == 0
     assert "uqsl2-relations" in out
     assert "uqsl2-x-quadratic" in out
+    # there --q is the parameter of U_q(sl2), not a deformation parameter
+    with pytest.raises(SystemExit):
+        cli.main(["uqsl2", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--q RAT the parameter q of U_q(sl2)" in help_text
+    assert "deformation" not in help_text
 
 
 def test_uqsl2_odd_ladder_skips_the_fit(capsys):

@@ -166,7 +166,7 @@ def test_rf_sum_is_reduced_without_renormalising(a, b, c):
     assert sums[0].is_zero() and sums[0].den == Poly.const(1)
 
 
-_SYMS = sympy.symbols("p q a b")
+_SYMS = sympy.symbols(VARS)
 
 
 def _to_sympy(poly):

@@ -130,25 +130,40 @@ configs = st.fixed_dictionaries({
 })
 
 
+def _run_config(doc, tmp):
+    """`vpq suite` on doc: its exit code, stdout, stderr and, on exit 0,
+    its JSON report."""
+    config = Path(tmp) / "suite.json"
+    report = Path(tmp) / "report.json"
+    config.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["suite", "--config", str(config),
+                       "--json", str(report)])
+    data = json.loads(report.read_text()) if rc == 0 else None
+    return rc, out.getvalue(), err.getvalue(), data
+
+
 @given(configs)
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_every_config_keeps_the_exit_code_contract(doc):
-    # the code is correct, so a config is clean (0) or a usage error (2)
+    # the code is correct, so a config is clean (0) or a usage error (2);
+    # a clean config is clean on the other backend too, with the same report
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "suite.json"
-        report = Path(tmp) / "report.json"
-        config.write_text(json.dumps(doc))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = cli.main(["suite", "--config", str(config),
-                           "--json", str(report)])
-        assert rc in (0, 2), err.getvalue()
+        rc, out, err, report = _run_config(doc, tmp)
+        assert rc in (0, 2), err
         if rc == 2:
-            lines = err.getvalue().splitlines()
-            assert out.getvalue() == "" and "Traceback" not in err.getvalue()
+            lines = err.splitlines()
+            assert out == "" and "Traceback" not in err
             assert len(lines) == 1 and lines[0].startswith("vpq: ")
             return
-        assert json.loads(report.read_text())["totals"]["failed"] == 0
+        assert report["totals"]["failed"] == 0
+        context = doc["context"]
+        other = {**doc, "context": {**context, "backend": {
+            "numeric": "symbolic", "symbolic": "numeric"}[context["backend"]]}}
+        rc, _, err, other_report = _run_config(other, tmp)
+        assert rc == 0, err
+        assert _without_backend(other_report) == _without_backend(report)
 
 
 @pytest.mark.parametrize("backend", ["numeric", "symbolic"])

@@ -54,7 +54,6 @@ def test_rep_validation():
     with pytest.raises(ValueError):
         Uqsl2Rep(1, 4, 1)
     rep = Uqsl2Rep(-1, 5, Fraction(3, 2))
-    assert rep.dimension() == 6
     assert rep.weights() == [-5, -3, -1, 1, 3, 5]
 
 

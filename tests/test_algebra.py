@@ -30,8 +30,8 @@ def _generator(ctx, n, scale=1):
     return AlgebraElement({int(n): ctx.one * scale}, ctx.zero)
 
 
-def _center(ctx, scale=1):
-    return AlgebraElement({}, ctx.one * scale)
+def _center(ctx):
+    return AlgebraElement({}, ctx.one)
 
 
 def _zero(ctx):
@@ -133,8 +133,7 @@ def test_bracket_of_generators(ctx):
 
 
 def test_bracket_central_term_on_opposite_pair(ctx):
-    z = bracket(ctx, _generator(ctx, 2),
-                _generator(ctx, -2))
+    z = bracket(ctx, _generator(ctx, 2), _generator(ctx, -2))
     assert z.central == central_coefficient(ctx, 2)
 
 

@@ -12,11 +12,13 @@ case-derivation formulas.
 
 from __future__ import annotations
 
+import functools
+
 from .classify import XPolynomial
 from .modules import (ExcAlpha, ExcAlphaPrime, ExcBeta, ExcBetaPrime, Mab,
                       MemoRule, verify_module)
 from .report import ResidualReport
-from .scalar import is_zero, scalar_str
+from .scalar import is_zero, ring_sum, scalar_str
 
 
 def annihilator_spectrum(ctx, rule, n, window):
@@ -287,45 +289,94 @@ def case_constants_audit(ctx, a, window=12):
 
 # -- exceptional families vs the case derivations ---------------------------
 
+def _sum_parts(ctx, terms):
+    """(numerator, denominator) of a sum of signed products of scalars given
+    by their parts, terms a list of (sign, (parts, ...)), over the product
+    of every factor's denominator, so the sum is zero exactly when the
+    numerator is.  Int expressions at a point, where a constant's parts are
+    ints; `ring_sum` at formal p, q, where every part is a Poly."""
+    num, den = 0, 1
+    for sign, factors in terms:
+        if ctx.formal:
+            nums, dens = zip(*factors)
+            tn, td = ring_sum((sign,) + nums), ring_sum(dens)
+            num, den = ring_sum((num, td), (tn, den)), ring_sum((den, td))
+            continue
+        tn, td = sign, 1
+        for x, y in factors:
+            tn *= x
+            td *= y
+        num, den = num * td + tn * den, den * td
+    return num, den
+
+
+def _record_closed_forms(ctx, rep, identity, fam, ns, window, want):
+    """Record `identity` (n, j), c(n, j) - want(n, j), for n in ns and
+    |j| <= window, where c is read through `fam.parts_row` and want(n, j)
+    gives the closed form as terms of `_sum_parts`.  Each residual is
+    judged by its numerator: the zeros are counted with one `record_zeros`
+    call, and only a nonzero one is reduced (`ctx.join`) and recorded."""
+    ks = range(-window, window + 1)
+    zeros = 0
+    for n in ns:
+        for j, got in zip(ks, fam.parts_row(ctx, n, ks)):
+            num, den = _sum_parts(ctx, [(1, (got,))] + [
+                (-sign, factors) for sign, factors in want(n, j)])
+            if is_zero(num):
+                zeros += 1
+            else:
+                rep.record(identity, (n, j), ctx.join(num, den))
+    rep.record_zeros(zeros)
+
+
+def _split_readers(ctx):
+    """The parts of the cached [e], p^e and q^e, as functions of e."""
+    return tuple(functools.partial(ctx.split, name)
+                 for name in ("qint", "ppow", "qpow"))
+
+
 def _alpha_display(ctx, n, alpha):
-    # the raising/lowering value on the pinned weight in the alpha family
-    J = ctx.qint
-    return (-ctx.qpow(n) * J(-n)
-            + J(-n) * J(n + 1) * ctx.ppow(-n) * ctx.qpow(n) * alpha)
+    # the raising/lowering value on the pinned weight in the alpha family,
+    # -q^n [-n] + [-n][n+1] p^{-n} q^n alpha, as terms of `_sum_parts`
+    J, P, Q = _split_readers(ctx)
+    return [(-1, (Q(n), J(-n))),
+            (1, (J(-n), J(n + 1), P(-n), Q(n), ctx.parts(alpha)))]
 
 
 def _alphap_display(ctx, n, alphap):
-    J = ctx.qint
-    return (ctx.ppow(n) * J(-n)
-            + ctx.ppow(n) * ctx.qpow(-n) * J(-n) * J(n + 1) * alphap)
+    # p^n [-n] + p^n q^{-n} [-n][n+1] alphap, as terms of `_sum_parts`
+    J, P, Q = _split_readers(ctx)
+    return [(1, (P(n), J(-n))),
+            (1, (P(n), Q(-n), J(-n), J(n + 1), ctx.parts(alphap)))]
 
 
 def family_consistency(ctx, window):
     """Exceptional families against the case-derivation formulas.
 
     Sections case1..case4 check the derived closed forms (generic line,
-    both exceptional families including the pinned-weight displays);
-    caseII-beta and caseII-betap run the mirror families through the full
-    defining relation, with the literal-reading failures of the last one
-    reported as findings.
+    both exceptional families including the pinned-weight displays) on the
+    rows the module sweeps read (`_record_closed_forms`); caseII-beta and
+    caseII-betap run the mirror families through the full defining
+    relation, with the literal-reading failures of the last one reported
+    as findings.
     """
     window = int(window)
     p, q = ctx.p, ctx.q
-    J, P, Q = ctx.qint, ctx.ppow, ctx.qpow
+    J, P, Q = ctx.qint, ctx.ppow, ctx.qpow      # the pinned displays' values
+    Jp, Pp, Qp = _split_readers(ctx)            # the closed forms' parts
     rep = ResidualReport("family-consistency", {
         "window": window, **ctx.describe()})
 
     # case 1 and case 2 land back on the b = aq line
     for key, aval in (("case1", "5"), ("case1", "1/7"), ("case2", None)):
         a = ctx.scalar(aval) if aval is not None else -1 / (p + q)
-        rule = Mab(a, a * q)
+        A = ctx.parts(a)
         child = ResidualReport("line-formula", {"a": scalar_str(a)})
-        for n in (-2, -1, 0, 1, 2):
-            for j in range(-window, window + 1):
-                want = (P(-j) * J(j) - a * P(-j) * Q(j)
-                        - a * P(-j - n) * Q(j + 1) * J(n))
-                child.record("line-closed-form", (n, j),
-                             rule.coeff(ctx, n, j) - want)
+        _record_closed_forms(
+            ctx, child, "line-closed-form", Mab(a, a * q), (-2, -1, 0, 1, 2),
+            window, lambda n, j: [
+                (1, (Pp(-j), Jp(j))), (-1, (A, Pp(-j), Qp(j))),
+                (-1, (A, Pp(-j - n), Qp(j + 1), Jp(n)))])
         label = key if aval is None else "%s[a=%s]" % (key, aval)
         rep.merge_child(label, child)
 
@@ -334,14 +385,10 @@ def family_consistency(ctx, window):
         alpha = ctx.scalar(av)
         fam = ExcAlpha(alpha)
         child = ResidualReport("alpha-family", {"alpha": av})
-        for n in (-2, -1, 1, 2):
-            for j in range(-window, window + 1):
-                got = fam.coeff(ctx, n, j)
-                if j == -1:
-                    want = _alpha_display(ctx, n, alpha)
-                else:
-                    want = P(-n - j - 1) * J(n + j + 1)
-                child.record("alpha-closed-form", (n, j), got - want)
+        _record_closed_forms(
+            ctx, child, "alpha-closed-form", fam, (-2, -1, 1, 2), window,
+            lambda n, j: (_alpha_display(ctx, n, alpha) if j == -1 else
+                          [(1, (Pp(-n - j - 1), Jp(n + j + 1)))]))
         H = fam.coeff(ctx, 1, -1)
         child.record("pinned-raise-display", (2, -1),
                      fam.coeff(ctx, 2, -1)
@@ -356,14 +403,10 @@ def family_consistency(ctx, window):
         alphap = ctx.scalar(av)
         fam = ExcAlphaPrime(alphap)
         child = ResidualReport("alphap-family", {"alphap": av})
-        for n in (-2, -1, 1, 2):
-            for j in range(-window, window + 1):
-                got = fam.coeff(ctx, n, j)
-                if j == -n:
-                    want = _alphap_display(ctx, n, alphap)
-                else:
-                    want = P(-j) * J(j)
-                child.record("alphap-closed-form", (n, j), got - want)
+        _record_closed_forms(
+            ctx, child, "alphap-closed-form", fam, (-2, -1, 1, 2), window,
+            lambda n, j: (_alphap_display(ctx, n, alphap) if j == -n else
+                          [(1, (Pp(-j), Jp(j)))]))
         Hp = fam.coeff(ctx, 1, -1)
         child.record("pinned-raise-display", (2, -2),
                      fam.coeff(ctx, 2, -2)

@@ -26,7 +26,9 @@ reduced only where a report prints it, or where `find_intertwiner`
 returns h, which it propagates by parts.
 A sweep that rereads coefficients reads them through one `MemoRule`, which
 caches values and keeps each row as one list over a span of k, so a read
-over a range of k is one slice.
+over a range of k is one slice; the module sweep plans its reads, so each
+row it reads over one interval of k is filled by one call.  The submodule
+search holds the action graph as one bitmask of targets per index.
 
 Families:
 
@@ -37,7 +39,10 @@ Families:
 * betap(t)      -- mirror of alphap; its exceptional line is shipped in the
                    adjudicated reading (see `ExcBetaPrime`), the catalogued
                    variant is kept for audits
-* table(...)    -- explicit finite map, for counterexamples and fuzzing
+
+`TableRule`, an explicit finite map, is a rule for tests and benchmarks
+(counterexamples and fuzzing), not a family: `parse_family` does not
+accept it.
 """
 
 from __future__ import annotations
@@ -439,6 +444,30 @@ def _pair_numerators(ctx, rule, n, m, ks):
     return out
 
 
+def _read_ahead(ctx, memo, pairs):
+    """Read once, through memo, each row whose `range` reads by
+    `_pair_numerators` over pairs join into one interval of k.  That
+    interval holds exactly the entries those reads ask for, so the memo
+    computes nothing more, and each of the reads is then one slice.  A row
+    whose reads leave a gap, and every read over a list of ks, stay lazy."""
+    spans = {}      # row -> the set of its reads, each as (start, stop)
+    for n, m, ks in pairs:
+        if type(ks) is not range or ks.step != 1 or not ks:
+            continue
+        for row, s in ((m, 0), (n, m), (n, 0), (m, n), (n + m, 0)):
+            spans.setdefault(row, set()).add((ks.start + s, ks.stop + s))
+    for row, reads in spans.items():
+        reads = sorted(reads)
+        lo, hi = reads[0]
+        for start, stop in reads:
+            if start > hi:
+                break
+            if stop > hi:
+                hi = stop
+        else:
+            memo.parts_row(ctx, row, range(lo, hi))
+
+
 def _sweep_pairs(ctx, memo, rep, pairs):
     """Record the defining axiom on v_k for each (n, m, ks) in pairs.
 
@@ -448,7 +477,10 @@ def _sweep_pairs(ctx, memo, rep, pairs):
     k order as `module-relation` (n, m, k).  The axiom is antisymmetric,
     so a later (m, n) with the same ks records the negated residuals of
     (n, m) (the same exact values, so the same bytes) without a sweep.
+    The rows the pairs read are planned first (`_read_ahead`); a mirrored
+    pair would read the same entries as the pair it mirrors.
     """
+    _read_ahead(ctx, memo, pairs)
     pending = {}    # (n, m) -> its failures, until (m, n) is due
     for n, m, ks in pairs:
         if (m, n) in pending:
@@ -472,7 +504,8 @@ def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
     The sweep reads the rule through one `MemoRule`, so the parts of each
     c(n,k) are computed once, and judges each pair by numerators
     (`_sweep_pairs`), each unordered pair once.  The diagonal n = m is
-    computed; it alone reads c(2n, k).
+    swept and counted too, but its residual is zero for any rule: its
+    first two terms are equal and its third carries h(n) - h(n) = 0.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -498,17 +531,31 @@ def _row_window(n, window):
 def _edges(ctx, rule, window):
     """Directed action graph on indices |k| <= window (all n, not just ±1,±2):
     k -> k + n wherever c(n, k) has a nonzero numerator, one row per n.
-    Each row is read once, so no memo: an int numerator is tested as an
-    int, any other by `is_zero`."""
-    adj = {k: [] for k in range(-window, window + 1)}
+    Index k is bit k + window, and the result lists, for each index from
+    -window up, the bitmask of its targets.  Each row is read once, so no
+    memo: an int numerator is tested as an int, any other by `is_zero`."""
+    adj = [0] * (2 * window + 1)
     for n in range(-2 * window, 2 * window + 1):
         if n == 0:
             continue
         ks = _row_window(n, window)
         for k, (num, _) in zip(ks, rule.parts_row(ctx, n, ks)):
             if num if type(num) is int else not is_zero(num):
-                adj[k].append(k + n)
+                adj[k + window] |= 1 << (k + n + window)
     return adj
+
+
+def _reach(adj):
+    """The bitmask of indices each index reaches (itself included), by
+    Warshall's closure over the bit rows of `_edges`: once every row has
+    taken in row j wherever it reaches j, paths through 0..j are closed."""
+    reach = [mask | 1 << i for i, mask in enumerate(adj)]
+    for j, rj in enumerate(reach):
+        bit = 1 << j
+        for i, ri in enumerate(reach):
+            if ri & bit:
+                reach[i] = ri | rj
+    return reach
 
 
 SUBMODULE_CAP = 2 ** 12
@@ -521,33 +568,25 @@ def find_submodules(ctx, rule, window):
 
 def find_submodules_ex(ctx, rule, window):
     """(subsets, truncated).  Computes the set of indices each index reaches
-    under the action; indices with equal reach sets form one component, and
-    a set of components is closed exactly when it contains the reach of each
-    of its members.  Closed sets are enumerated by an include/exclude search
-    over the components, highest first: including one forces in its reach,
-    excluding one forces out everything that reaches it.  Every branch
-    left open still has a closed completion, so the time follows the number
-    of closed sets, and they come in increasing bitmask order.  Capped at
+    under the action (`_reach`, as bitmasks); indices with equal reach sets
+    form one component, and a set of components is closed exactly when it
+    contains the reach of each of its members.  Closed sets are enumerated
+    by an include/exclude search over the components, highest first:
+    including one forces in its reach, excluding one forces out everything
+    that reaches it.  Every branch left open still has a closed completion,
+    so the time follows the number of closed sets, and they come in
+    increasing bitmask order.  Capped at
     SUBMODULE_CAP results, the first that order meets; windows used here
     keep it far below the cap unless the rule has no edges at all.
     """
     window = int(window)
-    adj = _edges(ctx, rule, window)
-    reach = {}
-    for k in adj:
-        seen, todo = {k}, [k]
-        while todo:
-            for t in adj[todo.pop()]:
-                if t not in seen:
-                    seen.add(t)
-                    todo.append(t)
-        reach[k] = frozenset(seen)
     by_reach = {}
-    for k, r in reach.items():
-        by_reach.setdefault(r, []).append(k)
+    for i, r in enumerate(_reach(_edges(ctx, rule, window))):
+        by_reach.setdefault(r, []).append(i - window)
     comps = list(by_reach.values())
     nc = len(comps)
-    succ = [sum(1 << j for j, comp in enumerate(comps) if comp[0] in r)
+    succ = [sum(1 << j for j, comp in enumerate(comps)
+                if r >> (comp[0] + window) & 1)
             for r in by_reach]
     pred = [sum(1 << j for j in range(nc) if succ[j] >> i & 1)
             for i in range(nc)]

@@ -14,6 +14,7 @@ two_m = 2m, with the weight ladder two_m in {-two_l, -two_l+2, ..., two_l}.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .classify import XPolynomial
@@ -82,20 +83,35 @@ def k_eigenvalue(rep, two_m):
     return rep.omega * rep.q ** two_m
 
 
-def fe_coefficient(rep, two_m):
-    """Scalar of FE on the weight-two_m line: omega [l-m][l+m+1]."""
-    two_m = rep._check_weight(two_m)
-    lm = (rep.two_l - two_m) // 2
-    lp = (rep.two_l + two_m) // 2
-    return rep.omega * one_param_qint(rep.q, lm) * one_param_qint(rep.q, lp + 1)
+def _qint_table(rep):
+    """[n] as a function of n, for every n an audit of rep reads (the
+    ladder's l - m, l + m + 1 and the weights m), each computed once."""
+    table = {n: one_param_qint(rep.q, n)
+             for n in range(-rep.two_l, rep.two_l + 2)}
+    return table.__getitem__
 
 
-def ef_coefficient(rep, two_m):
-    """Scalar of EF on the weight-two_m line: omega [l+m][l-m+1]."""
+def _ladder(rep, two_m):
+    """(l - m, l + m) of the weight two_m."""
     two_m = rep._check_weight(two_m)
-    lm = (rep.two_l - two_m) // 2
-    lp = (rep.two_l + two_m) // 2
-    return rep.omega * one_param_qint(rep.q, lp) * one_param_qint(rep.q, lm + 1)
+    return (rep.two_l - two_m) // 2, (rep.two_l + two_m) // 2
+
+
+def fe_coefficient(rep, two_m, qint=None):
+    """Scalar of FE on the weight-two_m line: omega [l-m][l+m+1].  An
+    audit passes its `_qint_table` as qint; by default each [n] is
+    computed afresh."""
+    J = qint or functools.partial(one_param_qint, rep.q)
+    lm, lp = _ladder(rep, two_m)
+    return rep.omega * J(lm) * J(lp + 1)
+
+
+def ef_coefficient(rep, two_m, qint=None):
+    """Scalar of EF on the weight-two_m line: omega [l+m][l-m+1]; qint as
+    for `fe_coefficient`."""
+    J = qint or functools.partial(one_param_qint, rep.q)
+    lm, lp = _ladder(rep, two_m)
+    return rep.omega * J(lp) * J(lm + 1)
 
 
 def rep_relation_audit(rep):
@@ -106,19 +122,21 @@ def rep_relation_audit(rep):
     the two ends of the ladder.
     """
     q = rep.q
+    J = _qint_table(rep)
     rep_out = ResidualReport("uqsl2-relations", rep.describe())
     for two_m in rep.weights():
         k = k_eigenvalue(rep, two_m)
         rep_out.record("ef-fe-commutator", (two_m,),
-                       ef_coefficient(rep, two_m) - fe_coefficient(rep, two_m)
+                       ef_coefficient(rep, two_m, J)
+                       - fe_coefficient(rep, two_m, J)
                        - (k - k ** -1) / (q - q ** -1))
         if two_m + 2 <= rep.two_l:
             rep_out.record("k-ladder-ratio", (two_m,),
                            k_eigenvalue(rep, two_m + 2) - q ** 2 * k)
     rep_out.record("top-annihilation", (rep.two_l,),
-                   fe_coefficient(rep, rep.two_l))
+                   fe_coefficient(rep, rep.two_l, J))
     rep_out.record("bottom-annihilation", (-rep.two_l,),
-                   ef_coefficient(rep, -rep.two_l))
+                   ef_coefficient(rep, -rep.two_l, J))
     return rep_out
 
 
@@ -134,15 +152,16 @@ def quadratic_in_x_fit(rep):
         raise ValueError("x = q^{-m}[m] needs integer weights; two_l=%d "
                          "is odd" % rep.two_l)
     q = rep.q
+    J = _qint_table(rep)
     out = ResidualReport("uqsl2-x-quadratic", rep.describe())
     ms = [two_m // 2 for two_m in rep.weights()]
-    xs = {m: q ** -m * one_param_qint(q, m) for m in ms}
+    xs = {m: q ** -m * J(m) for m in ms}
     trivial = len(ms) <= 3
     out.section("trivial_fit", trivial)
 
     def scaled(kind, m):
         coeff = fe_coefficient if kind == "FE" else ef_coefficient
-        return q ** (-2 * m) * coeff(rep, 2 * m)
+        return q ** (-2 * m) * coeff(rep, 2 * m, J)
 
     for kind in ("FE", "EF"):
         nodes = ms[:3]

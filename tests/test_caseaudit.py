@@ -2,10 +2,12 @@
 constraint identities tying them together."""
 
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vpq import cli
 from vpq.caseaudit import (
     annihilator_spectrum,
     case1_constants,
@@ -20,7 +22,7 @@ from vpq.caseaudit import (
     quadratic_in_x_check,
 )
 from vpq.modules import ExcAlpha, ExcAlphaPrime, ExcBeta, ExcBetaPrime, Mab
-from vpq.scalar import ScalarContext, is_zero
+from vpq.scalar import ScalarContext, is_zero, scalar_str
 
 
 def test_annihilator_spectrum(ctx):
@@ -197,3 +199,28 @@ def test_family_consistency_sweep(ctx):
     assert d["counts"]["checked"] == 737
     # the only adjudication surfacing here is the betap bracket pair
     assert {f["id"] for f in d["findings"]} == {"betap-literal-reading"}
+
+
+@pytest.mark.parametrize("backend", ["numeric", "symbolic", "formal-pq"])
+def test_family_consistency_reads_the_swept_rows(backend, monkeypatch,
+                                                 capsys):
+    # a mutant whose rows shift the alpha family's h argument, with coeff
+    # unchanged: the closed forms are judged on the rows the module sweeps
+    # read, so the check fails, and so does the bundled suite; each failure
+    # reads as the value of the mutant's row entry less the closed form
+    ctx = {"numeric": ScalarContext.numeric(2, 3),
+           "symbolic": ScalarContext.symbolic("2", "3"),
+           "formal-pq": ScalarContext.symbolic()}[backend]
+    monkeypatch.setattr(ExcAlpha, "off", (1, 0))
+    rep = family_consistency(ctx, 2 if backend == "formal-pq" else 6)
+    assert rep.failed > 0
+    assert {f["identity"] for f in rep.failures} == {"alpha-closed-form"}
+    for fail in rep.failures[:6]:
+        n, j = fail["indices"]     # off the line, so alpha plays no part
+        got = ctx.join(*ExcAlpha(ctx.one).parts_row(ctx, n, [j])[0])
+        want = ctx.ppow(-n - j - 1) * ctx.qint(n + j + 1)
+        assert fail["residual"] == scalar_str(got - want)
+    if backend == "numeric":
+        bundled = resources.files("vpq").joinpath("data/acceptance_suite.json")
+        assert cli.main(["suite", "--config", str(bundled)]) == 1
+        assert "FAIL family-consistency" in capsys.readouterr().out

@@ -611,6 +611,43 @@ def test_verify_module_asks_each_coefficient_once():
     assert asked and len(asked) == len(set(asked))
 
 
+@pytest.mark.parametrize("pair_filter", ["all", "generators"])
+@pytest.mark.parametrize("backend", ["numeric", "formal-ab"])
+def test_range_sweep_reads_each_row_once(backend, pair_filter):
+    # the sweep plans its range reads, so the rule is asked for each row
+    # by one parts_row call, however many pairs read it
+    ctx = ScalarContext.numeric(2, 3) if backend == "numeric" else (
+        ScalarContext.symbolic("2", "3"))
+    a, b = ((Fraction(1, 3), Fraction(-2)) if backend == "numeric"
+            else (ctx.var("a"), ctx.var("b")))
+    rule = Mab(a, b)
+    calls = []
+    own = rule.parts_row
+
+    def counting(ctx, n, ks):
+        calls.append(n)
+        return own(ctx, n, ks)
+
+    rule.parts_row = counting
+    assert verify_module(ctx, rule, 4, 6, pair_filter).failed == 0
+    assert calls and len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("pair_filter", ["all", "generators"])
+def test_sweep_over_a_table_of_exactly_its_reads(ctx, pair_filter):
+    # a TableRule raises outside its entries: built on exactly the entries
+    # a sweep reads, the planned reads ask for none beyond them
+    a, b = Fraction(1, 3), Fraction(-2)
+    rule = _asking(Mab(a, b))
+    want = verify_module(ctx, rule, 3, 5, pair_filter)
+    table = TableRule({nk: rule.coeff(ctx, *nk) for nk in rule.asked}, 5)
+    got = verify_module(ctx, table, 3, 5, pair_filter)
+    assert got.failed == 0 and got.checked == want.checked
+    del table.entries[max(table.entries)]
+    with pytest.raises(ValueError, match="outside its window"):
+        verify_module(ctx, table, 3, 5, pair_filter)
+
+
 def _asking(rule):
     """rule, its parts_row noting the ks it is asked for in `rule.asked`;
     `rule.own` is the uncounted parts_row."""
@@ -1002,10 +1039,91 @@ def test_edges_match_the_pair_scan(backend):
     edges = 0
     for rule in rules:
         window = getattr(rule, "window", 8)
-        adj = modules._edges(ctx, rule, window)
+        adj = _decoded(modules._edges(ctx, rule, window), window)
         assert adj == _pair_scan_edges(ctx, rule, window), rule.describe()
         edges += sum(map(len, adj.values()))
     assert edges > 1000
+
+
+def _decoded(masks, window):
+    """`_edges`' bitmask per index as {k: [targets in increasing order]}."""
+    idx = range(-window, window + 1)
+    return {k: [t for t in idx if mask >> (t + window) & 1]
+            for k, mask in zip(idx, masks)}
+
+
+def _set_search(adj):
+    """The submodule search over sets: `find_submodules_ex` before its
+    graph became bitmasks, a reference for it.  adj is {k: [targets]}."""
+    reach = {}
+    for k in adj:
+        seen, todo = {k}, [k]
+        while todo:
+            for t in adj[todo.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    todo.append(t)
+        reach[k] = frozenset(seen)
+    by_reach = {}
+    for k, r in reach.items():
+        by_reach.setdefault(r, []).append(k)
+    comps = list(by_reach.values())
+    nc = len(comps)
+    succ = [sum(1 << j for j, comp in enumerate(comps) if comp[0] in r)
+            for r in by_reach]
+    pred = [sum(1 << j for j in range(nc) if succ[j] >> i & 1)
+            for i in range(nc)]
+    results = []
+    full = (1 << nc) - 1
+    truncated = False
+    todo = [(nc - 1, 0, 0)]
+    while todo:
+        i, inc, exc = todo.pop()
+        while i >= 0 and (inc | exc) >> i & 1:
+            i -= 1
+        if i >= 0:
+            todo.append((i - 1, inc | succ[i], exc))
+            todo.append((i - 1, inc, exc | pred[i]))
+            continue
+        if inc in (0, full):
+            continue
+        members = []
+        for i in range(nc):
+            if inc >> i & 1:
+                members.extend(comps[i])
+        results.append(sorted(members))
+        if len(results) >= SUBMODULE_CAP:
+            truncated = True
+            break
+    results.sort(key=lambda s: (len(s), s))
+    return results, truncated
+
+
+@pytest.mark.parametrize("backend", ["numeric", "symbolic"])
+def test_bitmask_search_matches_the_set_search(backend):
+    # random tables of every density, the five families at windows 3 and 8,
+    # the reducible Mab points and a table with no edges, which truncates
+    ctx = (ScalarContext.numeric(2, 3) if backend == "numeric"
+           else ScalarContext.symbolic("2", "3"))
+    rnd = random.Random(20261020)
+    rules = [(TableRule({nk: int(rnd.random() < density)
+                         for nk in _table_pairs(window)}, window), window)
+             for window in (1, 2, 3, 4, 5, 6)
+             for density in (0.05, 0.15, 0.3, 0.6)]
+    rules.append((TableRule({nk: 0 for nk in _table_pairs(6)}, 6), 6))
+    families = _family_rules(lambda i: ctx.scalar(_NUMERIC[i]))
+    families += [Mab(-ctx.hq(m), b) for m in (-2, 1, 3)
+                 for b in (-ctx.upow(m), ctx.zero)]
+    families += [ExcAlpha(ctx.zero), ExcAlphaPrime(ctx.zero)]
+    rules += [(rule, window) for rule in families for window in (3, 8)]
+    found = truncations = 0
+    for rule, window in rules:
+        got = find_submodules_ex(ctx, rule, window)
+        want = _set_search(_pair_scan_edges(ctx, rule, window))
+        assert got == want, (rule.describe(), window)
+        found += len(got[0])
+        truncations += got[1]
+    assert truncations >= 1 and found > SUBMODULE_CAP + 100
 
 
 def test_submodule_search_calls_no_coeff(ctx, monkeypatch):

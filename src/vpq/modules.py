@@ -402,6 +402,15 @@ def _shifted(ks, s):
     return [k + s for k in ks]
 
 
+def _pair_reads(read, ctx, n, m, ks):
+    """read(ctx, row, indices) of each coefficient row the residuals of
+    the pair (n, m) on v_k, k in ks, read: c(m,k), c(n,m+k), c(n,k),
+    c(m,n+k) and c(n+m,k)."""
+    return (read(ctx, m, ks), read(ctx, n, _shifted(ks, m)),
+            read(ctx, n, ks), read(ctx, m, _shifted(ks, n)),
+            read(ctx, n + m, ks))
+
+
 def _pair_numerators(ctx, rule, n, m, ks):
     """Numerators of the `relation_residual`s on v_k, k in ks, for the
     generator pair (n, m), over a common denominator.
@@ -419,11 +428,7 @@ def _pair_numerators(ctx, rule, n, m, ks):
     a2, b2 = ctx.split("upow", m)
     hm, dhm = ctx.split("hq", m)
     hn, dhn = ctx.split("hq", n)
-    row = rule.parts_row
-    # parts of c(m,k), c(n,m+k), c(n,k), c(m,n+k) and c(n+m,k)
-    rows = zip(row(ctx, m, ks), row(ctx, n, _shifted(ks, m)),
-               row(ctx, n, ks), row(ctx, m, _shifted(ks, n)),
-               row(ctx, n + m, ks))
+    rows = zip(*_pair_reads(rule.parts_row, ctx, n, m, ks))
     if rule._ring:
         # the factors that do not depend on k, folded once per pair
         k1 = ring_sum((a1, b2, dhm, dhn))
@@ -446,16 +451,18 @@ def _pair_numerators(ctx, rule, n, m, ks):
 
 def _read_ahead(ctx, memo, pairs):
     """Read once, through memo, each row whose `range` reads by
-    `_pair_numerators` over pairs join into one interval of k.  That
+    `_pair_reads` over pairs join into one interval of k.  That
     interval holds exactly the entries those reads ask for, so the memo
     computes nothing more, and each of the reads is then one slice.  A row
     whose reads leave a gap, and every read over a list of ks, stay lazy."""
     spans = {}      # row -> the set of its reads, each as (start, stop)
+
+    def note(ctx, row, ks):
+        spans.setdefault(row, set()).add((ks.start, ks.stop))
+
     for n, m, ks in pairs:
-        if type(ks) is not range or ks.step != 1 or not ks:
-            continue
-        for row, s in ((m, 0), (n, m), (n, 0), (m, n), (n + m, 0)):
-            spans.setdefault(row, set()).add((ks.start + s, ks.stop + s))
+        if type(ks) is range and ks.step == 1 and ks:
+            _pair_reads(note, ctx, n, m, ks)
     for row, reads in spans.items():
         reads = sorted(reads)
         lo, hi = reads[0]

@@ -14,7 +14,6 @@ two_m = 2m, with the weight ladder two_m in {-two_l, -two_l+2, ..., two_l}.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
 from .classify import XPolynomial
@@ -42,7 +41,10 @@ def one_param_qint(q, n):
 
 
 class Uqsl2Rep:
-    """Spin-two_l/2 representation data: sign omega, ladder size, parameter q."""
+    """Spin-two_l/2 representation data: sign omega, ladder size, parameter q.
+
+    `qint` holds [n] for every n the ladder reads (l - m, l + m + 1 and
+    the weights m), each computed once."""
 
     def __init__(self, omega, two_l, q):
         omega = int(omega)
@@ -57,6 +59,8 @@ class Uqsl2Rep:
         self.omega = omega
         self.two_l = two_l
         self.q = q
+        self.qint = {n: one_param_qint(q, n)
+                     for n in range(-two_l, two_l + 2)}
 
     def weights(self):
         """Doubled weights from lowest to highest."""
@@ -66,6 +70,9 @@ class Uqsl2Rep:
         two_m = int(two_m)
         if (two_m - self.two_l) % 2 != 0:
             raise ValueError("weight %d has wrong parity for two_l=%d"
+                             % (two_m, self.two_l))
+        if abs(two_m) > self.two_l:
+            raise ValueError("weight %d outside the ladder of two_l=%d"
                              % (two_m, self.two_l))
         return two_m
 
@@ -77,41 +84,23 @@ class Uqsl2Rep:
 def k_eigenvalue(rep, two_m):
     """K acts on the weight-two_m line by omega * q^{two_m}."""
     two_m = rep._check_weight(two_m)
-    if abs(two_m) > rep.two_l:
-        raise ValueError("weight %d outside the ladder of two_l=%d"
-                         % (two_m, rep.two_l))
     return rep.omega * rep.q ** two_m
 
 
-def _qint_table(rep):
-    """[n] as a function of n, for every n an audit of rep reads (the
-    ladder's l - m, l + m + 1 and the weights m), each computed once."""
-    table = {n: one_param_qint(rep.q, n)
-             for n in range(-rep.two_l, rep.two_l + 2)}
-    return table.__getitem__
-
-
-def _ladder(rep, two_m):
-    """(l - m, l + m) of the weight two_m."""
+def fe_coefficient(rep, two_m):
+    """Scalar of FE on the weight-two_m line: omega [l-m][l+m+1]."""
     two_m = rep._check_weight(two_m)
-    return (rep.two_l - two_m) // 2, (rep.two_l + two_m) // 2
+    lm = (rep.two_l - two_m) // 2
+    lp = (rep.two_l + two_m) // 2
+    return rep.omega * rep.qint[lm] * rep.qint[lp + 1]
 
 
-def fe_coefficient(rep, two_m, qint=None):
-    """Scalar of FE on the weight-two_m line: omega [l-m][l+m+1].  An
-    audit passes its `_qint_table` as qint; by default each [n] is
-    computed afresh."""
-    J = qint or functools.partial(one_param_qint, rep.q)
-    lm, lp = _ladder(rep, two_m)
-    return rep.omega * J(lm) * J(lp + 1)
-
-
-def ef_coefficient(rep, two_m, qint=None):
-    """Scalar of EF on the weight-two_m line: omega [l+m][l-m+1]; qint as
-    for `fe_coefficient`."""
-    J = qint or functools.partial(one_param_qint, rep.q)
-    lm, lp = _ladder(rep, two_m)
-    return rep.omega * J(lp) * J(lm + 1)
+def ef_coefficient(rep, two_m):
+    """Scalar of EF on the weight-two_m line: omega [l+m][l-m+1]."""
+    two_m = rep._check_weight(two_m)
+    lm = (rep.two_l - two_m) // 2
+    lp = (rep.two_l + two_m) // 2
+    return rep.omega * rep.qint[lp] * rep.qint[lm + 1]
 
 
 def rep_relation_audit(rep):
@@ -122,21 +111,19 @@ def rep_relation_audit(rep):
     the two ends of the ladder.
     """
     q = rep.q
-    J = _qint_table(rep)
     rep_out = ResidualReport("uqsl2-relations", rep.describe())
     for two_m in rep.weights():
         k = k_eigenvalue(rep, two_m)
         rep_out.record("ef-fe-commutator", (two_m,),
-                       ef_coefficient(rep, two_m, J)
-                       - fe_coefficient(rep, two_m, J)
+                       ef_coefficient(rep, two_m) - fe_coefficient(rep, two_m)
                        - (k - k ** -1) / (q - q ** -1))
         if two_m + 2 <= rep.two_l:
             rep_out.record("k-ladder-ratio", (two_m,),
                            k_eigenvalue(rep, two_m + 2) - q ** 2 * k)
     rep_out.record("top-annihilation", (rep.two_l,),
-                   fe_coefficient(rep, rep.two_l, J))
+                   fe_coefficient(rep, rep.two_l))
     rep_out.record("bottom-annihilation", (-rep.two_l,),
-                   ef_coefficient(rep, -rep.two_l, J))
+                   ef_coefficient(rep, -rep.two_l))
     return rep_out
 
 
@@ -152,16 +139,15 @@ def quadratic_in_x_fit(rep):
         raise ValueError("x = q^{-m}[m] needs integer weights; two_l=%d "
                          "is odd" % rep.two_l)
     q = rep.q
-    J = _qint_table(rep)
     out = ResidualReport("uqsl2-x-quadratic", rep.describe())
     ms = [two_m // 2 for two_m in rep.weights()]
-    xs = {m: q ** -m * J(m) for m in ms}
+    xs = {m: q ** -m * rep.qint[m] for m in ms}
     trivial = len(ms) <= 3
     out.section("trivial_fit", trivial)
 
     def scaled(kind, m):
         coeff = fe_coefficient if kind == "FE" else ef_coefficient
-        return q ** (-2 * m) * coeff(rep, 2 * m, J)
+        return q ** (-2 * m) * coeff(rep, 2 * m)
 
     for kind in ("FE", "EF"):
         nodes = ms[:3]

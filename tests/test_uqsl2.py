@@ -76,6 +76,26 @@ def test_weight_parity_is_enforced():
         fe_coefficient(rep, 1)  # odd weight on an even ladder
 
 
+def test_weights_outside_the_ladder_are_rejected():
+    rep = Uqsl2Rep(1, 4, 2)
+    for f in (fe_coefficient, ef_coefficient, k_eigenvalue):
+        for two_m in (-6, 6):
+            with pytest.raises(ValueError, match="outside the ladder"):
+                f(rep, two_m)
+
+
+@given(st.sampled_from([1, -1]), st.integers(0, 8), good_q)
+@settings(max_examples=60)
+def test_ladder_scalars_are_products_of_qints(omega, two_l, q):
+    rep = Uqsl2Rep(omega, two_l, q)
+    for two_m in rep.weights():
+        lm, lp = (two_l - two_m) // 2, (two_l + two_m) // 2
+        assert fe_coefficient(rep, two_m) == (
+            omega * one_param_qint(q, lm) * one_param_qint(q, lp + 1))
+        assert ef_coefficient(rep, two_m) == (
+            omega * one_param_qint(q, lp) * one_param_qint(q, lm + 1))
+
+
 def test_fe_coefficient_value():
     rep = Uqsl2Rep(1, 4, 2)
     assert fe_coefficient(rep, 0) == Fraction(105, 8)  # [2][3] at q=2

@@ -24,9 +24,11 @@ deformation of mab by the closed forms at F and G is checked as a module.
 
 from __future__ import annotations
 
+import math
+
 from .modules import Mab, MemoRule, _sweep_pairs
 from .report import ResidualReport
-from .scalar import VARS, is_zero, ring_sum, scalar_str
+from .scalar import VARS, Poly, is_zero, ring_sum, scalar_str
 
 DEGREE_NEG_INF = "-inf"
 
@@ -500,8 +502,9 @@ def identity_audit(ctx, a, b):
 # A residual's numerator and denominator are built from the parts of the
 # rule's rows and of the cached u^{3j}, F and G.  A failure or a finding is
 # reduced by `ctx.join` from those same parts, so it prints as the value
-# arithmetic would.  A part is an int or a Poly, so every numerator and
-# denominator is one `ring_sum`, written as its list of factors.
+# arithmetic would.  Each audit tests once (`_ring`) whether its parts are
+# all ints: then every numerator and denominator is an int expression,
+# else one `ring_sum`, written as its list of factors.
 
 def _residual(ctx, num, den):
     """The residual num/den: the context's zero when num is zero, else
@@ -514,10 +517,19 @@ def _rows(ctx, rule, ns, ks):
     return {n: dict(zip(ks, rule.parts_row(ctx, n, ks))) for n in ns}
 
 
-def _product(*xs):
+def _ring(ctx, a, b):
+    """Whether the parts a sweep of mab(a, b) reads under ctx may be Polys:
+    at formal p, q, or where a or b is not constant.  Otherwise every part
+    derived from a, b and the context's cached values is an int."""
+    return ctx.formal or Poly in set(map(type, ctx.parts(a) + ctx.parts(b)))
+
+
+def _product(ring, *xs):
     """Parts of the product of scalars given by their parts."""
     nums, dens = zip(*xs)
-    return ring_sum(nums), ring_sum(dens)
+    if ring:
+        return ring_sum(nums), ring_sum(dens)
+    return math.prod(nums), math.prod(dens)
 
 
 class _Deformed(Mab):
@@ -541,15 +553,20 @@ class _Deformed(Mab):
         far = super().parts_row(ctx, s, [k - 2 * s for k in ks])
         near = super().parts_row(ctx, s, [k - s for k in ks])
         kn, kd = ctx.parts(self.const[n])
+        ring = _ring(ctx, self.a, self.b)
         out = []
         for k, (bn, bd), x, y in zip(ks, row, far, near):
-            dn, dd = _product(x, y)
+            dn, dd = _product(ring, x, y)
             if is_zero(dn):
                 raise ValueError("the closed form in row %d has a zero "
                                  "denominator at k=%d" % (n, k))
             un, ud = ctx.split("upow", 3 * k)
-            out.append((ring_sum((bn, ud, kd, dn), (un, kn, dd, bd)),
-                        ring_sum((bd, ud, kd, dn))))
+            if ring:
+                out.append((ring_sum((bn, ud, kd, dn), (un, kn, dd, bd)),
+                            ring_sum((bd, ud, kd, dn))))
+                continue
+            z = ud * kd * dn
+            out.append((bn * z + un * kn * dd * bd, bd * z))
         return out
 
 
@@ -614,23 +631,30 @@ def _vanishing_denominator(j, vanishes):
     return None
 
 
-def _display(coeff, u, const, w):
+def _display(ring, coeff, u, const, w):
     """Parts of (A - U·K)/D - W: a ±2 coefficient A/D less its closed form
     U·K/D and its rule value W.  coeff = (D, A), the parts of the products
     of its denominators and of its numerators; u, const and w are the parts
     of u^{3j}, K and W.  The coefficient and its closed form share D, so D
     enters the denominator once."""
     ((dn, dd), (an, ad)), (un, ud), (kn, kd), (wn, wd) = coeff, u, const, w
-    return (ring_sum((dd, wd, ud, kd, an), (-1, ad, ud, kd, wn, dn),
-                     (-1, dd, un, ad, wd, kn)),
-            ring_sum((ad, wd, ud, kd, dn)))
+    if ring:
+        return (ring_sum((dd, wd, ud, kd, an), (-1, ad, ud, kd, wn, dn),
+                         (-1, dd, un, ad, wd, kn)),
+                ring_sum((ad, wd, ud, kd, dn)))
+    z = ad * ud * kd
+    return (dd * wd * (ud * kd * an - un * ad * kn) - z * wn * dn,
+            z * wd * dn)
 
 
-def _gauge(top, bottom, x, y):
+def _gauge(ring, top, bottom, x, y):
     """Parts of top/bottom - X·Y, for X and Y given by their parts."""
     (xn, xd), (yn, yd) = x, y
-    return (ring_sum((xd, yd, top), (-1, xn, yn, bottom)),
-            ring_sum((xd, yd, bottom)))
+    if ring:
+        return (ring_sum((xd, yd, top), (-1, xn, yn, bottom)),
+                ring_sum((xd, yd, bottom)))
+    z = xd * yd
+    return z * top - xn * yn * bottom, z * bottom
 
 
 def l2_display_audit(ctx, a, b, jmax):
@@ -659,6 +683,7 @@ def l2_display_audit(ctx, a, b, jmax):
     second = _rows(ctx, Mab(a, b * ctx.qint(-2) / ctx.qint(2)), (2,),
                    range(-jmax - 2, jmax - 1))[2]
     fp, gp = ctx.parts(F), ctx.parts(G)
+    ring = _ring(ctx, a, b)
     l2 = {}     # j -> c2 and cm2, each as (denominators, numerators)
     for j in range(-jmax, jmax + 3):
         bad = _vanishing_denominator(j, lambda n, k: is_zero(c[n][k][0]))
@@ -666,10 +691,10 @@ def l2_display_audit(ctx, a, b, jmax):
             if j <= jmax:
                 rep.note("skipped j=%d: %s" % (j, bad))
             continue
-        l2[j] = ((_product(c[-1][j + 2], c[-1][j + 1]),
-                  _product(c[1][j], c[1][j + 1], c[-2][j + 2])),
-                 (_product(c[1][j - 2], c[1][j - 1]),
-                  _product(c[-1][j], c[-1][j - 1], c[2][j - 2])))
+        l2[j] = ((_product(ring, c[-1][j + 2], c[-1][j + 1]),
+                  _product(ring, c[1][j], c[1][j + 1], c[-2][j + 2])),
+                 (_product(ring, c[1][j - 2], c[1][j - 1]),
+                  _product(ring, c[-1][j], c[-1][j - 1], c[2][j - 2])))
     if not any(j in l2 for j in range(-jmax, jmax + 1)):
         raise ValueError(_checks_nothing("l2-display", a, b, jmax))
     variant_hits = 0
@@ -679,11 +704,12 @@ def l2_display_audit(ctx, a, b, jmax):
         c2, cm2 = l2[j]
         u = ctx.split("upow", 3 * j)
         rep.record("c2-display", (j,), _residual(
-            ctx, *_display(c2, u, fp, c[2][j])))
+            ctx, *_display(ring, c2, u, fp, c[2][j])))
         rep.record("cm2-display", (j,), _residual(
-            ctx, *_display(cm2, u, gp, c[-2][j])))
-        given = _display((cm2[0], _product(first[j], c[-1][j - 1],
-                                           second[j - 2])), u, gp, c[-2][j])
+            ctx, *_display(ring, cm2, u, gp, c[-2][j])))
+        given = _display(ring, (cm2[0], _product(ring, first[j], c[-1][j - 1],
+                                                 second[j - 2])),
+                         u, gp, c[-2][j])
         if not is_zero(given[0]):
             rep.finding(
                 "cm2-display-reading",
@@ -694,10 +720,11 @@ def l2_display_audit(ctx, a, b, jmax):
             # c2(j)·cm2(j+2) = top/bottom against c(2,j)·c(-2,j+2) of
             # the partner, and of the variant partner
             ((dn, dd), (an, ad)), ((dn2, dd2), (an2, ad2)) = c2, l2[j + 2][1]
-            top, bottom = _product((an, ad), (dd, dn), (an2, ad2), (dd2, dn2))
+            top, bottom = _product(ring, (an, ad), (dd, dn), (an2, ad2),
+                                   (dd2, dn2))
             rep.record("gauge-product", (j,), _residual(ctx, *_gauge(
-                top, bottom, partner[2][j], partner[-2][j + 2])))
-            if is_zero(_gauge(top, bottom, variant[2][j],
+                ring, top, bottom, partner[2][j], partner[-2][j + 2])))
+            if is_zero(_gauge(ring, top, bottom, variant[2][j],
                               variant[-2][j + 2])[0]):
                 variant_hits += 1
     rep.section("variant_partner_matches", variant_hits)

@@ -288,8 +288,11 @@ def ring_sum(*products):
 
     In each product the int factors and one-term Polys fold into one
     coefficient and one monomial shift.  The other factors are multiplied
-    term by term, the last one straight into one accumulating dict, so no
-    intermediate Poly is built, and zero sums are dropped once, at the end.
+    term by term, the last two straight into one accumulating dict (the
+    3-term by 3-term product is the common shape): each partial key of
+    the penultimate factor is checked against the guard bits before a
+    key of the last is added to it, so no intermediate Poly is built, and
+    zero sums are dropped once, at the end.
     The sum is an int when no factor is a Poly and a Poly otherwise.  A
     product with a zero factor adds nothing; every term of any other is
     checked against ``_EMAX`` before zeros are dropped, so a product whose
@@ -322,8 +325,14 @@ def ring_sum(*products):
         if not multi:
             acc[shift] = acc.get(shift, 0) + c
             continue
-        terms = {shift: c}
         last = multi.pop()
+        if not multi:
+            for e2, c2 in last.items():
+                e = shift + e2
+                acc[e] = acc.get(e, 0) + c * c2
+            continue
+        terms = {shift: c}
+        pen = multi.pop()
         for t in multi:
             out = {}
             for e1, c1 in terms.items():
@@ -333,10 +342,16 @@ def ring_sum(*products):
             if reduce(or_, out, 0) & _GUARD:
                 raise _overflow()
             terms = out
-        for e1, c1 in terms.items():
-            for e2, c2 in last.items():
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
+        for e0, c0 in terms.items():
+            for e1, c1 in pen.items():
+                e01 = e0 + e1
+                # checked before the third field is summed onto it
+                if e01 & _GUARD:
+                    raise _overflow()
+                c01 = c0 * c1
+                for e2, c2 in last.items():
+                    e = e01 + e2
+                    acc[e] = acc.get(e, 0) + c01 * c2
     if not ring:
         return acc.get(_ZEXP, 0)
     # fields below the guard bit sum without a carry, so a guard bit left
@@ -599,6 +614,14 @@ class RationalFunction:
 
     Normal form: gcd(num, den) = 1 and the denominator's lex leading
     coefficient is positive.  Equal values therefore have equal components.
+
+    ``+`` and ``*`` keep the normal form without reducing their result:
+    they cancel gcds of the operands' parts (Henrici, JACM 1956).  Where
+    both denominators are constant, as for every value at a rational
+    point, those gcds are ``math.gcd`` of ints: a constant d divides a
+    Poly exactly when it divides its content, and content is
+    multiplicative (Gauss's lemma), so no ``poly_gcd`` is called.  ``-``,
+    ``/`` and int or Fraction operands reach the same paths.
     """
 
     __slots__ = ("num", "den")
@@ -649,7 +672,32 @@ class RationalFunction:
             return o
         if o.is_zero():
             return self
-        if self.den.terms == o.den.terms:
+        d1, d2 = self.den.terms, o.den.terms
+        if len(d1) == len(d2) == 1 and _ZEXP in d1 and _ZEXP in d2:
+            # constant denominators: Henrici's reduction on ints.  With
+            # g = gcd(d1, d2), a/d1 + b/d2 = (a·d2/g + b·d1/g)/(d1·d2/g),
+            # and only gcd(g, content of that numerator) can cancel.
+            d1, d2 = d1[_ZEXP], d2[_ZEXP]
+            g = math.gcd(d1, d2)
+            s1, s2 = d2 // g, d1 // g
+            t = ({e: c * s1 for e, c in self.num.terms.items()} if s1 != 1
+                 else dict(self.num.terms))
+            for e, c in o.num.terms.items():
+                x = t.get(e, 0) + c * s2
+                if x:
+                    t[e] = x
+                else:
+                    del t[e]
+            if not t:
+                return _rf_const(0)
+            h = math.gcd(g, *t.values())
+            if h != 1:
+                t = {e: c // h for e, c in t.items()}
+            num = Poly.__new__(Poly)
+            num.terms = t
+            return RationalFunction(num, Poly({_ZEXP: s1 * d1 // h}),
+                                    _reduced=True)
+        if d1 == d2:
             # a/d + b/d: only gcd(a + b, d) can cancel.  Reduced summands
             # with a zero sum always share d, so every zero sum ends here.
             num = self.num + o.num
@@ -700,6 +748,23 @@ class RationalFunction:
             return NotImplemented
         if self.is_zero() or o.is_zero():
             return _rf_const(0)
+        d1, d2 = self.den.terms, o.den.terms
+        if len(d1) == len(d2) == 1 and _ZEXP in d1 and _ZEXP in d2:
+            # constant denominators: n1/d1 · n2/d2 cancels only
+            # gcd(content(n1), d2) and gcd(content(n2), d1), and content
+            # is multiplicative (Gauss), so the product is reduced
+            d1, d2 = d1[_ZEXP], d2[_ZEXP]
+            n1, n2 = self.num, o.num
+            g1 = math.gcd(d2, *n1.terms.values())
+            g2 = math.gcd(d1, *n2.terms.values())
+            if g1 != 1:
+                n1 = Poly.__new__(Poly)
+                n1.terms = {e: c // g1 for e, c in self.num.terms.items()}
+            if g2 != 1:
+                n2 = Poly.__new__(Poly)
+                n2.terms = {e: c // g2 for e, c in o.num.terms.items()}
+            den = Poly({_ZEXP: d1 // g2 * (d2 // g1)})
+            return RationalFunction(n1 * n2, den, _reduced=True)
         g1 = poly_gcd(self.num, o.den)
         g2 = poly_gcd(o.num, self.den)
         n1, d2 = self.num, o.den
@@ -797,14 +862,18 @@ def is_zero(x):
     with an ``is_zero`` method); the only passing residual is this zero.
     Anything else, such as a float, is no exact scalar and raises
     TypeError."""
-    # int first: the kernels test int numerators, and an isinstance test
-    # of an int against Fraction goes through ABCMeta.__instancecheck__
-    if isinstance(x, (int, Fraction)):
+    # exact types first: the kernels test int and Poly numerators, and an
+    # isinstance test against Fraction goes through
+    # ABCMeta.__instancecheck__; subclasses (bool, say) take the slow road
+    t = type(x)
+    if t is int or t is Fraction:
         return x == 0
     test = getattr(x, "is_zero", None)
-    if test is None:
-        raise TypeError("not an exact scalar: %r" % (x,))
-    return test()
+    if test is not None:
+        return test()
+    if isinstance(x, (int, Fraction)):
+        return x == 0
+    raise TypeError("not an exact scalar: %r" % (x,))
 
 
 def _ground(f):

@@ -19,6 +19,7 @@ import sympy
 
 from vpq import cli, scalar, suite
 from vpq.algebra import hom_jacobi_residual, skew_residual, verify_algebra
+from vpq.classify import identity_audit, l2_display_audit
 from vpq.modules import ExcBetaPrime, Mab, relation_residual, verify_module
 from vpq.scalar import (
     _EMAX,
@@ -230,6 +231,85 @@ def test_rf_eval_is_a_homomorphism(a):
     assert b.eval(pt) == av * av + av
 
 
+# -- constant denominators, as every value at a rational point has ----------
+
+const_den_rfs = st.builds(
+    lambda terms, d: RationalFunction(_poly_from(terms), Poly.const(d)),
+    poly_terms, st.integers(1, 12))
+
+
+def _unreduced_parts(x):
+    if isinstance(x, RationalFunction):
+        return x.num, x.den
+    return Poly.const(x.numerator), Poly.const(x.denominator)
+
+
+@given(const_den_rfs, st.one_of(const_den_rfs, st.integers(-6, 6),
+                                small_fractions))
+@settings(max_examples=80, deadline=None)
+@example(RationalFunction(Poly.const(1), Poly.const(6)), Fraction(-1, 6))
+@example(RationalFunction(_poly_from([(4, 1, 0), (2, 0, 0)]), Poly.const(3)),
+         RationalFunction(_poly_from([(3, 0, 1)]), Poly.const(8)))
+def test_constant_denominators_reduce_as_the_unreduced_quotient(x, y):
+    # the int gcd path gives the normal form RationalFunction builds from
+    # the unreduced parts by poly_gcd, and the value sympy's cancel gives,
+    # whichever side an int or a Fraction operand is on
+    (xn, xd), (yn, yd) = _unreduced_parts(x), _unreduced_parts(y)
+    cases = [(x + y, xn * yd + yn * xd, xd * yd),
+             (y + x, xn * yd + yn * xd, xd * yd),
+             (x - y, xn * yd - yn * xd, xd * yd),
+             (y - x, yn * xd - xn * yd, xd * yd),
+             (x * y, xn * yn, xd * yd),
+             (y * x, xn * yn, xd * yd)]
+    if not yn.is_zero():
+        cases.append((x / y, xn * yd, xd * yn))
+    if not xn.is_zero():
+        cases.append((y / x, yn * xd, yd * xn))
+    for got, num, den in cases:
+        want = RationalFunction(num, den)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert sympy.cancel(_to_sympy(got.num) / _to_sympy(got.den)
+                            - _to_sympy(num) / _to_sympy(den)) == 0
+
+
+def test_rf_ops_at_a_point_call_no_poly_gcd(monkeypatch):
+    # with formal a, b at (2,3) every denominator is constant, so the
+    # audits' RationalFunction ops reduce by int gcds alone; a gcd in
+    # RationalFunction(...) itself, as ctx.join builds, is not an op
+    ctx = ScalarContext.symbolic("2", "3")
+    a, b = ctx.var("a"), ctx.var("b")
+    depth, ops, gcds = [0], [], []
+
+    def op(real):
+        def wrapper(*args):
+            ops.append(1)
+            depth[0] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    def gcd(f, g):
+        gcds.append(depth[0] > 0)
+        return real_gcd(f, g)
+
+    real_gcd = scalar.poly_gcd
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(RationalFunction, name,
+                            op(vars(RationalFunction)[name]))
+    monkeypatch.setattr(scalar, "poly_gcd", gcd)
+    identity_audit(ctx, a, b)
+    l2_display_audit(ctx, a, b, 6)
+    audits = (len(ops), gcds.count(True))
+    del gcds[:]
+    (a + 1) / (b - 2) + a / b     # control: non-constant denominators
+    monkeypatch.undo()
+    assert audits[0] > 500 and audits[1] == 0
+    assert any(gcds)
+
+
 def test_parse_rational_accepts_fraction_strings():
     assert parse_rational("2/4") == Fraction(1, 2)
     assert parse_rational("-7") == Fraction(-7)
@@ -314,6 +394,18 @@ def test_is_zero_is_exact_on_both_backends(sym):
     assert not is_zero(Fraction(1, 10 ** 30))
     assert not is_zero(sym.qint(2))
     assert is_zero(sym.qint(2) - sym.p - sym.q)
+    # exact types take the fast road, their subclasses the isinstance one
+
+    class Int(int):
+        pass
+
+    class Frac(Fraction):
+        pass
+
+    assert is_zero(False) and not is_zero(True)
+    assert is_zero(Int(0)) and not is_zero(Int(-4))
+    assert is_zero(Frac(0, 3)) and not is_zero(Frac(1, 3))
+    assert is_zero(Poly()) and not is_zero(Poly.var("p"))
     # a float residual such as -2.8e-17 is rounding, not an exact scalar
     for bad in (0.0, 0.3, -2.7755575615628914e-17, Fraction(2) - 0.5,
                 "0", None):
@@ -574,8 +666,18 @@ def _passes_emax(factors):
                > _EMAX for i in range(len(VARS)))
 
 
+_P, _Q, _A, _B = map(Poly.var, ("p", "q", "a", "b"))
+
+
 @given(st.lists(st.lists(ring_factors, max_size=5).map(tuple), max_size=4))
 @settings(max_examples=150, derandomize=True, deadline=None)
+# products with 0, 1, 2 and 3 multi-term factors: the last two go straight
+# into the sum, and a third is multiplied out first
+@example([(3, _P, -2), (5, _Q * _A)])
+@example([(2, _P + _Q, _B), (-1, _Q, _P + _Q * _A)])
+@example([(_P + _Q, -3, _A - _B), (_A - _B, _Q + _P), (7, _P * _Q)])
+@example([(_P + _Q + _A, _A, _B - _Q, _P - _A * _B),
+          (-1, _B - _Q, _P + _Q + _A, _P * _A - _A * _A * _B)])
 def test_ring_sum_matches_the_poly_operators(products):
     got = scalar.ring_sum(*products)
     want = _by_operators(products)
@@ -613,7 +715,13 @@ def test_ring_sum_raises_on_a_term_that_cancels_and_on_a_carry():
             ((3, top, q, top, b),),
             ((top, top, top),),
             # and so would every term of the two multi-term factors
-            ((top, top + top * q, b ** 2 + b ** 2 * q),)):
+            ((top, top + top * q, b ** 2 + b ** 2 * q),),
+            # the partial key b^32767·b^32767 of the penultimate factor
+            # sets the guard bit, which b^2 would carry away, and the two
+            # products cancel
+            ((top, top + q, b ** 2 + p), (-1, top, top + q, b ** 2 + p)),
+            ((top + q, top + p, b ** 2 + q),
+             (-1, top + q, top + p, b ** 2 + q))):
         with pytest.raises(ValueError, match="exponent above 32767"):
             scalar.ring_sum(*products)
 

@@ -215,6 +215,12 @@ def verify_algebra(ctx, window):
     `record_zeros` call.  Only a nonzero numerator is reduced, by
     `skew_residual` or `hom_jacobi_residual` at its indices, so a failure
     reads as the exact residual element, in index order.
+
+    A triple k <= l <= m with k == l or l == m is counted as zero without
+    a numerator once the skew sweep has recorded no failure: skew symmetry
+    over the same window gives eta(y,z) = -eta(z,y) and eta(x,x) = 0, so
+    two of its cyclic terms cancel and the third is zero, in both
+    coefficients.  If skew symmetry fails, every triple is computed.
     """
     rep = ResidualReport("verify-algebra", {
         "window": int(window), **ctx.describe()})
@@ -231,10 +237,14 @@ def verify_algebra(ctx, window):
                            str(skew_residual(ctx, n, m)))
     cocycle = []
     zero_text = scalar_str(ctx.zero)
+    skew = rep.failed == 0
     for k in range(-w, w + 1):
         for l in range(k, w + 1):
             for m in range(l, w + 1):
-                gen, central = _hom_jacobi_numerators(sc, k, l, m)
+                if skew and (k == l or l == m):
+                    gen, central = 0, None if k + l + m else 0
+                else:
+                    gen, central = _hom_jacobi_numerators(sc, k, l, m)
                 residual = None
                 if is_zero(gen):
                     zeros += 1

@@ -47,6 +47,8 @@ accept it.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .report import ResidualReport
 from .scalar import Poly, is_zero, parse_rational, ring_sum, scalar_str
 
@@ -181,8 +183,13 @@ class Mab(CoefficientRule):
         """c(n,k) = h(k) - u^k A_n with A_n = a + b h(n), all from parts:
         A_n's from those of a, b and the cached h(n) (an int expression
         when every part is an int, else one `ring_sum`), then each entry
-        from A_n's and the cached parts of h(k) and u^k (`ctx.split`).  A
-        row reduces nothing: no gcd and no Fraction or RationalFunction."""
+        from A_n's and the cached parts of h(k) and u^k (`ctx.split`).  At
+        a point those two denominators hd, ud are ints, and the entry is
+        (h(k) - u^k A_n) over L·Ad with L = lcm(hd, ud), from one
+        `math.gcd`, so its coefficients are narrower than over hd·ud·Ad;
+        at formal p, q they are monomials, and the entry is over their
+        product.  A row reduces nothing: no Poly gcd and no Fraction or
+        RationalFunction."""
         split = ctx.split
         an, ad = ctx.parts(self.a)
         bn, bd = ctx.parts(self.b)
@@ -199,12 +206,16 @@ class Mab(CoefficientRule):
         for k in ks:
             hn, hd = split("hq", k)
             un, ud = split("upow", k)
-            if ring:
+            if ctx.formal:
                 out.append((ring_sum((hn, ud, Ad), (-1, un, hd, An)),
                             ring_sum((hd, ud, Ad))))
                 continue
-            x = ud * Ad
-            out.append((hn * x - un * hd * An, hd * x))
+            g = gcd(hd, ud)
+            hn, un, L = hn * (ud // g), un * (hd // g), hd // g * ud
+            if ring:
+                out.append((ring_sum((hn, Ad), (-un, An)), ring_sum((L, Ad))))
+            else:
+                out.append((hn * Ad - un * An, L * Ad))
         return out
 
     def params(self):
@@ -482,15 +493,21 @@ def _sweep_pairs(ctx, memo, rep, pairs):
     `MemoRule` memo).  Its zeros are counted with one `record_zeros` call;
     only a nonzero one is reduced, by `relation_residual`, and recorded in
     k order as `module-relation` (n, m, k).  The axiom is antisymmetric,
-    so a later (m, n) with the same ks records the negated residuals of
-    (n, m) (the same exact values, so the same bytes) without a sweep.
-    The rows the pairs read are planned first (`_read_ahead`); a mirrored
-    pair would read the same entries as the pair it mirrors.
+    R(n,m,k) = -R(m,n,k) for any rule, so a later (m, n) with the same ks
+    records the negated residuals of (n, m) (the same exact values, so the
+    same bytes) without a sweep, and a diagonal pair (n, n), its own
+    mirror, is zero: it reads its rows, so an entry the rule cannot give
+    still raises, and forms no numerator.  The rows the pairs read are
+    planned first (`_read_ahead`); a mirrored pair would read the same
+    entries as the pair it mirrors.
     """
     _read_ahead(ctx, memo, pairs)
     pending = {}    # (n, m) -> its failures, until (m, n) is due
     for n, m, ks in pairs:
-        if (m, n) in pending:
+        if n == m:
+            _pair_reads(memo.parts_row, ctx, n, m, ks)
+            failures = {}
+        elif (m, n) in pending:
             failures = {k: -r for k, r in pending.pop((m, n)).items()}
         else:
             nums = _pair_numerators(ctx, memo, n, m, ks)
@@ -510,9 +527,10 @@ def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):
 
     The sweep reads the rule through one `MemoRule`, so the parts of each
     c(n,k) are computed once, and judges each pair by numerators
-    (`_sweep_pairs`), each unordered pair once.  The diagonal n = m is
-    swept and counted too, but its residual is zero for any rule: its
-    first two terms are equal and its third carries h(n) - h(n) = 0.
+    (`_sweep_pairs`), each unordered pair n != m once.  The diagonal
+    n = m is counted as zero without a numerator, since its residual is
+    zero for any rule: its first two terms are equal and its third carries
+    h(n) - h(n) = 0; its coefficient reads are still made.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")

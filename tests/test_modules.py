@@ -534,11 +534,14 @@ def test_verify_module_computes_each_pair_once(ctx, monkeypatch, pair_filter):
     pairs = [(n, m) for n in range(-nmax, nmax + 1)
              for m in range(n, nmax + 1)
              if pair_filter == "all" or max(abs(n), abs(m), abs(n + m)) <= 2]
-    # one row evaluation per unordered pair, 2·kmax + 1 residuals each
-    assert sorted(pair for pair, _ in calls) == pairs
+    # one row evaluation per off-diagonal unordered pair, 2·kmax + 1
+    # residuals each; a diagonal pair (n, n) is zero by antisymmetry and
+    # forms no numerator
+    assert sorted(pair for pair, _ in calls) == [
+        (n, m) for n, m in pairs if n != m]
     assert all(size == 2 * kmax + 1 for _, size in calls)
     assert rep.failed > 0
-    # every ordered pair is still recorded
+    # every ordered pair, the diagonal included, is still recorded
     diagonal = sum(n == m for n, m in pairs)
     assert rep.checked == (2 * len(pairs) - diagonal) * (2 * kmax + 1)
 

@@ -245,20 +245,24 @@ def _failures(rep):
     return {f["identity"] for f in rep.to_dict()["failures"]}
 
 
-def _wrong_structure_constants(monkeypatch, eta_scale=None, central_shift=None):
-    """Perturb eta(n,m) to eta·eta_scale(n,m) and c(n) to
-    c + central_shift(n), both as the single residuals read them (reduced
-    values) and as verify_algebra's sweep reads them (numerator and
-    denominator parts), so the two paths see the same wrong constants."""
+def _wrong_structure_constants(monkeypatch, eta_scale=None, central_shift=None,
+                               eta_shift=None):
+    """Perturb eta(n,m) to eta·eta_scale(n,m) or eta + eta_shift(n,m) and
+    c(n) to c + central_shift(n), both as the single residuals read them
+    (reduced values) and as verify_algebra's sweep reads them (numerator
+    and denominator parts), so the two paths see the same wrong constants.
+    Parts are scaled by ints, so the perturbations hold at a point only."""
     sc = algebra._StructureConstants
-    if eta_scale is not None:
+    if eta_scale is not None or eta_shift is not None:
+        scale = eta_scale or (lambda n, m: 1)
+        shift = eta_shift or (lambda n, m: 0)
         true_eta, true_parts = eta, sc.eta
         monkeypatch.setattr(algebra, "eta", lambda c, n, m:
-                            true_eta(c, n, m) * eta_scale(n, m))
+                            true_eta(c, n, m) * scale(n, m) + shift(n, m))
 
         def eta_parts(self, n, m):
             num, den = true_parts(self, n, m)
-            return num * eta_scale(n, m), den
+            return num * scale(n, m) + shift(n, m) * den, den
         monkeypatch.setattr(sc, "eta", eta_parts)
     if central_shift is not None:
         true_central, true_parts = central_coefficient, sc.central
@@ -280,6 +284,43 @@ def test_verify_algebra_fails_on_a_wrong_central_coefficient(ctx, monkeypatch):
     for f in rep.to_dict()["failures"]:
         detail = str(hom_jacobi_residual(ctx, *f["indices"]).central)
         assert f["residual"] == detail != "0"
+
+
+def test_repeated_index_triples_rest_on_the_skew_sweep(ctx, monkeypatch):
+    # a triple with a repeated index is zero once skew symmetry holds, so a
+    # clean sweep forms no numerator for it and still counts it; after a
+    # skew failure (eta + 1 breaks eta(n,m) = -eta(m,n)) every triple is
+    # computed, and each failure reads as the reduced residual
+    asked = []
+    numerators = algebra._hom_jacobi_numerators
+
+    def counting(sc, k, l, m):
+        asked.append((k, l, m))
+        return numerators(sc, k, l, m)
+
+    monkeypatch.setattr(algebra, "_hom_jacobi_numerators", counting)
+    w = 3
+    ns = range(-w, w + 1)
+    triples = [(k, l, m) for k in ns for l in ns for m in ns if k <= l <= m]
+    rep = verify_algebra(ctx, w)
+    assert rep.failed == 0
+    assert asked == [t for t in triples if len(set(t)) == 3]
+    skew_pairs = len(ns) * (len(ns) + 1) // 2
+    cocycle = sum(sum(t) == 0 for t in triples)
+    assert rep.checked == skew_pairs + len(triples) + cocycle
+    assert rep.to_dict()["sections"]["central_cocycle_residuals"] == [
+        {"indices": list(t), "residual": "0"} for t in triples if sum(t) == 0]
+
+    del asked[:]
+    _wrong_structure_constants(monkeypatch, eta_shift=lambda n, m: 1)
+    rep = verify_algebra(ctx, w)
+    assert "skew" in _failures(rep)
+    assert asked == triples
+    jacobi = [f for f in rep.to_dict()["failures"]
+              if f["identity"] == "hom-jacobi"]
+    assert any(len(set(f["indices"])) < 3 for f in jacobi)
+    for f in jacobi:
+        assert f["residual"] == str(hom_jacobi_residual(ctx, *f["indices"]))
 
 
 def test_verify_algebra_fails_on_a_wrong_eta(ctx, monkeypatch):

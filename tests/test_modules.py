@@ -546,6 +546,21 @@ def test_verify_module_computes_each_pair_once(ctx, monkeypatch, pair_filter):
     assert rep.checked == (2 * len(pairs) - diagonal) * (2 * kmax + 1)
 
 
+def test_a_diagonal_pair_reads_its_rows(ctx):
+    # (1, 1) is zero for any rule and forms no numerator, but it reads its
+    # rows, so an entry the rule cannot give raises, also where the sweep's
+    # plan leaves the reads lazy (a list of ks)
+    entries = {(n, k): Fraction(n + k) for n in (1, 2) for k in range(-3, 4)}
+    rep = ResidualReport("diagonal")
+    modules._sweep_pairs(ctx, MemoRule(ctx, TableRule(entries, 3)), rep,
+                         [(1, 1, [0, 2])])
+    assert rep.checked == 2 and rep.failed == 0
+    del entries[2, 2]
+    with pytest.raises(ValueError, match=r"\(2,2\)"):
+        modules._sweep_pairs(ctx, MemoRule(ctx, TableRule(entries, 3)), rep,
+                             [(1, 1, [0, 2])])
+
+
 @pytest.mark.parametrize("ctx_kind", ["numeric", "formal"])
 def test_family_coefficients_match_their_literal_formulas(ctx_kind):
     if ctx_kind == "numeric":

@@ -15,10 +15,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpq import cli, scalar, suite
+from vpq import classify, cli, modules, scalar, suite
 from vpq.algebra import hom_jacobi_residual, skew_residual, verify_algebra
-from vpq.modules import (Mab, find_intertwiner, relation_residual,
-                         verify_module)
+from vpq.modules import (ExcAlpha, ExcBetaPrime, Mab, find_intertwiner,
+                         relation_residual, verify_module)
 from vpq.scalar import ScalarContext, is_zero, pascal_residual, scalar_str
 from vpq.suite import _CHECKS, _HANDLERS, SuiteConfig, run_suite
 
@@ -84,6 +84,72 @@ def test_legacy_guard_window_is_validated_and_not_reported():
     assert "guard_window" not in json.dumps(report)
     for check in report["checks"]:
         assert check["params"]["guard"] == {"mode": "rational-point"}
+
+
+# -- mutant table -----------------------------------------------------------------
+#
+# Deliberate breaks of the program, each a monkeypatch, and the checks of the
+# bundled numeric suite that fail under it.  The sweeps count some residuals
+# as zero by a proof (a pair's mirror, the diagonal, a repeated-index triple)
+# rather than computing them; this table shows that every break is still
+# caught.
+
+def _reparam(cls, name, make):
+    """cls.name evaluated on make(rule), the rule with a broken parameter."""
+    real = getattr(cls, name)
+    return lambda self, ctx, *args: real(make(self), ctx, *args)
+
+
+_upow = ScalarContext.upow
+_shift_params = modules.shift_params
+_second_solution = classify.second_solution
+_MUTANTS = {
+    "u^n read as u^(n+1)": (
+        [(ScalarContext, "upow", lambda self, n: _upow(self, n + 1))],
+        {"verify-algebra", "verify-module", "sampled-modules",
+         "sampled-families", "is-reducible-grid", "iso", "sampled-iso",
+         "quadratic-roots", "l2-display", "fg-recurrences", "case-constants",
+         "family-consistency"}),
+    "Mab reads -b": (
+        [(Mab, name, _reparam(Mab, name, lambda r: Mab(r.a, -r.b)))
+         for name in ("coeff", "parts_row")],
+        {"is-reducible-grid", "quadratic-roots", "l2-display",
+         "fg-recurrences", "case-constants", "family-consistency"}),
+    "ExcAlpha's line entry reads alpha + 1": (
+        [(ExcAlpha, "coeff",
+          _reparam(ExcAlpha, "coeff", lambda r: ExcAlpha(r.alpha + 1)))],
+        {"family-consistency"}),
+    "ExcBetaPrime takes the given reading": (
+        [(ExcBetaPrime, "coeff", _reparam(
+            ExcBetaPrime, "coeff", lambda r: ExcBetaPrime(r.betap, "given")))],
+        {"sampled-families", "family-consistency"}),
+    "shift_params shifts by m + 1": (
+        [(modules, "shift_params",
+          lambda ctx, a, b, m: _shift_params(ctx, a, b, m + 1))],
+        {"iso", "sampled-iso"}),
+    "second_solution + 2": (
+        [(classify, "second_solution",
+          lambda ctx, a, b: _second_solution(ctx, a, b) + 2)],
+        {"quadratic-roots"}),
+    "ExcAlpha's rows read h(n+k)": (
+        [(ExcAlpha, "off", (1, 0))],
+        {"family-consistency"}),
+}
+
+
+@pytest.mark.parametrize("mutant", list(_MUTANTS))
+def test_bundled_suite_catches_each_mutant(mutant, monkeypatch, tmp_path):
+    patches, caught = _MUTANTS[mutant]
+    for obj, attr, value in patches:
+        monkeypatch.setattr(obj, attr, value)
+    bundled = resources.files("vpq").joinpath("data/acceptance_suite.json")
+    out = tmp_path / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["suite", "--config", str(bundled), "--json", str(out)])
+    report = json.loads(out.read_text())
+    assert code == 1
+    assert {c["check"] for c in report["checks"]
+            if c["counts"]["failed"]} == caught
 
 
 # -- config fuzzer --------------------------------------------------------------

@@ -19,9 +19,11 @@ every part is a Poly.  Where a part is a Poly, the kernels sum their
 products with `scalar.ring_sum`, the one place where ints and Polys meet
 (Poly operators take Polys only); all-int parts keep int expressions.  The
 module sweep, the submodule graph and the intertwiner read rows and test
-numerators.  A row of `Mab` is built from the parts of a, b and the cached
-values by ring products only and reduces nothing; off its special line, an
-exceptional family's entry is the split of a cached h value.  A value is
+numerators.  A row of `Mab` is built from the parts of a, b and the
+context's basis `ScalarContext.hu`, the numerators of h(k) and u^k over one
+common denominator, aligned once per k and shared by every row on the
+context, by ring products only, and reduces nothing; off its special line,
+an exceptional family's entry is the split of a cached h value.  A value is
 reduced only where a report prints it, or where `find_intertwiner`
 returns h, which it propagates by parts.
 A sweep that rereads coefficients reads them through one `MemoRule`, which
@@ -46,8 +48,6 @@ accept it.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 from .report import ResidualReport
 from .scalar import Poly, is_zero, parse_rational, ring_sum, scalar_str
@@ -180,43 +180,27 @@ class Mab(CoefficientRule):
         return ctx.hq(k) - ctx.upow(k) * (self.a + self.b * ctx.hq(n))
 
     def parts_row(self, ctx, n, ks):
-        """c(n,k) = h(k) - u^k A_n with A_n = a + b h(n), all from parts:
-        A_n's from those of a, b and the cached h(n) (an int expression
-        when every part is an int, else one `ring_sum`), then each entry
-        from A_n's and the cached parts of h(k) and u^k (`ctx.split`).  At
-        a point those two denominators hd, ud are ints, and the entry is
-        (h(k) - u^k A_n) over L·Ad with L = lcm(hd, ud), from one
-        `math.gcd`, so its coefficients are narrower than over hd·ud·Ad;
-        at formal p, q they are monomials, and the entry is over their
-        product.  A row reduces nothing: no Poly gcd and no Fraction or
-        RationalFunction."""
-        split = ctx.split
+        """c(n,k) = h(k) - u^k A_n with A_n = a + b h(n), all from parts
+        over the context's basis `ctx.hu`, where h(k) = h'/L and u^k = u'/L
+        share one denominator L: A_n's from those of a, b and h(n) = h'/L
+        (an int expression when every part is an int, else one
+        `ring_sum`), then each entry as (h'·Ad - u'·An, L·Ad).  A row
+        reduces nothing: no gcd, no Fraction and no RationalFunction."""
+        basis = ctx.hu
         an, ad = ctx.parts(self.a)
         bn, bd = ctx.parts(self.b)
-        gn, gd = split("hq", n)
-        ring = Poly in {type(an), type(ad), type(bn), type(bd), type(gn),
-                        type(gd)}
-        if ring:
-            An = ring_sum((an, bd, gd), (bn, gn, ad))
-            Ad = ring_sum((ad, bd, gd))
-        else:
+        gn, _, gd = basis(n)
+        if Poly not in {type(an), type(ad), type(bn), type(bd), type(gd)}:
             An = an * bd * gd + bn * gn * ad
             Ad = ad * bd * gd
-        out = []
-        for k in ks:
-            hn, hd = split("hq", k)
-            un, ud = split("upow", k)
-            if ctx.formal:
-                out.append((ring_sum((hn, ud, Ad), (-1, un, hd, An)),
-                            ring_sum((hd, ud, Ad))))
-                continue
-            g = gcd(hd, ud)
-            hn, un, L = hn * (ud // g), un * (hd // g), hd // g * ud
-            if ring:
-                out.append((ring_sum((hn, Ad), (-un, An)), ring_sum((L, Ad))))
-            else:
-                out.append((hn * Ad - un * An, L * Ad))
-        return out
+            return [(h * Ad - u * An, L * Ad) for h, u, L in map(basis, ks)]
+        An = ring_sum((an, bd, gd), (bn, gn, ad))
+        Ad = ring_sum((ad, bd, gd))
+        if type(Ad) is int:     # a point: every L is an int too
+            return [(ring_sum((h, Ad), (-u, An)), L * Ad)
+                    for h, u, L in map(basis, ks)]
+        return [(ring_sum((h, Ad), (-u, An)), ring_sum((L, Ad)))
+                for h, u, L in map(basis, ks)]
 
     def params(self):
         return {"a": self.a, "b": self.b}

@@ -935,7 +935,9 @@ class ScalarContext:
     The context caches one-index values: ``ppow``, ``qpow``, ``qint``,
     ``upow`` (u^n = p^{-n} q^n) and ``hq`` (h(n) = p^{-n}[n]) are computed
     once per exponent, and ``split(name, n)`` holds their ``parts``, split
-    once per exponent, for the fraction-free kernels.  A sweep caches its
+    once per exponent, for the fraction-free kernels.  ``hu(k)`` holds the
+    numerators of h(k) and u^k over one common denominator, the basis of
+    every ``modules.Mab`` row, aligned once per k.  A sweep caches its
     rule's coefficients in one ``modules.MemoRule``; ``verify_algebra``
     has ``_StructureConstants``.
     """
@@ -953,6 +955,7 @@ class ScalarContext:
         self._upow_cache = {}
         self._hq_cache = {}
         self._split_cache = {}
+        self._hu_cache = {}
 
     # constructors ----------------------------------------------------------
 
@@ -1053,6 +1056,29 @@ class ScalarContext:
         hit = self._split_cache.get(key)
         if hit is None:
             hit = self._split_cache[key] = self.parts(getattr(self, name)(n))
+        return hit
+
+    def hu(self, k):
+        """(h', u', L) with h(k) = h'/L and u^k = u'/L, L the lcm of the
+        denominators of their parts (`split`), aligned once per k.  At a
+        point the two denominators are ints, and L is their lcm, from one
+        `math.gcd`; at formal p, q they are monomials c·m, and L is the lcm
+        of the coefficients times the fieldwise maximum of the monomials.
+        All three are ints at a point and Polys at formal p, q."""
+        hit = self._hu_cache.get(k)
+        if hit is None:
+            hn, hd = self.split("hq", k)
+            un, ud = self.split("upow", k)
+            if type(hd) is int:
+                g = math.gcd(hd, ud)
+                hit = hn * (ud // g), un * (hd // g), hd // g * ud
+            else:
+                (eh, ch), = hd.terms.items()
+                (eu, cu), = ud.terms.items()
+                g, e = math.gcd(ch, cu), _fmax(eh, eu)
+                hit = (hn * Poly({e - eh: cu // g}),
+                       un * Poly({e - eu: ch // g}), Poly({e: ch // g * cu}))
+            self._hu_cache[k] = hit
         return hit
 
     def ppow(self, n):

@@ -1,5 +1,8 @@
 """Weight modules: defining relation, reducibility, shifts, intertwiners."""
 
+import hashlib
+import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -839,23 +842,26 @@ def test_parts_row_matches_coeff(backend):
 
 @pytest.mark.parametrize("backend", ["numeric", "formal-pq"])
 def test_mab_rows_reduce_nothing(backend, monkeypatch):
-    # with the parts of a, b, h(k) and u^k at hand, a Mab row builds A_n =
-    # a + b h(n) and every entry from parts: on a warm context it makes no
-    # Fraction and calls no gcd, however long it is; one coeff value does
-    # both, which shows that the hooks count
-    if backend == "numeric":
-        ctx = ScalarContext.numeric("5/2", "-3/4")
-        rule = Mab(Fraction(1, 3), Fraction(-2))
-    else:
+    # with the parts of a, b and the basis ctx.hu at hand, a Mab row builds
+    # A_n = a + b h(n) and every entry from parts: on a warm context it
+    # makes no Fraction, calls no gcd (math.gcd included) and splits no
+    # cached value, however long it is; one coeff value on a cold context
+    # and one row there do all three, which shows that the hooks count
+    def case():
+        if backend == "numeric":
+            ctx = ScalarContext.numeric("5/2", "-3/4")
+            return ctx, Mab(Fraction(1, 3), Fraction(-2))
         ctx = ScalarContext.symbolic()
-        rule = Mab(ctx.var("a"), ctx.var("b"))
+        return ctx, Mab(ctx.var("a"), ctx.var("b"))
+
+    ctx, rule = case()
     for n in (-2, 3):
         rule.parts_row(ctx, n, range(-12, 13))
-    reductions = []
+    calls = []
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
-            reductions.append(name)
+            calls.append(name)
             return real(*args, **kwargs)
         return wrapper
 
@@ -863,18 +869,106 @@ def test_mab_rows_reduce_nothing(backend, monkeypatch):
                         counting("Fraction", Fraction.__new__))
     monkeypatch.setattr(scalar, "poly_gcd",
                         counting("poly_gcd", scalar.poly_gcd))
+    monkeypatch.setattr(math, "gcd", counting("gcd", math.gcd))
+    monkeypatch.setattr(ScalarContext, "split",
+                        counting("split", ScalarContext.split))
     counts = []
     for n in (-2, 3):
         for ks in (range(-1, 2), range(-12, 13)):
-            del reductions[:]
+            del calls[:]
             rule.parts_row(ctx, n, ks)
-            counts.append(len(reductions))
-    del reductions[:]
-    rule.coeff(ctx, 3, 5)
-    control = len(reductions)
+            counts.append(len(calls))
+    del calls[:]
+    cold, rule = case()
+    rule.coeff(cold, 3, 5)
+    rule.parts_row(cold, 3, range(5, 6))
+    control = set(calls)
     monkeypatch.undo()
     assert counts == [0, 0, 0, 0]
-    assert control > 0
+    want = {"split"} | ({"Fraction", "gcd"} if backend == "numeric"
+                        else {"poly_gcd"})
+    assert want <= control, control
+
+
+@pytest.mark.parametrize("backend", ["numeric", "formal-ab", "formal-pq"])
+def test_mab_rows_share_the_basis_of_their_context(backend):
+    # the basis ctx.hu depends on k alone, so rows of one Mab read after
+    # those of another Mab and of an exceptional family on the same
+    # context are the rows a fresh context gives
+    def fresh():
+        if backend == "numeric":
+            ctx = ScalarContext.numeric("-3/2", "1/4")
+            return ctx, ctx.scalar
+        ctx = (ScalarContext.symbolic("-3/2", "1/4")
+               if backend == "formal-ab" else ScalarContext.symbolic())
+        a, b = ctx.var("a"), ctx.var("b")
+        return ctx, lambda i: [a, b, a * b, 1 / a][i]
+
+    ctx, make = fresh()
+    first, second = Mab(make(0), make(1)), Mab(make(2), make(3))
+    fill = (first, ExcAlpha(make(1)), ExcBetaPrime(make(0)))
+    for rule in fill:
+        for n in range(-4, 5):
+            rule.parts_row(ctx, n, range(-9, 10))
+    want_ctx, want_make = fresh()
+    want_rule = Mab(want_make(2), want_make(3))
+    for n in range(-6, 7):
+        for ks in (range(-12, 13), [7, -n, 0, 3, -11]):
+            assert (second.parts_row(ctx, n, ks)
+                    == want_rule.parts_row(want_ctx, n, ks)), (n, ks)
+
+
+def test_mab_rows_at_a_point_keep_int_denominators(monkeypatch):
+    # at a rational point with formal a, b every part of h(k), u^k and the
+    # basis is an int, so a Mab row hands out int denominators and takes
+    # one ring_sum per entry for its numerator, beside the two that build
+    # A_n's parts; a rule with a formal denominator (1/a) keeps Polys there
+    summed = []
+    real = modules.ring_sum
+
+    def counting(*products):
+        summed.append(products)
+        return real(*products)
+
+    for p, q in (("2", "3"), ("-3/2", "1/4")):
+        ctx = ScalarContext.symbolic(p, q)
+        a, b = ctx.var("a"), ctx.var("b")
+        for rule in (Mab(a, b), Mab(ctx.scalar(2), b), Mab(a * b, a + b)):
+            for n in range(-3, 4):
+                for ks in (range(-2, 1), range(-12, 13), [5, -n, 1]):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(modules, "ring_sum", counting)
+                        del summed[:]
+                        row = rule.parts_row(ctx, n, ks)
+                    assert all(type(den) is int for _, den in row)
+                    assert len(summed) == len(ks) + 2, (p, q, n, ks)
+        row = Mab(1 / a, b).parts_row(ctx, 1, range(-3, 4))
+        assert all(type(den) is Poly for _, den in row)
+
+
+# sha256 of the verify_module reports of Mab(a, b) with formal a, b that the
+# formal workload sweeps: (6, 10) at its three points, (4, 6) at formal
+# p, q ("p,q").  Rows are built from different parts at a point and at
+# formal p, q; a change that alters any report byte on purpose updates
+# these and says why
+_SWEEP_SHA256 = {
+    "2,3": "4edaa24ce4bd84e54777211c7896810442b2ef108028a3de969e180bf409cc23",
+    "5,7": "da6cbd0dbca33b7e0ddd300c1b168b7df1471c53f460ae1dd7a5959becd1274f",
+    "-3/2,1/4": "c3b089bd70068015cfcf45c24060829d9722c95d26458228b2ea4199b5eb491f",
+    "p,q": "dff9a6c31e3d267ae504bebddfee24ff252f5c24372f98927ffebb8864059d7a",
+}
+
+
+@pytest.mark.parametrize("point", sorted(_SWEEP_SHA256))
+def test_formal_sweep_bytes_are_unchanged(point):
+    if point == "p,q":
+        ctx, window = ScalarContext.symbolic(), (4, 6)
+    else:
+        ctx, window = ScalarContext.symbolic(*point.split(",")), (6, 10)
+    rep = verify_module(ctx, Mab(ctx.var("a"), ctx.var("b")), *window)
+    data = json.dumps(rep.to_dict(), sort_keys=True, indent=2)
+    got = hashlib.sha256(data.encode("utf-8")).hexdigest()
+    assert got == _SWEEP_SHA256[point]
 
 
 @pytest.mark.parametrize("backend", ["numeric", "formal-ab", "formal-pq"])

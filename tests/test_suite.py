@@ -101,6 +101,7 @@ def _reparam(cls, name, make):
 
 
 _upow = ScalarContext.upow
+_hu = ScalarContext.hu
 _shift_params = modules.shift_params
 _second_solution = classify.second_solution
 _MUTANTS = {
@@ -134,6 +135,13 @@ _MUTANTS = {
     "ExcAlpha's rows read h(n+k)": (
         [(ExcAlpha, "off", (1, 0))],
         {"family-consistency"}),
+    # every Mab row reads c(n,k)/2 with b halved; the module sweeps judge
+    # by rows but report the values coeff gives, so they pass
+    "the h/u basis doubles its denominator": (
+        [(ScalarContext, "hu",
+          lambda self, k: _hu(self, k)[:2] + (2 * _hu(self, k)[2],))],
+        {"is-reducible-grid", "l2-display", "fg-recurrences",
+         "case-constants", "family-consistency"}),
 }
 
 

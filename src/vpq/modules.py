@@ -22,8 +22,11 @@ module sweep, the submodule graph and the intertwiner read rows and test
 numerators.  A row of `Mab` is built from the parts of a, b and the
 context's basis `ScalarContext.hu`, the numerators of h(k) and u^k over one
 common denominator, aligned once per k and shared by every row on the
-context, by ring products only, and reduces nothing; off its special line,
-an exceptional family's entry is the split of a cached h value.  A value is
+context, by ring products only, and reduces nothing.  An exceptional
+family is one record (`line`, `off`, `pair`) read by both its rows and its
+values: with j = k + e n + f, its entry is h(j) off the line k = c n + d,
+the split of a cached h value in a row, and h(j) + u^j [x n + y][z n + w] t
+on it, the one entry a row evaluates.  A value is
 reduced only where a report prints it, or where `find_intertwiner`
 returns h, which it propagates by parts.
 A sweep that rereads coefficients reads them through one `MemoRule`, which
@@ -207,8 +210,27 @@ class Mab(CoefficientRule):
 
 
 class _OneLineRule(CoefficientRule):
-    """An exceptional family: c(n, k) is the cached h(k + e n + f) off its
-    special line k = c n + d, with (e, f) = `off` and (c, d) = `line`."""
+    """An exceptional family: one parameter t and one special line.
+
+    With j = k + e n + f, c(n, k) is the cached h(j) off the line
+    k = c n + d and h(j) + u^j [x n + y][z n + w] t on it, where
+    (c, d) = `line`, (e, f) = `off` and (x, y, z, w) = `pair`.  A family
+    is these three records; its docstring gives the paper's formula."""
+
+    reading = "adjusted"    # of the pair; only ExcBetaPrime has another
+
+    def __init__(self, t):
+        self.t = t
+
+    def coeff(self, ctx, n, k):
+        c, d = self.line
+        e, f = self.off
+        j = k + e * n + f
+        if k != c * n + d:
+            return ctx.hq(j)
+        x, y, z, w = self.pair
+        return (ctx.hq(j) + ctx.upow(j) * ctx.qint(x * n + y)
+                * ctx.qint(z * n + w) * self.t)
 
     def parts_row(self, ctx, n, ks):
         """Off the line each entry is the cached split of its h value
@@ -219,6 +241,15 @@ class _OneLineRule(CoefficientRule):
         return [ctx.parts(self.coeff(ctx, n, k)) if k == special
                 else split("hq", k + shift) for k in ks]
 
+    def params(self):
+        out = {self.family: self.t}
+        if self.reading != "adjusted":
+            out["reading"] = self.reading
+        return out
+
+
+# each family binds coeff itself: perfbench/spans.py wraps vars(cls)["coeff"]
+
 
 class ExcAlpha(_OneLineRule):
     """c(n,k) = p^{-n-k-1}[n+k+1] away from k=-1;
@@ -226,39 +257,18 @@ class ExcAlpha(_OneLineRule):
     As -q^j[-j] = h(j), these are h(n+k+1) and h(n) + u^n [-n][n+1] alpha."""
 
     family = "alpha"
-    line, off = (0, -1), (1, 1)
-
-    def __init__(self, alpha):
-        self.alpha = alpha
-
-    def coeff(self, ctx, n, k):
-        if k != -1:
-            return ctx.hq(n + k + 1)
-        return (ctx.hq(n)
-                + ctx.upow(n) * ctx.qint(-n) * ctx.qint(n + 1) * self.alpha)
-
-    def params(self):
-        return {"alpha": self.alpha}
+    line, off, pair = (0, -1), (1, 1), (-1, 0, 1, 1)
+    coeff = _OneLineRule.coeff
 
 
 class ExcAlphaPrime(_OneLineRule):
     """c(n,k) = p^{-k}[k] away from k=-n;
-    c(n,-n) = p^n[-n] + p^n q^{-n} [-n][n+1] * alphap."""
+    c(n,-n) = p^n[-n] + p^n q^{-n} [-n][n+1] * alphap.
+    These are h(k) and h(-n) + u^{-n} [-n][n+1] alphap."""
 
     family = "alphap"
-    line, off = (-1, 0), (0, 0)
-
-    def __init__(self, alphap):
-        self.alphap = alphap
-
-    def coeff(self, ctx, n, k):
-        if k != -n:
-            return ctx.hq(k)
-        return (ctx.hq(-n)
-                + ctx.upow(-n) * ctx.qint(-n) * ctx.qint(n + 1) * self.alphap)
-
-    def params(self):
-        return {"alphap": self.alphap}
+    line, off, pair = (-1, 0), (0, 0), (-1, 0, 1, 1)
+    coeff = _OneLineRule.coeff
 
 
 class ExcBeta(_OneLineRule):
@@ -267,23 +277,13 @@ class ExcBeta(_OneLineRule):
     As -q^j[-j] = h(j), these are h(n+k-1) and h(n) + u^n [n][-n+1] beta."""
 
     family = "beta"
-    line, off = (0, 1), (1, -1)
-
-    def __init__(self, beta):
-        self.beta = beta
-
-    def coeff(self, ctx, n, k):
-        if k != 1:
-            return ctx.hq(n + k - 1)
-        return (ctx.hq(n)
-                + ctx.upow(n) * ctx.qint(n) * ctx.qint(-n + 1) * self.beta)
-
-    def params(self):
-        return {"beta": self.beta}
+    line, off, pair = (0, 1), (1, -1), (1, 0, -1, 1)
+    coeff = _OneLineRule.coeff
 
 
 class ExcBetaPrime(_OneLineRule):
-    """c(n,k) = p^{-k}[k] away from k=-n; exceptional line on k=-n.
+    """c(n,k) = p^{-k}[k] away from k=-n; exceptional line on k=-n,
+    c(n,-n) = h(-n) + u^{-n} [n][-n+1] * betap.
 
     Two candidate readings exist for the bracket pair in the exceptional
     coefficient.  The catalogued form [n][n+1] fails the module axiom at
@@ -293,28 +293,16 @@ class ExcBetaPrime(_OneLineRule):
     """
 
     family = "betap"
-    line, off = (-1, 0), (0, 0)
+    line, off, pair = (-1, 0), (0, 0), (1, 0, -1, 1)
+    coeff = _OneLineRule.coeff
 
-    def __init__(self, betap, reading="adjusted"):
+    def __init__(self, t, reading="adjusted"):
         if reading not in ("adjusted", "given"):
             raise ValueError("reading must be 'adjusted' or 'given'")
-        self.betap = betap
+        super().__init__(t)
         self.reading = reading
-
-    def coeff(self, ctx, n, k):
-        if k != -n:
-            return ctx.hq(k)
-        if self.reading == "given":
-            pair = ctx.qint(n) * ctx.qint(n + 1)
-        else:
-            pair = ctx.qint(n) * ctx.qint(-n + 1)
-        return ctx.hq(-n) + ctx.upow(-n) * pair * self.betap
-
-    def params(self):
-        out = {"betap": self.betap}
-        if self.reading != "adjusted":
-            out["reading"] = self.reading
-        return out
+        if reading == "given":
+            self.pair = (1, 0, 1, 1)
 
 
 class TableRule(CoefficientRule):
@@ -476,12 +464,14 @@ def _sweep_pairs(ctx, memo, rep, pairs):
     Each pair is one row of numerators (`_pair_numerators`, through the
     `MemoRule` memo).  Its zeros are counted with one `record_zeros` call;
     only a nonzero one is reduced, by `relation_residual`, and recorded in
-    k order as `module-relation` (n, m, k).  The axiom is antisymmetric,
-    R(n,m,k) = -R(m,n,k) for any rule, so a later (m, n) with the same ks
-    records the negated residuals of (n, m) (the same exact values, so the
-    same bytes) without a sweep, and a diagonal pair (n, n), its own
-    mirror, is zero: it reads its rows, so an entry the rule cannot give
-    still raises, and forms no numerator.  The rows the pairs read are
+    k order as `module-relation` (n, m, k); one that reduces to zero means
+    the rule's rows and values disagree, a fault of the program, and is
+    recorded as a failed `module-row-value` (n, m, k).  The axiom is
+    antisymmetric, R(n,m,k) = -R(m,n,k) for any rule, so a later (m, n)
+    with the same ks records the negated residuals of (n, m) (the same
+    exact values, so the same bytes) without a sweep, and a diagonal pair
+    (n, n), its own mirror, is zero: it reads its rows, so an entry the
+    rule cannot give still raises, and forms no numerator.  The rows the pairs read are
     planned first (`_read_ahead`); a mirrored pair would read the same
     entries as the pair it mirrors.
     """
@@ -503,7 +493,12 @@ def _sweep_pairs(ctx, memo, rep, pairs):
                 k: relation_residual(ctx, memo, n, m, k) for k in nonzero}
         rep.record_zeros(len(ks) - len(failures))
         for k, r in failures.items():
-            rep.record("module-relation", (n, m, k), r)
+            if is_zero(r):      # the rows and the values disagree
+                rep.expect("module-row-value", (n, m, k), False,
+                           "%s: nonzero row numerator, zero value"
+                           % memo.describe())
+            else:
+                rep.record("module-relation", (n, m, k), r)
 
 
 def verify_module(ctx, rule, nmax, kmax, pair_filter="all"):

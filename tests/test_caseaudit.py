@@ -204,18 +204,23 @@ def test_family_consistency_sweep(ctx):
 @pytest.mark.parametrize("backend", ["numeric", "symbolic", "formal-pq"])
 def test_family_consistency_reads_the_swept_rows(backend, monkeypatch,
                                                  capsys):
-    # a mutant whose rows shift the alpha family's h argument, with coeff
-    # unchanged: the closed forms are judged on the rows the module sweeps
-    # read, so the check fails, and so does the bundled suite; each failure
-    # reads as the value of the mutant's row entry less the closed form
+    # a mutant that shifts the alpha family's h argument: rows and values
+    # both read `off`, so the closed forms, judged on the rows the module
+    # sweeps read, fail, and so does the pinned raising display, read from
+    # coeff; so does the bundled suite.  Each closed-form failure off the
+    # line reads as the value of the mutant's row entry less the closed form
     ctx = {"numeric": ScalarContext.numeric(2, 3),
            "symbolic": ScalarContext.symbolic("2", "3"),
            "formal-pq": ScalarContext.symbolic()}[backend]
     monkeypatch.setattr(ExcAlpha, "off", (1, 0))
     rep = family_consistency(ctx, 2 if backend == "formal-pq" else 6)
     assert rep.failed > 0
-    assert {f["identity"] for f in rep.failures} == {"alpha-closed-form"}
-    for fail in rep.failures[:6]:
+    assert {f["identity"] for f in rep.failures} == {
+        "alpha-closed-form", "pinned-raise-display"}
+    off_line = [f for f in rep.failures
+                if f["identity"] == "alpha-closed-form"
+                and f["indices"][1] != -1]
+    for fail in off_line[:6]:
         n, j = fail["indices"]     # off the line, so alpha plays no part
         got = ctx.join(*ExcAlpha(ctx.one).parts_row(ctx, n, [j])[0])
         want = ctx.ppow(-n - j - 1) * ctx.qint(n + j + 1)

@@ -127,10 +127,10 @@ def test_parse_family_round_trip():
 
 
 def test_parse_family_accepts_aliases():
-    assert parse_family("alpha:α=0").alpha == 0
-    assert parse_family("alphap:a'=1/2").alphap == Fraction(1, 2)
-    assert parse_family("betap:t=1").betap == 1
-    assert parse_family("beta:param=-3").beta == -3
+    assert parse_family("alpha:α=0").t == 0
+    assert parse_family("alphap:a'=1/2").t == Fraction(1, 2)
+    assert parse_family("betap:t=1").t == 1
+    assert parse_family("beta:param=-3").t == -3
 
 
 def test_parse_family_rejects_bad_specs():
@@ -312,20 +312,20 @@ def _literal_coeff(ctx, rule, n, k):
     if isinstance(rule, ExcAlpha):
         if k != -1:
             return p ** (-n - k - 1) * J(n + k + 1)
-        return -q ** n * J(-n) + J(-n) * J(n + 1) * p ** -n * q ** n * rule.alpha
+        return -q ** n * J(-n) + J(-n) * J(n + 1) * p ** -n * q ** n * rule.t
     if isinstance(rule, ExcBeta):
         if k != 1:
             return -(q ** (n + k - 1)) * J(-n - k + 1)
-        return -q ** n * J(-n) + p ** -n * q ** n * J(n) * J(1 - n) * rule.beta
+        return -q ** n * J(-n) + p ** -n * q ** n * J(n) * J(1 - n) * rule.t
     if k != -n:
         return p ** -k * J(k)
     if isinstance(rule, ExcAlphaPrime):
-        t, pair = rule.alphap, J(-n) * J(n + 1)
+        pair = J(-n) * J(n + 1)
     elif rule.reading == "given":
-        t, pair = rule.betap, J(n) * J(n + 1)
+        pair = J(n) * J(n + 1)
     else:
-        t, pair = rule.betap, J(n) * J(1 - n)
-    return p ** n * J(-n) + p ** n * q ** -n * pair * t
+        pair = J(n) * J(1 - n)
+    return p ** n * J(-n) + p ** n * q ** -n * pair * rule.t
 
 
 def _direct_sweep(ctx, rule, nmax, kmax, pair_filter):
@@ -564,20 +564,28 @@ def test_a_diagonal_pair_reads_its_rows(ctx):
                              [(1, 1, [0, 2])])
 
 
-@pytest.mark.parametrize("ctx_kind", ["numeric", "formal"])
+@pytest.mark.parametrize("ctx_kind", ["numeric", "formal", "formal-ab"])
 def test_family_coefficients_match_their_literal_formulas(ctx_kind):
+    # each value and each joined row entry against the docstring formula,
+    # at a point, at formal p, q and with formal a, b at a point; the
+    # window holds n = 0, k = 0 and the special lines k = -1, 1, -n
     if ctx_kind == "numeric":
         ctx = ScalarContext.numeric("5/2", "-3/4")
         rules = _family_rules(lambda i: _NUMERIC[i])
-    else:
+    elif ctx_kind == "formal":
         ctx = ScalarContext.symbolic()
         rules = _family_rules(lambda i: ctx.var("ab"[i % 2]))
+    else:
+        ctx, rules = _row_case("formal-ab")
+        rules = [r for r in rules if not isinstance(r, TableRule)]
+    ks = range(-4, 5)
     for rule in rules:
         for n in range(-3, 4):
-            for k in range(-4, 5):
-                got = rule.coeff(ctx, n, k)
-                assert is_zero(got - _literal_coeff(ctx, rule, n, k)), \
-                    (rule.describe(), n, k)
+            for k, parts in zip(ks, rule.parts_row(ctx, n, ks)):
+                want = _literal_coeff(ctx, rule, n, k)
+                where = (rule.describe(), n, k)
+                assert is_zero(rule.coeff(ctx, n, k) - want), where
+                assert is_zero(ctx.join(*parts) - want), where
 
 
 def test_rule_under_two_contexts_keeps_them_apart():

@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from vpq import classify, cli, modules, scalar, suite
 from vpq.algebra import hom_jacobi_residual, skew_residual, verify_algebra
-from vpq.modules import (ExcAlpha, ExcBetaPrime, Mab, find_intertwiner,
-                         relation_residual, verify_module)
+from vpq.modules import (ExcAlpha, ExcBeta, ExcBetaPrime, Mab,
+                         find_intertwiner, relation_residual, verify_module)
 from vpq.scalar import ScalarContext, is_zero, pascal_residual, scalar_str
 from vpq.suite import _CHECKS, _HANDLERS, SuiteConfig, run_suite
 
@@ -118,11 +118,11 @@ _MUTANTS = {
          "fg-recurrences", "case-constants", "family-consistency"}),
     "ExcAlpha's line entry reads alpha + 1": (
         [(ExcAlpha, "coeff",
-          _reparam(ExcAlpha, "coeff", lambda r: ExcAlpha(r.alpha + 1)))],
+          _reparam(ExcAlpha, "coeff", lambda r: ExcAlpha(r.t + 1)))],
         {"family-consistency"}),
     "ExcBetaPrime takes the given reading": (
         [(ExcBetaPrime, "coeff", _reparam(
-            ExcBetaPrime, "coeff", lambda r: ExcBetaPrime(r.betap, "given")))],
+            ExcBetaPrime, "coeff", lambda r: ExcBetaPrime(r.t, "given")))],
         {"sampled-families", "family-consistency"}),
     "shift_params shifts by m + 1": (
         [(modules, "shift_params",
@@ -132,16 +132,26 @@ _MUTANTS = {
         [(classify, "second_solution",
           lambda ctx, a, b: _second_solution(ctx, a, b) + 2)],
         {"quadratic-roots"}),
+    # a shifted off moves the rows and the line's entry together, and the
+    # shifted family is no longer a module
     "ExcAlpha's rows read h(n+k)": (
         [(ExcAlpha, "off", (1, 0))],
-        {"family-consistency"}),
+        {"sampled-families", "family-consistency"}),
+    "ExcBeta's rows read h(n+k)": (
+        [(ExcBeta, "off", (1, 0))],
+        {"sampled-families", "family-consistency"}),
+    "ExcBetaPrime's rows read h(k+1)": (
+        [(ExcBetaPrime, "off", (0, 1))],
+        {"sampled-families", "family-consistency"}),
     # every Mab row reads c(n,k)/2 with b halved; the module sweeps judge
-    # by rows but report the values coeff gives, so they pass
+    # by rows, and a nonzero row numerator whose value is zero fails as
+    # module-row-value
     "the h/u basis doubles its denominator": (
         [(ScalarContext, "hu",
           lambda self, k: _hu(self, k)[:2] + (2 * _hu(self, k)[2],))],
-        {"is-reducible-grid", "l2-display", "fg-recurrences",
-         "case-constants", "family-consistency"}),
+        {"verify-module", "sampled-modules", "is-reducible-grid",
+         "l2-display", "fg-recurrences", "case-constants",
+         "family-consistency"}),
 }
 
 

@@ -23,10 +23,9 @@ numerators.  A row of `Mab` is built from the parts of a, b and the
 context's basis `ScalarContext.hu`, the numerators of h(k) and u^k over one
 common denominator, aligned once per k and shared by every row on the
 context, by ring products only, and reduces nothing.  An exceptional
-family is one record (`line`, `off`, `pair`) read by both its rows and its
-values: with j = k + e n + f, its entry is h(j) off the line k = c n + d,
-the split of a cached h value in a row, and h(j) + u^j [x n + y][z n + w] t
-on it, the one entry a row evaluates.  A value is
+family's rows and values read one record (`_OneLineRule`): its entry is
+h(j) off its special line, in a row the split of a cached h value, and
+h(j) + u^j [x n + y][z n + w] t on it.  A value is
 reduced only where a report prints it, or where `find_intertwiner`
 returns h, which it propagates by parts.
 A sweep that rereads coefficients reads them through one `MemoRule`, which
@@ -471,9 +470,9 @@ def _sweep_pairs(ctx, memo, rep, pairs):
     with the same ks records the negated residuals of (n, m) (the same
     exact values, so the same bytes) without a sweep, and a diagonal pair
     (n, n), its own mirror, is zero: it reads its rows, so an entry the
-    rule cannot give still raises, and forms no numerator.  The rows the pairs read are
-    planned first (`_read_ahead`); a mirrored pair would read the same
-    entries as the pair it mirrors.
+    rule cannot give still raises, and forms no numerator.  The rows the
+    pairs read are planned first (`_read_ahead`); a mirrored pair would
+    read the same entries as the pair it mirrors.
     """
     _read_ahead(ctx, memo, pairs)
     pending = {}    # (n, m) -> its failures, until (m, n) is due

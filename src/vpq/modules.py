@@ -15,11 +15,16 @@ c(n, k), k in ks, every denominator nonzero.  Parts come from
 from `ScalarContext.split`, which splits each once per exponent: at a
 point, on either backend, a constant part is an int and only the rest are
 Polys, so a row is int arithmetic even with formal a, b; at formal p, q
-every part is a Poly.  Where a part is a Poly, the kernels sum their
-products with `scalar.ring_sum`, the one place where ints and Polys meet
-(Poly operators take Polys only); all-int parts keep int expressions.  The
-module sweep, the submodule graph and the intertwiner read rows and test
-numerators.  A row of `Mab` is built from the parts of a, b and the
+every part is a Poly.  The module sweep, the submodule graph and the
+intertwiner read rows and test numerators.  The sweep's pair kernel
+(`_pair_numerators`) has three forms, picked by the parts its memo has
+handed out: all-int parts keep int expressions; at a point, where every
+denominator is an int but a numerator is a Poly in a, b, it works on int
+columns, one per monomial of a row's numerators (`MemoRule.columns`); where
+a denominator is a Poly (formal p, q, or a rule's own formal denominator)
+it sums its products with `scalar.ring_sum`, the one place where ints and
+Polys meet (Poly operators take Polys only), as the other kernels with a
+Poly part do.  A row of `Mab` is built from the parts of a, b and the
 context's basis `ScalarContext.hu`, the numerators of h(k) and u^k over one
 common denominator, aligned once per k and shared by every row on the
 context, by ring products only, and reduces nothing.  An exceptional
@@ -52,7 +57,8 @@ accept it.
 from __future__ import annotations
 
 from .report import ResidualReport
-from .scalar import Poly, is_zero, parse_rational, ring_sum, scalar_str
+from .scalar import (_GUARD, _ZEXP, Poly, _overflow, is_zero, parse_rational,
+                     ring_sum, scalar_str)
 
 
 class CoefficientRule:
@@ -91,8 +97,10 @@ class MemoRule(CoefficientRule):
     wrapped rule's `parts_row` on exactly those ks, so the memo computes
     nothing it was not asked for (a `TableRule` raises outside its window,
     and a rule may raise where an entry is undefined).  As it fills a row
-    it notes whether any part it has handed out is a Poly, so the kernels
-    know whether their sums need `ring_sum`.
+    it notes whether any part it has handed out is a Poly (`_ring`) and
+    whether, at a point, every denominator is still an int (`_int_dens`),
+    so the pair kernel knows which of its three forms to take.  `columns`
+    reads a row whose denominators are ints by monomial.
     """
 
     def __init__(self, ctx, rule):
@@ -102,7 +110,10 @@ class MemoRule(CoefficientRule):
         self._memo = {}
         # n -> (first k of its span, [parts, None for a hole], hole count)
         self._rows = {}
+        # n -> (first k, length, columns, denominators) of a row with no hole
+        self._cols = {}
         self._ring = False
+        self._int_dens = not ctx.formal
 
     def coeff(self, ctx, n, k):
         if ctx is not self.ctx:
@@ -156,16 +167,50 @@ class MemoRule(CoefficientRule):
         return lo, row
 
     def _got(self, got):
-        """got, the parts of a fill, noted: does any hold a Poly?"""
-        if not self._ring:
-            for num, den in got:
-                if type(num) is Poly or type(den) is Poly:
-                    self._ring = True
-                    break
+        """got, the parts of a fill, noted: does any hold a Poly, and is
+        any denominator one?"""
+        for num, den in got:
+            if type(den) is Poly:
+                self._ring, self._int_dens = True, False
+                break
+            if type(num) is Poly:
+                self._ring = True
         return got
+
+    def columns(self, ctx, n, ks):
+        """Row n at ks, which `parts_row` has read, by monomial:
+        ({packed monomial: [its coefficient in each numerator]}, [each
+        denominator]), for a row whose denominators are ints.  A row with
+        no hole is turned into columns once per filled span, and a read
+        over a `range` of k is then one slice per column; any other read
+        takes the columns of its own entries."""
+        entry = self._rows.get(n)
+        if entry is None or entry[2] or type(ks) is not range or ks.step != 1:
+            return _columns(self.parts_row(ctx, n, ks))
+        lo, row, _ = entry
+        hit = self._cols.get(n)
+        if hit is None or hit[:2] != (lo, len(row)):
+            hit = self._cols[n] = (lo, len(row), *_columns(row))
+        i, j = ks.start - lo, ks.stop - lo
+        return {e: c[i:j] for e, c in hit[2].items()}, hit[3][i:j]
 
     def params(self):
         return self.rule.params()
+
+
+def _columns(parts):
+    """({packed monomial: [its coefficient in each numerator]}, [each
+    denominator]) of a list of parts; an int numerator is a constant."""
+    cols, dens, size = {}, [], len(parts)
+    for i, (num, den) in enumerate(parts):
+        dens.append(den)
+        for e, c in (num.terms.items() if type(num) is Poly
+                     else ((_ZEXP, num),) if num else ()):
+            col = cols.get(e)
+            if col is None:
+                col = cols[e] = [0] * size
+            col[i] = c
+    return cols, dens
 
 
 class Mab(CoefficientRule):
@@ -395,23 +440,28 @@ def _pair_reads(read, ctx, n, m, ks):
 
 def _pair_numerators(ctx, rule, n, m, ks):
     """Numerators of the `relation_residual`s on v_k, k in ks, for the
-    generator pair (n, m), over a common denominator.
+    generator pair (n, m), over a common denominator; each entry is zero
+    exactly when its numerator is.
 
     Write the three terms of the residual as t_i = N_i/D_i, with N_i and
     D_i the products of the numerators and of the denominators of t_i's
     factors.  Every D_i is nonzero, so the residual t1 - t2 - t3 is zero
     exactly when N1·D2·D3 - N2·D1·D3 - N3·D1·D2 is.  That takes ring
-    products only (ints or Polys): no gcd and no reduced quotient.  Once
-    the memo has handed out a Poly part, `ring_sum` takes the three
-    products; an all-int sweep keeps int expressions, which Python
-    evaluates faster than any loop over factors.
+    products only (ints or Polys): no gcd and no reduced quotient.  The
+    memo's parts pick one of three kernels.  All-int parts keep int
+    expressions, which Python evaluates faster than any loop over factors.
+    At a point where a numerator is a Poly but every denominator is an int,
+    `_pair_columns` takes the products by monomial over int columns, and
+    each entry is an int that is nonzero exactly where the numerator is.
+    Where a denominator is a Poly (formal p, q, or a formal denominator
+    of the rule's own), `ring_sum` takes the three products.
     """
     a1, b1 = ctx.split("upow", n)
     a2, b2 = ctx.split("upow", m)
     hm, dhm = ctx.split("hq", m)
     hn, dhn = ctx.split("hq", n)
-    rows = zip(*_pair_reads(rule.parts_row, ctx, n, m, ks))
-    if rule._ring:
+    reads = _pair_reads(rule.parts_row, ctx, n, m, ks)
+    if rule._ring and not rule._int_dens:
         # the factors that do not depend on k, folded once per pair
         k1 = ring_sum((a1, b2, dhm, dhn))
         k2 = ring_sum((-1, a2, b1, dhm, dhn))
@@ -420,15 +470,55 @@ def _pair_numerators(ctx, rule, n, m, ks):
                          (k2, nn, nmn, dm, dnm, ds),
                          (k3, ns, dm, dnm, dn, dmn))
                 for (nm, dm), (nnm, dnm), (nn, dn), (nmn, dmn), (ns, ds)
-                in rows]
+                in zip(*reads)]
     a3, b3 = hm * dhn - hn * dhm, dhm * dhn    # h(m) - h(n)
+    if rule._ring:
+        return _pair_columns(_pair_reads(rule.columns, ctx, n, m, ks),
+                             a1, b1, a2, b2, a3, b3)
     out = []
-    for (nm, dm), (nnm, dnm), (nn, dn), (nmn, dmn), (ns, ds) in rows:
+    for (nm, dm), (nnm, dnm), (nn, dn), (nmn, dmn), (ns, ds) in zip(*reads):
         d1 = b1 * dm * dnm
         d2 = b2 * dn * dmn
         out.append((b3 * ds) * (a1 * d2 * nm * nnm - a2 * d1 * nn * nmn)
                    - a3 * (d1 * d2) * ns)
     return out
+
+
+def _pair_columns(reads, a1, b1, a2, b2, a3, b3):
+    """The int kernel of `_pair_numerators` over columns: with the int
+    factors of each k folded into w1, w2, w3 as the int kernel folds them,
+    the numerator is w1·N(m,k)·N(n,m+k) + w2·N(n,k)·N(m,n+k) + w3·N(n+m,k),
+    and its coefficient of the monomial e1 + e2 gathers, for each term, the
+    columns e1 and e2 of its two numerators, one list per pair of columns.
+    A degree past ``_EMAX`` raises the ValueError `ring_sum` raises, where
+    that product is nonzero at some k.  Returns, for each k, an int that is
+    nonzero exactly where some column of the numerator is."""
+    (cm, cnm, cn, cmn, cs), dens = zip(*reads)
+    w1, w2, w3 = [], [], []
+    for dm, dnm, dn, dmn, ds in zip(*dens):
+        d1 = b1 * dm * dnm
+        d2 = b2 * dn * dmn
+        w1.append(b3 * ds * a1 * d2)
+        w2.append(-b3 * ds * a2 * d1)
+        w3.append(-a3 * d1 * d2)
+    zero = [0] * len(w3)
+    out = {}
+    for w, left, right in ((w1, cm, cnm), (w2, cn, cmn)):
+        for e1, x in left.items():
+            for e2, y in right.items():
+                e = e1 + e2
+                if e & _GUARD:      # checked as ring_sum checks it
+                    if any(u * v * z for u, v, z in zip(w, x, y)):
+                        raise _overflow()
+                    continue
+                out[e] = [s + u * v * z
+                          for s, u, v, z in zip(out.get(e, zero), w, x, y)]
+    for e, x in cs.items():
+        out[e] = [s + u * v for s, u, v in zip(out.get(e, zero), w3, x)]
+    flags = zero
+    for col in out.values():
+        flags = [f or c for f, c in zip(flags, col)]
+    return flags
 
 
 def _read_ahead(ctx, memo, pairs):
@@ -484,10 +574,10 @@ def _sweep_pairs(ctx, memo, rep, pairs):
             failures = {k: -r for k, r in pending.pop((m, n)).items()}
         else:
             nums = _pair_numerators(ctx, memo, n, m, ks)
-            if not memo._ring:      # the numerators are ints
-                nonzero = [k for k, x in zip(ks, nums) if x]
-            else:
+            if memo._ring and not memo._int_dens:   # Polys, from ring_sum
                 nonzero = [k for k, x in zip(ks, nums) if not is_zero(x)]
+            else:
+                nonzero = [k for k, x in zip(ks, nums) if x]
             failures = pending[n, m] = {
                 k: relation_residual(ctx, memo, n, m, k) for k in nonzero}
         rep.record_zeros(len(ks) - len(failures))

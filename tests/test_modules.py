@@ -1,6 +1,7 @@
 """Weight modules: defining relation, reducibility, shifts, intertwiners."""
 
 import hashlib
+import inspect
 import json
 import math
 import random
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpq import modules, scalar
+from vpq import cli, modules, scalar, suite
 from vpq.algebra import verify_algebra
 from vpq.caseaudit import case3_constants, case_constants_audit
 from vpq.classify import (fg_recurrence_audit, identity_audit,
@@ -1080,54 +1081,207 @@ def test_kernels_meet_ints_and_polys_only_in_ring_sum():
         assert is_zero(reflection_residual(f, m))
 
 
-def test_mixed_rows_take_ring_sum(monkeypatch):
-    # at (2,3), Mab(2, b) has int parts on its row n = 0 (A_0 = 2) and
-    # Polys elsewhere, and ExcBetaPrime(a) has Poly parts on its line
-    # k = -n only; once its memo has handed out a Poly, every row of
-    # numerators is summed by ring_sum, and each agrees with the reduced
-    # relation_residual, zero or not
+def test_mixed_rows_take_columns(monkeypatch):
+    # at (2,3), Mab(2, b) has constant numerators on its row n = 0 (A_0 = 2)
+    # and Polys in b elsewhere, and ExcBetaPrime(a) has Poly numerators on
+    # its line k = -n only; every denominator is an int, so each row of
+    # numerators is taken by columns, five column reads and no ring_sum,
+    # and Mab(1/a, 0), whose denominators are Polys, keeps three-product
+    # ring_sums.  Each numerator agrees with the reduced relation_residual,
+    # zero or not
     ctx = ScalarContext.symbolic("2", "3")
     a, b = ctx.var("a"), ctx.var("b")
-    summed = []
-    real = modules.ring_sum
+    summed, read = [], []
+    real_sum, real_columns = modules.ring_sum, MemoRule.columns
 
     def counting(*products):
         summed.append(len(products))
-        return real(*products)
+        return real_sum(*products)
+
+    def reading(self, ctx, n, ks):
+        read.append(n)
+        return real_columns(self, ctx, n, ks)
 
     ks = range(-4, 5)
     zeros = nonzeros = 0
-    for rule in (Mab(ctx.scalar(2), b), ExcBetaPrime(a),
-                 ExcBetaPrime(a, reading="given")):
+    for rule, columns in ((Mab(ctx.scalar(2), b), True), (ExcBetaPrime(a), True),
+                          (ExcBetaPrime(a, reading="given"), True),
+                          (Mab(1 / a, ctx.zero), False)):
         memo = MemoRule(ctx, rule)
-        kinds = set()
         for n in range(-3, 4):
             for m in range(-3, 4):
                 modules._pair_numerators(ctx, memo, n, m, ks)
                 with monkeypatch.context() as patch:
                     patch.setattr(modules, "ring_sum", counting)
-                    del summed[:]
+                    patch.setattr(MemoRule, "columns", reading)
+                    del summed[:], read[:]
                     nums = modules._pair_numerators(ctx, memo, n, m, ks)
-                assert summed.count(3) == len(ks), (rule.describe(), n, m)
+                if columns:
+                    assert summed == [] and len(read) == 5, rule.describe()
+                    assert all(type(x) is int for x in nums)
+                else:
+                    assert read == [] and summed.count(3) == len(ks)
                 for k, x in zip(ks, nums):
                     want = is_zero(relation_residual(ctx, rule, n, m, k))
                     assert is_zero(x) == want, (rule.describe(), n, m, k)
                     zeros += want
                     nonzeros += not want
         # every entry the sweep read: rows n + m at ks, rows n, m at k + m
+        kinds = set()
         for n in range(-6, 7):
             span = range(-7, 8) if abs(n) <= 3 else ks
-            kinds |= {type(x) for parts in memo.parts_row(ctx, n, span)
-                      for x in parts}
-        assert kinds == {int, Poly}, rule.describe()
+            for num, den in memo.parts_row(ctx, n, span):
+                kinds |= {(type(num), type(den))}
+        assert {den for _, den in kinds} == ({int} if columns else {Poly})
+        assert {num for num, _ in kinds} >= {Poly}, rule.describe()
     assert zeros > 1000 and nonzeros > 10
     # a rule with int parts only keeps the int expressions
     memo = MemoRule(ctx, Mab(ctx.scalar(2), ctx.scalar(3)))
     with monkeypatch.context() as patch:
         patch.setattr(modules, "ring_sum", counting)
-        del summed[:]
+        patch.setattr(MemoRule, "columns", reading)
+        del summed[:], read[:]
         nums = modules._pair_numerators(ctx, memo, 1, 2, ks)
-    assert summed == [] and all(type(x) is int and x == 0 for x in nums)
+    assert summed == read == [] and all(type(x) is int and x == 0
+                                        for x in nums)
+
+
+def _ring_sum_numerators(ctx, memo, n, m, ks):
+    """The numerators of the pair (n, m) as three-product ring_sums over
+    the memo's parts, whatever their types: the reference the column
+    kernel is held to."""
+    a1, b1 = ctx.split("upow", n)
+    a2, b2 = ctx.split("upow", m)
+    hm, dhm = ctx.split("hq", m)
+    hn, dhn = ctx.split("hq", n)
+    k1 = scalar.ring_sum((a1, b2, dhm, dhn))
+    k2 = scalar.ring_sum((-1, a2, b1, dhm, dhn))
+    k3 = scalar.ring_sum((hn, dhm, b1, b2), (-1, hm, dhn, b1, b2))
+    return [scalar.ring_sum((k1, nm, nnm, dn, dmn, ds),
+                            (k2, nn, nmn, dm, dnm, ds),
+                            (k3, ns, dm, dnm, dn, dmn))
+            for (nm, dm), (nnm, dnm), (nn, dn), (nmn, dmn), (ns, ds)
+            in zip(*modules._pair_reads(memo.parts_row, ctx, n, m, ks))]
+
+
+@pytest.mark.parametrize("point", [("2", "3"), ("5", "7"), ("-3/2", "1/4")])
+def test_column_flags_match_ring_sum_numerators(point, monkeypatch):
+    # formal a, b at a point: the column kernel's zero flags are those of
+    # the ring_sum numerators, for ks as a range and as a list, on rows
+    # whose span a list read has grown with holes (a range read there
+    # takes the columns of its own entries) and once they are filled
+    # again; a random table with Poly entries fails almost everywhere.  A
+    # sweep turns each row it reads by columns into columns once
+    ctx = ScalarContext.symbolic(*point)
+    a, b = ctx.var("a"), ctx.var("b")
+    rnd = random.Random(20261022)
+    table = TableRule({(n, k): (ctx.scalar(Fraction(rnd.randint(-3, 3),
+                                                    rnd.randint(1, 3))) * a
+                                + ctx.scalar(rnd.randint(-2, 2)) * b)
+                       for n in range(-6, 7) for k in range(-12, 13)}, 12)
+    holey = []
+    real = MemoRule.columns
+
+    def reading(self, ctx, n, ks):
+        holey.append(type(ks) is range and self._rows[n][2] > 0)
+        return real(self, ctx, n, ks)
+
+    monkeypatch.setattr(MemoRule, "columns", reading)
+    zeros = nonzeros = 0
+    for rule in (Mab(a, b), Mab(ctx.scalar(2), b), Mab(a * b, a + b),
+                 ExcAlpha(b), ExcBetaPrime(a),
+                 ExcBetaPrime(a, reading="given"), table):
+        memo = MemoRule(ctx, rule)
+        for ks in (range(-1, 2), [-7, 6], range(-3, 4), [3, -2, 0, 3],
+                   range(-8, 9)):
+            for n in range(-3, 4):
+                for m in range(-3, 4):
+                    flags = modules._pair_numerators(ctx, memo, n, m, ks)
+                    want = _ring_sum_numerators(ctx, memo, n, m, ks)
+                    assert [bool(x) for x in flags] == [
+                        not is_zero(x) for x in want], (rule.describe(), ks)
+                    zeros += flags.count(0)
+                    nonzeros += len(flags) - flags.count(0)
+        assert not any(entry[2] for entry in memo._rows.values())
+    assert zeros > 1000 and nonzeros > 500
+    assert any(holey) and not all(holey)
+    built, real_columns = [], modules._columns
+    monkeypatch.setattr(modules, "_columns",
+                        lambda parts: built.append(len(parts))
+                        or real_columns(parts))
+    memo = MemoRule(ctx, Mab(a, b))
+    ns, ks = range(-3, 4), range(-5, 6)
+    modules._sweep_pairs(ctx, memo, ResidualReport("columns"),
+                         [(n, m, ks) for n in ns for m in ns])
+    assert sorted(built) == sorted(length for _, length, _, _
+                                   in memo._cols.values())
+    assert len(built) == len(memo._cols) > 0
+
+
+def test_column_kernel_raises_past_emax_as_ring_sum_does(capsys,
+                                                         monkeypatch):
+    # every entry is a^16384 + 1, so c(m,k) c(n,m+k) holds a^32768: the
+    # column kernel raises ring_sum's ValueError before any ring_sum or
+    # relation_residual is called, and the CLI maps it to exit 2.  Where the columns a^16384 of two rows
+    # are never nonzero at the same k, their products add nothing, and
+    # neither ring_sum nor the columns raise
+    def overflowing(ctx):
+        half = ctx.var("a") ** 16384 + ctx.one
+        return TableRule({(n, k): half for n in range(-4, 5)
+                          for k in range(-6, 7)}, 6)
+
+    def forbidden(*args):
+        raise AssertionError("the overflow is the column kernel's to find")
+
+    ctx = ScalarContext.symbolic("2", "3")
+    with monkeypatch.context() as patch:
+        patch.setattr(modules, "ring_sum", forbidden)
+        patch.setattr(modules, "relation_residual", forbidden)
+        with pytest.raises(ValueError, match="exponent above 32767"):
+            verify_module(ctx, overflowing(ctx), 2, 3)
+        with pytest.raises(ValueError, match="exponent above 32767"):
+            _ring_sum_numerators(ctx, MemoRule(ctx, overflowing(ctx)),
+                                 1, 2, range(-3, 4))
+    half = ctx.var("a") ** 16384
+    apart = TableRule({(n, k): half if (n, k) in ((1, 0), (2, 5)) else 1
+                       for n in range(1, 4) for k in range(-3, 10)}, 9)
+    memo = MemoRule(ctx, apart)
+    ks = range(-2, 5)
+    flags = modules._pair_numerators(ctx, memo, 1, 2, ks)
+    assert [bool(x) for x in flags] == [
+        not is_zero(x) for x in _ring_sum_numerators(ctx, memo, 1, 2, ks)]
+    assert any(e & scalar._GUARD for e in (
+        e1 + e2 for e1 in memo.columns(ctx, 2, ks)[0]
+        for e2 in memo.columns(ctx, 1, range(0, 7))[0]))
+    monkeypatch.setitem(suite._HANDLERS, "verify-module",
+                        lambda ctx, spec, rng: verify_module(
+                            ctx, overflowing(ctx), 2, 3))
+    rc = cli.main(["verify-module", "--backend", "symbolic",
+                   "--family", "mab:a=1,b=1"])
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == ""
+    assert out.err == "vpq: exponent above 32767, the limit of a packed " \
+        "monomial\n"
+
+
+def test_a_column_kernel_mutant_breaks_the_formal_sweep(monkeypatch):
+    # with the sign of the third product flipped in the column kernel, the
+    # sweep of Mab(a, b) at a point fails and its pinned bytes change.
+    # Mab is a module, so each numerator the flip makes nonzero reduces to
+    # a zero value and is reported as module-row-value.  The bundled
+    # numeric suite never takes this kernel: its parts are all ints
+    source = inspect.getsource(modules._pair_columns)
+    assert source.count("w3.append(-a3 * d1 * d2)") == 1
+    space = {}
+    exec(source.replace("w3.append(-a3 * d1 * d2)", "w3.append(a3 * d1 * d2)"),
+         vars(modules), space)
+    monkeypatch.setattr(modules, "_pair_columns", space["_pair_columns"])
+    ctx = ScalarContext.symbolic("2", "3")
+    rep = verify_module(ctx, Mab(ctx.var("a"), ctx.var("b")), 6, 10)
+    assert rep.failed > 0
+    assert {f["identity"] for f in rep.failures} == {"module-row-value"}
+    with pytest.raises(AssertionError):
+        test_formal_sweep_bytes_are_unchanged("2,3")
 
 
 def _pair_scan_edges(ctx, rule, window):

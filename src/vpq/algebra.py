@@ -48,18 +48,17 @@ class AlgebraElement:
 
 
 def eta(ctx, n, m):
-    """Structure constant [n]/p^n - [m]/p^m of the non-central part."""
-    return ctx.hq(n) - ctx.hq(m)
+    """Structure constant [n]/p^n - [m]/p^m, the join of its parts."""
+    return ctx.join(*_StructureConstants(ctx).eta(n, m))
 
 
 def central_coefficient(ctx, n):
-    """Coefficient of C in [L_n, L_{-n}].
+    """Coefficient of C in [L_n, L_{-n}], the join of its parts.
 
     (q/p)^{-n} / (6 (1 + (q/p)^n)) * [n-1]/p^{n-1} * [n]/p^n * [n+1]/p^{n+1}
     The context guard keeps 1 + (q/p)^n away from zero at rational points.
     """
-    return (ctx.upow(-n) / ((1 + ctx.upow(n)) * 6)
-            * ctx.hq(n - 1) * ctx.hq(n) * ctx.hq(n + 1))
+    return ctx.join(*_StructureConstants(ctx).central(n))
 
 
 class _StructureConstants:
@@ -67,7 +66,7 @@ class _StructureConstants:
     central_coefficient(n) and the twist factor 1 + u^n under one context,
     each built once from the parts of the cached h and u values
     (`ScalarContext.split`) by ring products only: no gcd and no Fraction or
-    RationalFunction.
+    RationalFunction.  They are the one definition of these constants.
 
     Every denominator is nonzero (the context guard keeps 1 + u^n away
     from zero), so a sum of products of these is zero exactly when its
@@ -75,11 +74,10 @@ class _StructureConstants:
     holds one for its sweep, so the memo dies with the sweep.
     """
 
-    __slots__ = ("ctx", "_six", "_eta", "_central", "_twist")
+    __slots__ = ("ctx", "_eta", "_central", "_twist")
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self._six = ctx.parts(ctx.scalar(6))[0]
         self._eta = {}
         self._central = {}
         self._twist = {}
@@ -101,7 +99,7 @@ class _StructureConstants:
             ctx = self.ctx
             num, den = ctx.split("upow", -n)
             tn, td = self.twist(n)
-            num, den = num * td, den * tn * self._six
+            num, den = num * td, den * tn * ctx.parts(ctx.scalar(6))[0]
             for j in (n - 1, n, n + 1):
                 hn, hd = ctx.split("hq", j)
                 num, den = num * hn, den * hd

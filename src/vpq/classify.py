@@ -535,15 +535,12 @@ def _product(ring, *xs):
 class _Deformed(Mab):
     """mab(a, b) with the closed forms f(k) = u^{3k} F0/(c(-1,k+2) c(-1,k+1))
     and g(k) = u^{3k} G0/(c(1,k-2) c(1,k-1)) added to its rows c(2, k) and
-    c(-2, k), by one `ring_sum` on their parts; `coeff` is the reduced
-    value of the parts, so `relation_residual` reads the same numbers."""
+    c(-2, k), by one `ring_sum` on their parts; `relation_residual` reads
+    their joins."""
 
     def __init__(self, a, b, F0, G0):
         super().__init__(a, b)
         self.const = {2: F0, -2: G0}
-
-    def coeff(self, ctx, n, k):
-        return ctx.join(*self.parts_row(ctx, n, [k])[0])
 
     def parts_row(self, ctx, n, ks):
         row = super().parts_row(ctx, n, ks)

@@ -8,9 +8,10 @@ on basis vectors indexed by Z.  The defining axiom, checked everywhere by
 
 and the central element acts as zero on every family.
 
-A rule gives single values through `coeff` and whole rows through
-`parts_row(ctx, n, ks)`: an unreduced (numerator, denominator) pair for each
-c(n, k), k in ks, every denominator nonzero.  Parts come from
+A rule is defined by its rows, `parts_row(ctx, n, ks)`: an unreduced
+(numerator, denominator) pair for each c(n, k), k in ks, every denominator
+nonzero.  A value, `coeff`, is the join of its row entry (`TableRule` gives
+values instead, and its rows are their parts).  Parts come from
 `ScalarContext.parts`, and those of the cached h(k), u^k, [n] and powers
 from `ScalarContext.split`, which splits each once per exponent: at a
 point, on either backend, a constant part is an int and only the rest are
@@ -28,16 +29,16 @@ Poly part do.  A row of `Mab` is built from the parts of a, b and the
 context's basis `ScalarContext.hu`, the numerators of h(k) and u^k over one
 common denominator, aligned once per k and shared by every row on the
 context, by ring products only, and reduces nothing.  An exceptional
-family's rows and values read one record (`_OneLineRule`): its entry is
-h(j) off its special line, in a row the split of a cached h value, and
-h(j) + u^j [x n + y][z n + w] t on it.  A value is
-reduced only where a report prints it, or where `find_intertwiner`
-returns h, which it propagates by parts.
+family's rows read one record (`_OneLineRule`): its entry is h(j) off its
+special line, the split of a cached h value, and h(j) + u^j [x n + y]
+[z n + w] t on it, built from parts.  A value is reduced only where a
+report prints it, or where `find_intertwiner` returns h, which it
+propagates by parts.
 A sweep that rereads coefficients reads them through one `MemoRule`, which
-caches values and keeps each row as one list over a span of k, so a read
-over a range of k is one slice; the module sweep plans its reads, so each
-row it reads over one interval of k is filled by one call.  The submodule
-search holds the action graph as one bitmask of targets per index.
+keeps each row as one list over a span of k, so a read over a range of k
+is one slice; the module sweep plans its reads, so each row it reads over
+one interval of k is filled by one call.  The submodule search holds the
+action graph as one bitmask of targets per index.
 
 Families:
 
@@ -67,7 +68,9 @@ class CoefficientRule:
     family = "abstract"
 
     def coeff(self, ctx, n, k):
-        raise NotImplementedError
+        """c(n, k): the join of its row entry.  A rule defines this or
+        `parts_row`, whose default takes the parts of these values."""
+        return ctx.join(*self.parts_row(ctx, n, (k,))[0])
 
     def parts_row(self, ctx, n, ks):
         """[(numerator, denominator) of c(n, k) for k in ks], unreduced; the
@@ -86,7 +89,7 @@ class CoefficientRule:
 
 
 class MemoRule(CoefficientRule):
-    """One rule under one context, each value and row entry computed once.
+    """One rule under one context, each row entry computed once.
 
     A sweep wraps its rule for its own duration, so the memo dies with the
     sweep.  Under any other context it evaluates the rule afresh.  Row n
@@ -107,21 +110,12 @@ class MemoRule(CoefficientRule):
         self.ctx = ctx
         self.rule = rule
         self.family = rule.family
-        self._memo = {}
         # n -> (first k of its span, [parts, None for a hole], hole count)
         self._rows = {}
         # n -> (first k, length, columns, denominators) of a row with no hole
         self._cols = {}
         self._ring = False
         self._int_dens = not ctx.formal
-
-    def coeff(self, ctx, n, k):
-        if ctx is not self.ctx:
-            return self.rule.coeff(ctx, n, k)
-        hit = self._memo.get((n, k))
-        if hit is None:
-            hit = self._memo[n, k] = self.rule.coeff(ctx, n, k)
-        return hit
 
     def parts_row(self, ctx, n, ks):
         """The wrapped rule's row, its missing entries filled by one call."""
@@ -213,6 +207,9 @@ def _columns(parts):
     return cols, dens
 
 
+# each family binds coeff itself: perfbench/spans.py wraps vars(cls)["coeff"]
+
+
 class Mab(CoefficientRule):
     """c(n,k) = p^{-k}[k] - a p^{-k} q^k - b p^{-k-n} q^k [n]
     = h(k) - u^k (a + b h(n))."""
@@ -223,8 +220,7 @@ class Mab(CoefficientRule):
         self.a = a
         self.b = b
 
-    def coeff(self, ctx, n, k):
-        return ctx.hq(k) - ctx.upow(k) * (self.a + self.b * ctx.hq(n))
+    coeff = CoefficientRule.coeff
 
     def parts_row(self, ctx, n, ks):
         """c(n,k) = h(k) - u^k A_n with A_n = a + b h(n), all from parts
@@ -266,33 +262,31 @@ class _OneLineRule(CoefficientRule):
     def __init__(self, t):
         self.t = t
 
-    def coeff(self, ctx, n, k):
-        c, d = self.line
-        e, f = self.off
-        j = k + e * n + f
-        if k != c * n + d:
-            return ctx.hq(j)
-        x, y, z, w = self.pair
-        return (ctx.hq(j) + ctx.upow(j) * ctx.qint(x * n + y)
-                * ctx.qint(z * n + w) * self.t)
-
     def parts_row(self, ctx, n, ks):
         """Off the line each entry is the cached split of its h value
-        (`ctx.split`); only the line's entry is evaluated by `coeff`."""
+        (`ctx.split`); the line's entry is built from those of h(j), u^j and
+        its brackets and the parts of t, by one `ring_sum` per part."""
         c, d = self.line
         e, f = self.off
         special, shift, split = c * n + d, e * n + f, ctx.split
-        return [ctx.parts(self.coeff(ctx, n, k)) if k == special
-                else split("hq", k + shift) for k in ks]
+        row = [split("hq", k + shift) for k in ks]
+        if special not in ks:
+            return row
+        j, (x, y, z, w) = special + shift, self.pair
+        hn, hd = split("hq", j)
+        un, ud = split("upow", j)
+        an, ad = split("qint", x * n + y)
+        bn, bd = split("qint", z * n + w)
+        tn, td = ctx.parts(self.t)
+        entry = (ring_sum((hn, ud, ad, bd, td), (un, an, bn, tn, hd)),
+                 ring_sum((hd, ud, ad, bd, td)))
+        return [entry if k == special else parts for k, parts in zip(ks, row)]
 
     def params(self):
         out = {self.family: self.t}
         if self.reading != "adjusted":
             out["reading"] = self.reading
         return out
-
-
-# each family binds coeff itself: perfbench/spans.py wraps vars(cls)["coeff"]
 
 
 class ExcAlpha(_OneLineRule):
@@ -302,7 +296,7 @@ class ExcAlpha(_OneLineRule):
 
     family = "alpha"
     line, off, pair = (0, -1), (1, 1), (-1, 0, 1, 1)
-    coeff = _OneLineRule.coeff
+    coeff = CoefficientRule.coeff
 
 
 class ExcAlphaPrime(_OneLineRule):
@@ -312,7 +306,7 @@ class ExcAlphaPrime(_OneLineRule):
 
     family = "alphap"
     line, off, pair = (-1, 0), (0, 0), (-1, 0, 1, 1)
-    coeff = _OneLineRule.coeff
+    coeff = CoefficientRule.coeff
 
 
 class ExcBeta(_OneLineRule):
@@ -322,7 +316,7 @@ class ExcBeta(_OneLineRule):
 
     family = "beta"
     line, off, pair = (0, 1), (1, -1), (1, 0, -1, 1)
-    coeff = _OneLineRule.coeff
+    coeff = CoefficientRule.coeff
 
 
 class ExcBetaPrime(_OneLineRule):
@@ -338,7 +332,7 @@ class ExcBetaPrime(_OneLineRule):
 
     family = "betap"
     line, off, pair = (-1, 0), (0, 0), (1, 0, -1, 1)
-    coeff = _OneLineRule.coeff
+    coeff = CoefficientRule.coeff
 
     def __init__(self, t, reading="adjusted"):
         if reading not in ("adjusted", "given"):
@@ -554,8 +548,8 @@ def _sweep_pairs(ctx, memo, rep, pairs):
     `MemoRule` memo).  Its zeros are counted with one `record_zeros` call;
     only a nonzero one is reduced, by `relation_residual`, and recorded in
     k order as `module-relation` (n, m, k); one that reduces to zero means
-    the rule's rows and values disagree, a fault of the program, and is
-    recorded as a failed `module-row-value` (n, m, k).  The axiom is
+    the numerator kernel and the value arithmetic disagree (a program
+    fault), recorded as a failed `module-row-value` (n, m, k).  The axiom is
     antisymmetric, R(n,m,k) = -R(m,n,k) for any rule, so a later (m, n)
     with the same ks records the negated residuals of (n, m) (the same
     exact values, so the same bytes) without a sweep, and a diagonal pair
@@ -582,7 +576,7 @@ def _sweep_pairs(ctx, memo, rep, pairs):
                 k: relation_residual(ctx, memo, n, m, k) for k in nonzero}
         rep.record_zeros(len(ks) - len(failures))
         for k, r in failures.items():
-            if is_zero(r):      # the rows and the values disagree
+            if is_zero(r):      # the kernel and the values disagree
                 rep.expect("module-row-value", (n, m, k), False,
                            "%s: nonzero row numerator, zero value"
                            % memo.describe())

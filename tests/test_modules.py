@@ -565,10 +565,12 @@ def test_a_diagonal_pair_reads_its_rows(ctx):
                              [(1, 1, [0, 2])])
 
 
-@pytest.mark.parametrize("ctx_kind", ["numeric", "formal", "formal-ab"])
+@pytest.mark.parametrize("ctx_kind",
+                         ["numeric", "symbolic", "formal", "formal-ab"])
 def test_family_coefficients_match_their_literal_formulas(ctx_kind):
     # each value and each joined row entry against the docstring formula,
-    # at a point, at formal p, q and with formal a, b at a point; the
+    # at a point on either backend (on the symbolic one every part is a
+    # grounded int), at formal p, q and with formal a, b at a point; the
     # window holds n = 0, k = 0 and the special lines k = -1, 1, -n
     if ctx_kind == "numeric":
         ctx = ScalarContext.numeric("5/2", "-3/4")
@@ -577,7 +579,7 @@ def test_family_coefficients_match_their_literal_formulas(ctx_kind):
         ctx = ScalarContext.symbolic()
         rules = _family_rules(lambda i: ctx.var("ab"[i % 2]))
     else:
-        ctx, rules = _row_case("formal-ab")
+        ctx, rules = _row_case(ctx_kind)
         rules = [r for r in rules if not isinstance(r, TableRule)]
     ks = range(-4, 5)
     for rule in rules:
@@ -587,6 +589,23 @@ def test_family_coefficients_match_their_literal_formulas(ctx_kind):
                 where = (rule.describe(), n, k)
                 assert is_zero(rule.coeff(ctx, n, k) - want), where
                 assert is_zero(ctx.join(*parts) - want), where
+
+
+@pytest.mark.parametrize("backend", ["numeric", "symbolic", "formal-pq"])
+def test_a_coeff_only_rule_gives_the_parts_of_its_values(backend):
+    # a TableRule defines coeff alone: its rows are the parts of its values,
+    # and the join of a row entry gives the value back
+    ctx, rules = _row_case(backend)
+    table = rules[-1]
+    assert isinstance(table, TableRule) and "parts_row" not in vars(TableRule)
+    ks = [4, -6, 0, 4, 6]
+    for n in range(-3, 4):
+        row = table.parts_row(ctx, n, ks)
+        assert row == [ctx.parts(table.coeff(ctx, n, k)) for k in ks]
+        for k, parts in zip(ks, row):
+            assert ctx.join(*parts) == table.coeff(ctx, n, k)
+            assert (modules.CoefficientRule.coeff(table, ctx, n, k)
+                    == ctx.scalar(table.entries[n, k]))
 
 
 def test_rule_under_two_contexts_keeps_them_apart():
@@ -616,7 +635,7 @@ def test_memo_rule_describes_its_rule(ctx):
     rule = ExcBetaPrime(Fraction(1, 5), reading="given")
     memo = MemoRule(ctx, rule)
     assert memo.describe() == rule.describe() == "betap:betap=1/5,reading=given"
-    assert memo.coeff(ctx, 2, -2) is memo.coeff(ctx, 2, -2)
+    assert memo.coeff(ctx, 2, -2) == rule.coeff(ctx, 2, -2)
     assert memo.parts_row(ctx, 2, [-2])[0] is memo.parts_row(ctx, 2, [-2])[0]
     # a row read at other ks, in another order, keeps each entry with its k
     row = memo.parts_row(ctx, 2, [1, -2, 0, -3])
@@ -670,7 +689,9 @@ def test_sweep_over_a_table_of_exactly_its_reads(ctx, pair_filter):
     a, b = Fraction(1, 3), Fraction(-2)
     rule = _asking(Mab(a, b))
     want = verify_module(ctx, rule, 3, 5, pair_filter)
-    table = TableRule({nk: rule.coeff(ctx, *nk) for nk in rule.asked}, 5)
+    # a snapshot: rule.coeff reads a row, which notes its reads too
+    table = TableRule({nk: rule.coeff(ctx, *nk) for nk in list(rule.asked)},
+                      5)
     got = verify_module(ctx, table, 3, 5, pair_filter)
     assert got.failed == 0 and got.checked == want.checked
     del table.entries[max(table.entries)]

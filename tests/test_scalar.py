@@ -826,7 +826,7 @@ def test_prs_fallback_gives_the_same_reports(monkeypatch):
     hundred."""
     def reports():
         f = ScalarContext.symbolic()
-        w = range(-4, 5)
+        w = range(-6, 7)
         return [verify_module(f, Mab(f.var("a"), f.var("b")), 2, 3).to_dict(),
                 verify_algebra(f, window=7).to_dict(),
                 [str(skew_residual(f, n, m)) for n in w for m in w],

@@ -111,18 +111,20 @@ _MUTANTS = {
          "sampled-families", "is-reducible-grid", "iso", "sampled-iso",
          "quadratic-roots", "l2-display", "fg-recurrences", "case-constants",
          "family-consistency"}),
+    # a rule's rows are its one definition, and its values their joins,
+    # so a broken parameter is patched into parts_row alone
     "Mab reads -b": (
-        [(Mab, name, _reparam(Mab, name, lambda r: Mab(r.a, -r.b)))
-         for name in ("coeff", "parts_row")],
+        [(Mab, "parts_row",
+          _reparam(Mab, "parts_row", lambda r: Mab(r.a, -r.b)))],
         {"is-reducible-grid", "quadratic-roots", "l2-display",
          "fg-recurrences", "case-constants", "family-consistency"}),
     "ExcAlpha's line entry reads alpha + 1": (
-        [(ExcAlpha, "coeff",
-          _reparam(ExcAlpha, "coeff", lambda r: ExcAlpha(r.t + 1)))],
+        [(ExcAlpha, "parts_row",
+          _reparam(ExcAlpha, "parts_row", lambda r: ExcAlpha(r.t + 1)))],
         {"family-consistency"}),
     "ExcBetaPrime takes the given reading": (
-        [(ExcBetaPrime, "coeff", _reparam(
-            ExcBetaPrime, "coeff", lambda r: ExcBetaPrime(r.t, "given")))],
+        [(ExcBetaPrime, "parts_row", _reparam(
+            ExcBetaPrime, "parts_row", lambda r: ExcBetaPrime(r.t, "given")))],
         {"sampled-families", "family-consistency"}),
     "shift_params shifts by m + 1": (
         [(modules, "shift_params",
@@ -143,14 +145,14 @@ _MUTANTS = {
     "ExcBetaPrime's rows read h(k+1)": (
         [(ExcBetaPrime, "off", (0, 1))],
         {"sampled-families", "family-consistency"}),
-    # every Mab row reads c(n,k)/2 with b halved; the module sweeps judge
-    # by rows, and a nonzero row numerator whose value is zero fails as
-    # module-row-value
+    # every Mab row reads c(n,k)/2 with b halved, and so does every Mab
+    # value, the join of its row: the module sweeps fail, and so does the
+    # partner root of the step-product quadratic (quadratic-roots)
     "the h/u basis doubles its denominator": (
         [(ScalarContext, "hu",
           lambda self, k: _hu(self, k)[:2] + (2 * _hu(self, k)[2],))],
         {"verify-module", "sampled-modules", "is-reducible-grid",
-         "l2-display", "fg-recurrences", "case-constants",
+         "quadratic-roots", "l2-display", "fg-recurrences", "case-constants",
          "family-consistency"}),
 }
 
